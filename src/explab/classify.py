@@ -10,8 +10,7 @@ All arithmetic in this module is exact; no floats anywhere.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -22,13 +21,10 @@ from .lie import LieAlgebra
 from .ratpoly import RatPoly
 
 __all__ = [
-    "CocycleSpace",
     "Classification",
     "EquivalenceResult",
     "DegreeCapError",
     "MilneStructureReport",
-    "solve_cocycles",
-    "solve_coboundaries",
     "classify",
     "are_equivalent",
     "verify_milne_structure",
@@ -38,14 +34,6 @@ __all__ = [
 
 class DegreeCapError(RuntimeError):
     """Auto-degree escalation hit the cap without the quotient stabilizing."""
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("EXPLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _require_valid(alg: LieAlgebra) -> None:
@@ -92,11 +80,11 @@ class _Layout:
 
 # -- constraint assembly -----------------------------------------------
 
-def _triple_rows(alg: LieAlgebra, layout: _Layout, triples) -> List[Dict[int, Fraction]]:
+def _cocycle_rows(alg: LieAlgebra, layout: _Layout) -> List[Dict[int, Fraction]]:
     D = layout.degree
     ti = alg.time_index
     rows: List[Dict[int, Fraction]] = []
-    for (i, j, k) in triples:
+    for (i, j, k) in itertools.combinations(range(alg.dim), 3):
         per_power: List[Dict[int, Fraction]] = [{} for _ in range(D + 1)]
 
         def add(col: int, value: Fraction, power: int) -> None:
@@ -131,50 +119,6 @@ def _triple_rows(alg: LieAlgebra, layout: _Layout, triples) -> List[Dict[int, Fr
     return rows
 
 
-def _all_triples(n: int):
-    return [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)]
-
-
-def _assemble_cocycle_rows(alg: LieAlgebra, layout: _Layout,
-                           workers: Optional[int] = None) -> List[Dict[int, Fraction]]:
-    triples = _all_triples(alg.dim)
-    workers = _worker_count() if workers is None else max(1, workers)
-    if workers == 1 or len(triples) < 64:
-        return _triple_rows(alg, layout, triples)
-    # chunks are processed independently and concatenated in a fixed order,
-    # so the row list (and everything downstream) is thread-count invariant
-    size = (len(triples) + workers - 1) // workers
-    chunks = [triples[o:o + size] for o in range(0, len(triples), size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda ch: _triple_rows(alg, layout, ch), chunks))
-    rows: List[Dict[int, Fraction]] = []
-    for part in parts:
-        rows.extend(part)
-    return rows
-
-
-# -- public spaces ------------------------------------------------------
-
-@dataclass
-class CocycleSpace:
-    alg: LieAlgebra
-    degree_bound: int
-    basis: List[TwoCochain]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def solve_cocycles(alg: LieAlgebra, D: int, workers: Optional[int] = None) -> CocycleSpace:
-    """Exact basis of all polynomial cocycles with entry degree <= D."""
-    _require_valid(alg)
-    layout = _Layout(alg, D)
-    rows = _assemble_cocycle_rows(alg, layout, workers)
-    vecs = linalg.nullspace(rows, layout.ncols)
-    return CocycleSpace(alg, D, [layout.to_cochain(v) for v in vecs])
-
-
 def _lambda_units(alg: LieAlgebra, D: int):
     for k in range(alg.dim):
         top = 0 if k == alg.time_index else D
@@ -182,14 +126,6 @@ def _lambda_units(alg: LieAlgebra, D: int):
             comps = [RatPoly.zero()] * alg.dim
             comps[k] = RatPoly.monomial(u)
             yield OneCochain(alg, comps)
-
-
-def solve_coboundaries(alg: LieAlgebra, D: int) -> List[TwoCochain]:
-    """Echelon basis of coboundaries of one-cochains with component degree <= D."""
-    _require_valid(alg)
-    layout = _Layout(alg, D)
-    rows = [layout.to_row(coboundary(lam)) for lam in _lambda_units(alg, D)]
-    return [layout.to_cochain(r) for r in linalg.rref(rows)]
 
 
 # -- classification -----------------------------------------------------
@@ -225,9 +161,11 @@ class _DegreeSolve:
     rep_rows: List[Dict[int, Fraction]]
 
 
-def _solve_at_degree(alg: LieAlgebra, D: int, workers: Optional[int]) -> _DegreeSolve:
+def _solve_at_degree(alg: LieAlgebra, D: int) -> _DegreeSolve:
+    """Cocycle basis, coboundary echelon basis and quotient representatives
+    at entry-degree bound D, all as rows in the layout's column numbering."""
     layout = _Layout(alg, D)
-    z_vecs = linalg.nullspace(_assemble_cocycle_rows(alg, layout, workers), layout.ncols)
+    z_vecs = linalg.nullspace(_cocycle_rows(alg, layout), layout.ncols)
     b_rows = linalg.rref([layout.to_row(coboundary(lam)) for lam in _lambda_units(alg, D)])
     reduced = [linalg.reduce_mod_rows(v, b_rows) for v in z_vecs]
     rep_rows = linalg.rref([r for r in reduced if r])
@@ -236,30 +174,30 @@ def _solve_at_degree(alg: LieAlgebra, D: int, workers: Optional[int]) -> _Degree
     return _DegreeSolve(layout, z_vecs, b_rows, rep_rows)
 
 
-def _d_level(label: str) -> Optional[int]:
-    if label.startswith("d") and "_" in label:
-        head = label[1:label.index("_")]
-        if head.isdigit():
-            return int(head)
-    return None
+def _kind(alg: LieAlgebra, i: int) -> Optional[str]:
+    role = alg.roles[i]
+    return None if role is None else role.kind
 
 
 def _coordinate_names(alg: LieAlgebra, solve: _DegreeSolve) -> List[str]:
+    """Name each representative after the generator pair of its pivot:
+    gamma_(l,n) on acceleration levels, gamma on a translation and the
+    boost along the same axis, c(a,b)*t^p for any other pair."""
     names = []
     width = solve.layout.degree + 1
     for row in solve.rep_rows:
         lead = min(row)
         i, j = solve.layout.pairs[lead // width]
         power = lead % width
-        li, lj = alg.labels[i], alg.labels[j]
-        l, n = _d_level(li), _d_level(lj)
-        if l is not None and n is not None:
-            names.append("gamma_(%d,%d)" % (l, n))
-        elif alg.name == "galilean" and (li, lj) == ("b1", "d1"):
+        ri, rj = alg.roles[i], alg.roles[j]
+        kinds = (_kind(alg, i), _kind(alg, j))
+        if kinds == ("acceleration", "acceleration"):
+            names.append("gamma_(%d,%d)" % (ri.level, rj.level))
+        elif kinds == ("translation", "boost") and ri.axes == rj.axes:
             names.append("gamma")
         else:
             suffix = "" if power == 0 else "*t^%d" % power
-            names.append("c(%s,%s)%s" % (li, lj, suffix))
+            names.append("c(%s,%s)%s" % (alg.labels[i], alg.labels[j], suffix))
     return names
 
 
@@ -274,7 +212,6 @@ def classify(alg: LieAlgebra, degree="auto", cap: int = 16) -> Classification:
     would never terminate.
     """
     _require_valid(alg)
-    workers = _worker_count()
 
     def finish(solve: _DegreeSolve, used: int) -> Classification:
         reps = [solve.layout.to_cochain(r) for r in solve.rep_rows]
@@ -293,14 +230,14 @@ def classify(alg: LieAlgebra, degree="auto", cap: int = 16) -> Classification:
         D = int(degree)
         if D < 0:
             raise ValueError("degree must be >= 0")
-        return finish(_solve_at_degree(alg, D, workers), D)
+        return finish(_solve_at_degree(alg, D), D)
 
     if alg.time_index is None:
-        return finish(_solve_at_degree(alg, 0, workers), 0)
+        return finish(_solve_at_degree(alg, 0), 0)
 
-    prev = _solve_at_degree(alg, 1, workers)
+    prev = _solve_at_degree(alg, 1)
     for D in range(2, cap + 1):
-        cur = _solve_at_degree(alg, D, workers)
+        cur = _solve_at_degree(alg, D)
         if len(cur.rep_rows) == len(prev.rep_rows):
             return finish(cur, D)
         prev = cur
@@ -395,8 +332,15 @@ class MilneStructureReport:
         }
 
 
-def _p_table(rep: TwoCochain, m: int) -> List[List[RatPoly]]:
-    return [[rep.entry_by_labels("d%d_1" % l, "d%d_1" % n) for n in range(m + 1)]
+def _acceleration_index(alg: LieAlgebra) -> Dict[Tuple[int, int], int]:
+    """(level n, axis i) -> index of d_i^(n)."""
+    return {(r.level, r.axes[0]): k for k, r in enumerate(alg.roles)
+            if r is not None and r.kind == "acceleration"}
+
+
+def _p_table(rep: TwoCochain, acc: Dict[Tuple[int, int], int],
+             m: int) -> List[List[RatPoly]]:
+    return [[rep.entry(acc[l, 1], acc[n, 1]) for n in range(m + 1)]
             for l in range(m + 1)]
 
 
@@ -410,14 +354,15 @@ def verify_milne_structure(c: Classification, m: int) -> MilneStructureReport:
     """
     report = MilneStructureReport(order=m)
     alg = c.alg
+    acc = _acceleration_index(alg)
     for s, rep in enumerate(c.representatives):
         tag = "rep[%d]" % s
-        P = _p_table(rep, m)
+        P = _p_table(rep, acc, m)
         for l in range(m + 1):
             for n in range(m + 1):
                 for i in (1, 2, 3):
                     for k in (1, 2, 3):
-                        e = rep.entry_by_labels("d%d_%d" % (l, i), "d%d_%d" % (n, k))
+                        e = rep.entry(acc[l, i], acc[n, k])
                         want = P[l][n] if i == k else RatPoly.zero()
                         if e != want:
                             report.record("isotropy", "%s (l=%d,n=%d,i=%d,k=%d)"
@@ -436,9 +381,9 @@ def verify_milne_structure(c: Classification, m: int) -> MilneStructureReport:
                 if lhs != rhs:
                     report.record("recurrence", "%s (l=%d,n=%d)" % (tag, l, n))
         for (i, j) in rep.nonzero_entries():
-            li, lj = alg.labels[i], alg.labels[j]
-            if _d_level(li) is None or _d_level(lj) is None:
-                report.record("support", "%s entry (%s,%s)" % (tag, li, lj))
+            if (_kind(alg, i), _kind(alg, j)) != ("acceleration", "acceleration"):
+                report.record("support", "%s entry (%s,%s)"
+                              % (tag, alg.labels[i], alg.labels[j]))
     return report
 
 
@@ -447,12 +392,13 @@ def realizable_subspace(c: Classification, m: int) -> Classification:
     reps = c.representatives
     if not reps:
         return c
+    acc = _acceleration_index(c.alg)
     constraints: List[Dict[int, Fraction]] = []
     for l in range(1, m + 1):
         for n in range(l + 1, m + 1):
             row = {}
             for s, rep in enumerate(reps):
-                v = rep.entry_by_labels("d%d_1" % l, "d%d_1" % n)(Fraction(0))
+                v = rep.entry(acc[l, 1], acc[n, 1])(Fraction(0))
                 if v:
                     row[s] = v
             if row:

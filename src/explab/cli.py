@@ -11,14 +11,14 @@ order); text output is for humans and may change.  Exit codes: 0 when
 every executed check passed, 1 for check failures and numeric aborts,
 2 for unusable input (bad flags, malformed or inconsistent algebra
 files).  Classify reports carry no timing so identical inputs produce
-byte-identical bytes regardless of thread count; the stochastic
-commands echo (seed, samples) and report wall time.
+byte-identical bytes; the stochastic commands echo (seed, samples) and
+report wall time.  The verify suites live in the check catalogue,
+`explab.checks`.
 """
 
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -28,31 +28,19 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from . import bundle as bundlemod
-from .classify import (DegreeCapError, classify, realizable_subspace,
-                       verify_milne_structure)
-from .groupexp import (ExtrapolationError, HElement, check_cocycle_identities,
-                       compose, exponent_shift_violation,
-                       exponent_time_variance, finite_exponent, h_inverse,
-                       h_multiply, h_unit, infinitesimal_from_finite, inverse,
-                       random_element, random_event, theta_galilean,
-                       theta_milne, _act_event)
+# SWEEP_RATIOS and SWEEP_MARGIN are re-exported for callers that read them here
+from .checks import SUITE_NAMES, SWEEP_MARGIN, SWEEP_RATIOS, check, suite  # noqa: F401
+from .classify import DegreeCapError, classify
+from .groupexp import (ExtrapolationError, infinitesimal_from_finite,
+                       theta_galilean, theta_milne)
 from .lie import LieAlgebra, galilean, milne, phase_space
-from .ratpoly import RatPoly
-from .schrod import (convergence_slope, gaussian_packet, mass_equality_sweep,
-                     sample_wave, schrodinger_residual, transform_wave)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 SCHEMA_VERSION = 1
-IDENTITY_TOL = 1e-12
-VARIANCE_TOL = 1e-24
 EXTRACTION_TOL = 1e-6
-SWEEP_RATIOS = (0.5, 0.9, 1.0, 1.1, 2.0)
-SWEEP_MARGIN = 10.0
-SLOPE_MIN = 1.8
 
 # fixed probe event for exponent extraction; any regular point works,
 # this one avoids the coordinate planes
@@ -159,11 +147,11 @@ def load_theta(spec: str):
                      "milne-schrodinger:<m>)" % spec)
 
 
-def _group_labels(spec: str) -> Tuple[str, List[str]]:
+def _group_algebra(spec: str) -> Tuple[str, LieAlgebra]:
     if spec == "galilean":
-        return "galilean", list(galilean().labels)
+        return "galilean", galilean()
     if spec.startswith("milne:"):
-        return "milne", list(milne(_parse_indexed(spec, "milne", 1)).labels)
+        return "milne", milne(_parse_indexed(spec, "milne", 1))
     raise UsageError("unknown group spec %r (use galilean or milne:<m>)" % spec)
 
 
@@ -178,210 +166,24 @@ def cmd_classify(config: RunConfig) -> Tuple[dict, bool]:
     return _report(config, echo, result.to_jsonable(), timing=None), True
 
 
-# -- verify suites ----------------------------------------------------
-
-
-def _check(name: str, passed: bool, **details) -> dict:
-    entry = {"name": name, "passed": bool(passed)}
-    entry.update(details)
-    return entry
-
-
-def _suite_galilean(samples: int, seed: int) -> List[dict]:
-    checks = []
-    result = classify(galilean())
-    checks.append(_check("classification-quotient",
-                         result.quotient_dim == 1,
-                         quotient_dim=result.quotient_dim))
-    theta = theta_galilean(1.0)
-    stats = check_cocycle_identities(theta, samples=samples, seed=seed)
-    checks.append(_check("cocycle-identities",
-                         stats["max_violation"] <= IDENTITY_TOL,
-                         max_violation=stats["max_violation"],
-                         samples=stats["samples"], seed=stats["seed"]))
-    variance = exponent_time_variance(theta, samples=100, seed=seed)
-    checks.append(_check("time-independence", variance <= VARIANCE_TOL,
-                         variance=variance))
-    shift = exponent_shift_violation(theta, lambda r, p: 0.7 * r.b,
-                                     samples=min(samples, 200), seed=seed)
-    checks.append(_check("gauge-shift-identity", shift <= IDENTITY_TOL,
-                         max_violation=shift))
-    return checks
-
-
-def _suite_milne(m: int, samples: int, seed: int) -> List[dict]:
-    checks = []
-    result = classify(milne(m))
-    want = m * (m + 1) // 2
-    checks.append(_check("classification-quotient",
-                         result.quotient_dim == want,
-                         quotient_dim=result.quotient_dim, expected=want))
-    structure = verify_milne_structure(result, m)
-    for name in structure.CHECKS:
-        detail = structure.failures.get(name)
-        checks.append(_check("structure-" + name, detail is None,
-                             **({} if detail is None else {"detail": detail})))
-    restricted = realizable_subspace(result, m)
-    checks.append(_check("realizable-dimension",
-                         restricted.quotient_dim == m,
-                         quotient_dim=restricted.quotient_dim, expected=m))
-    stats = check_cocycle_identities(theta_milne(1.0), samples=samples,
-                                     seed=seed, order=m)
-    checks.append(_check("cocycle-identities",
-                         stats["max_violation"] <= IDENTITY_TOL,
-                         max_violation=stats["max_violation"],
-                         samples=stats["samples"], seed=stats["seed"]))
-    return checks
-
-
-def _random_section(rng, grid, dim) -> "bundlemod.Section":
-    fibers = rng.normal(size=(grid.size, dim)) + 1j * rng.normal(size=(grid.size, dim))
-    return bundlemod.Section(grid, fibers)
-
-
-def _random_unitary(rng, dim) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def _wrapped_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs((a - b + np.pi) % (2 * np.pi) - np.pi)))
-
-
-def _suite_bundle(samples: int, seed: int) -> List[dict]:
-    rng = np.random.default_rng(seed)
-    grid = bundlemod.uniform_grid(0.0, 1.0, 33)
-    dim = 4
-    checks = []
-
-    section = _random_section(rng, grid, dim)
-    planted = np.sin(grid.nodes) + 0.3
-    mapped = bundlemod.apply_bundle_map(
-        bundlemod.phase_bundle_map(grid, dim, planted), section)
-    recovery = bundlemod.ray_equivalent(section, mapped)
-    deviation = (_wrapped_deviation(recovery.phases, planted)
-                 if recovery.equivalent else math.inf)
-    checks.append(_check("planted-phase-recovery",
-                         recovery.equivalent and deviation <= IDENTITY_TOL,
-                         max_phase_deviation=deviation))
-
-    scaled = bundlemod.Section(grid, 2.0 * section.fibers)
-    checks.append(_check("scaling-rejected",
-                         not bundlemod.ray_equivalent(section, scaled).equivalent))
-
-    independents = sum(
-        bundlemod.ray_equivalent(_random_section(rng, grid, dim),
-                                 _random_section(rng, grid, dim)).equivalent
-        for _ in range(10))
-    checks.append(_check("independent-sections-rejected", independents == 0,
-                         false_positives=independents))
-
-    perm = np.arange(grid.size)[::-1].copy()
-    mats = np.stack([_random_unitary(rng, dim) for _ in range(grid.size)])
-    isometry = bundlemod.BundleMap(perm, mats)
-    s1, s2 = _random_section(rng, grid, dim), _random_section(rng, grid, dim)
-    t1 = bundlemod.apply_bundle_map(isometry, s1)
-    t2 = bundlemod.apply_bundle_map(isometry, s2)
-    worst = max(
-        abs(bundlemod.fiber_inner(t1, t2, int(perm[k]))
-            - bundlemod.fiber_inner(s1, s2, k))
-        for k in range(grid.size))
-    checks.append(_check("isometry-inner-products", worst <= IDENTITY_TOL,
-                         max_violation=worst))
-    return checks
-
-
-def _suite_schrodinger(samples: int, seed: int) -> List[dict]:
-    mass = 1.0
-    profile = RatPoly.monomial(2, "2/5")  # A(t) = 0.4 t^2
-    addot = profile.differentiate().differentiate()
-    g = lambda t: float(addot(t))
-    packet = gaussian_packet(mass, x0=0.0, k0=0.3)
-    hs, norms = [], []
-    for nx, nt in [(161, 41), (321, 81), (641, 161)]:
-        xs = np.linspace(-16.0, 16.0, nx)
-        ts = np.linspace(0.0, 0.8, nt)
-        moved = transform_wave(sample_wave(packet, xs, ts, mass), profile)
-        hs.append(moved.dx)
-        norms.append(schrodinger_residual(moved, mass, mass, g).max_norm)
-    slope = convergence_slope(hs, norms)
-    checks = [_check("residual-convergence-order", slope >= SLOPE_MIN,
-                     slope=slope, residuals=norms)]
-    sweep = mass_equality_sweep(profile, mass, SWEEP_RATIOS)
-    ok = (not sweep.degenerate and sweep.best_ratio == 1.0
-          and sweep.margin is not None and sweep.margin >= SWEEP_MARGIN)
-    checks.append(_check("mass-ratio-sweep", ok, **sweep.to_jsonable()))
-    return checks
-
-
-def _suite_h_group(samples: int, seed: int) -> List[dict]:
-    theta = theta_galilean(1.2)
-    rng = np.random.default_rng(seed)
-    trials = max(1, min(samples, 200))
-    worst_assoc = worst_inverse = worst_unit = 0.0
-    for k in range(trials):
-        elements = [random_element(rng, "galilean") for _ in range(3)]
-        lifted = [HElement(lambda x, t, j=j: math.sin(j + x[0] - t), e, theta)
-                  for j, e in enumerate(elements)]
-        p = random_event(rng)
-        assoc = (h_multiply(h_multiply(lifted[0], lifted[1]), lifted[2]).theta(*p)
-                 - h_multiply(lifted[0], h_multiply(lifted[1], lifted[2])).theta(*p))
-        r, s, g = elements
-        composition = (finite_exponent(theta, r, s, p)
-                       + finite_exponent(theta, compose(r, s), g, p)
-                       - finite_exponent(theta, s, g, _act_event(inverse(r), p))
-                       - finite_exponent(theta, r, compose(s, g), p))
-        worst_assoc = max(worst_assoc, abs(assoc - composition))
-        product = h_multiply(h_inverse(lifted[0]), lifted[0])
-        worst_inverse = max(worst_inverse, abs(product.theta(*p)))
-        neutral = h_multiply(h_unit(theta), lifted[0])
-        worst_unit = max(worst_unit, abs(neutral.theta(*p) - lifted[0].theta(*p)))
-    return [
-        _check("associativity-matches-composition", worst_assoc <= IDENTITY_TOL,
-               max_violation=worst_assoc, samples=trials, seed=seed),
-        _check("inverse-cancels", worst_inverse <= IDENTITY_TOL,
-               max_violation=worst_inverse),
-        _check("unit-neutral", worst_unit <= IDENTITY_TOL,
-               max_violation=worst_unit),
-    ]
+# -- verify ---------------------------------------------------------
 
 
 def cmd_verify(config: RunConfig) -> Tuple[dict, bool]:
-    suite = config.suite
+    try:
+        run_suite = suite(config.suite)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     started = time.perf_counter()
-    if suite == "galilean":
-        checks = _suite_galilean(config.samples, config.seed)
-    elif suite is not None and suite.startswith("milne:"):
-        checks = _suite_milne(_parse_indexed(suite, "milne", 1),
-                              config.samples, config.seed)
-    elif suite == "bundle":
-        checks = _suite_bundle(config.samples, config.seed)
-    elif suite == "schrodinger":
-        checks = _suite_schrodinger(config.samples, config.seed)
-    elif suite == "h-group":
-        checks = _suite_h_group(config.samples, config.seed)
-    else:
-        raise UsageError("unknown suite %r (use galilean, milne:<m>, bundle, "
-                         "schrodinger, or h-group)" % suite)
+    checks = run_suite(config.samples, config.seed)
     elapsed = time.perf_counter() - started
     passed = all(c["passed"] for c in checks)
-    echo = {"suite": suite, "samples": config.samples, "seed": config.seed}
-    results = {"suite": suite, "checks": checks, "passed": passed}
+    echo = {"suite": config.suite, "samples": config.samples, "seed": config.seed}
+    results = {"suite": config.suite, "checks": checks, "passed": passed}
     return _report(config, echo, results, timing=elapsed), passed
 
 
 # -- exponent ---------------------------------------------------------
-
-
-def _axis_level(label: str) -> Tuple[Optional[int], Optional[int]]:
-    """(level, axis) for translation-family labels, (None, None) otherwise."""
-    if label.startswith("d") and "_" in label:
-        head, _, tail = label.partition("_")
-        return int(head[1:]), int(tail)
-    if label.startswith(("b", "d")) and label[1:].isdigit():
-        return (0 if label[0] == "d" else 1), int(label[1:])
-    return None, None
 
 
 def _galilean_reference(mass: float):
@@ -395,7 +197,8 @@ def _galilean_reference(mass: float):
 
 def cmd_exponent(config: RunConfig) -> Tuple[dict, bool]:
     theta, mass = load_theta(config.theta)
-    kind, labels = _group_labels(config.group)
+    kind, alg = _group_algebra(config.group)
+    labels = alg.labels
     if theta.group != kind:
         raise UsageError("theta %r does not act on group %r"
                          % (config.theta, config.group))
@@ -419,7 +222,7 @@ def cmd_exponent(config: RunConfig) -> Tuple[dict, bool]:
     entries = []
     worst_ref = 0.0
     for a, b in pairs:
-        res = infinitesimal_from_finite(theta, a, b, point)
+        res = infinitesimal_from_finite(theta, alg, a, b, point)
         entry = {"a": a, "b": b, "value": res.value, "error": res.error}
         if reference is not None:
             want = reference(a, b)
@@ -430,11 +233,11 @@ def cmd_exponent(config: RunConfig) -> Tuple[dict, bool]:
 
     checks = []
     if reference is not None:
-        checks.append(_check("matches-classified-representative",
-                             worst_ref <= EXTRACTION_TOL,
-                             max_relative_deviation=worst_ref))
+        checks.append(check("matches-classified-representative",
+                            worst_ref <= EXTRACTION_TOL,
+                            max_relative_deviation=worst_ref))
     if kind == "milne" and config.all_pairs:
-        checks.extend(_milne_table_checks(entries))
+        checks.extend(_milne_table_checks(alg, entries))
     passed = all(c["passed"] for c in checks)
     elapsed = time.perf_counter() - started
     echo = {"group": config.group, "theta": config.theta,
@@ -444,21 +247,22 @@ def cmd_exponent(config: RunConfig) -> Tuple[dict, bool]:
     return _report(config, echo, results, timing=elapsed), passed
 
 
-def _milne_table_checks(entries: List[dict]) -> List[dict]:
+def _milne_table_checks(alg: LieAlgebra, entries: List[dict]) -> List[dict]:
     """Structural zeros a realizable table must show at t = 0."""
     worst = {"rotation-time-zero": 0.0, "cross-axis-zero": 0.0,
              "inner-pairs-zero-at-origin": 0.0}
     for entry in entries:
-        la, lb = _axis_level(entry["a"]), _axis_level(entry["b"])
+        ra = alg.roles[alg.index(entry["a"])]
+        rb = alg.roles[alg.index(entry["b"])]
         value = abs(entry["value"])
-        if la[0] is None or lb[0] is None:
+        if ra.kind != "acceleration" or rb.kind != "acceleration":
             worst["rotation-time-zero"] = max(worst["rotation-time-zero"], value)
-        elif la[1] != lb[1]:
+        elif ra.axes != rb.axes:
             worst["cross-axis-zero"] = max(worst["cross-axis-zero"], value)
-        elif la[0] >= 1 and lb[0] >= 1:
+        elif ra.level >= 1 and rb.level >= 1:
             worst["inner-pairs-zero-at-origin"] = max(
                 worst["inner-pairs-zero-at-origin"], value)
-    return [_check(name, value <= EXTRACTION_TOL, max_abs_value=value)
+    return [check(name, value <= EXTRACTION_TOL, max_abs_value=value)
             for name, value in worst.items()]
 
 
@@ -544,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named check suite")
     p_verify.add_argument("--suite", required=True,
-                          help="galilean | milne:<m> | bundle | schrodinger | h-group")
+                          help=" | ".join(SUITE_NAMES))
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
     add_output_flags(p_verify)

@@ -27,6 +27,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .lie import LieAlgebra, Role
+
 ORTHOGONALITY_TOL = 1e-12
 
 Event = Tuple[np.ndarray, float]
@@ -193,32 +195,31 @@ def _rotation_matrix(i: int, j: int, angle: float):
     return R
 
 
-def exp_generator(kind: str, label: str, tau: float, order: Optional[int] = None):
-    """exp(tau * generator) for a basis generator label of the kind's algebra."""
-    rows = (1 if order is None else order) + 1
-    if label == "tau":
+def exp_generator(kind: str, role: Optional[Role], tau: float, order: int = 1):
+    """exp(tau * generator) in the kind's group for a generator of this role.
+
+    Milne elements get `order`, raised to the level of an acceleration role.
+    """
+    what = None if role is None else role.kind
+    if what in ("rotation", "time"):
+        if what == "rotation":
+            R, b = _rotation_matrix(role.axes[0] - 1, role.axes[1] - 1, tau), 0.0
+        else:
+            R, b = np.eye(3), tau
         if kind == "galilean":
-            return GalileanElement(np.eye(3), np.zeros(3), np.zeros(3), tau)
-        return MilneElement(np.eye(3), np.zeros((rows, 3)), tau)
-    if label.startswith("a") and len(label) == 3 and label[1:].isdigit():
-        i, j = int(label[1]) - 1, int(label[2]) - 1
-        R = _rotation_matrix(i, j, tau)
-        if kind == "galilean":
-            return GalileanElement(R, np.zeros(3), np.zeros(3), 0.0)
-        return MilneElement(R, np.zeros((rows, 3)), 0.0)
-    if kind == "galilean" and label[:1] in ("b", "d") and label[1:].isdigit():
+            return GalileanElement(R, np.zeros(3), np.zeros(3), b)
+        return MilneElement(R, np.zeros((order + 1, 3)), b)
+    if kind == "galilean" and what in ("translation", "boost"):
         e = np.zeros(3)
-        e[int(label[1:]) - 1] = tau
-        if label[0] == "b":
+        e[role.axes[0] - 1] = tau
+        if what == "translation":
             return GalileanElement(np.eye(3), np.zeros(3), e, 0.0)
         return GalileanElement(np.eye(3), e, np.zeros(3), 0.0)
-    if kind == "milne" and label.startswith("d") and "_" in label:
-        level, axis = label[1:].split("_")
-        level, axis = int(level), int(axis) - 1
-        A = np.zeros((max(level + 1, rows), 3))
-        A[level, axis] = tau
+    if kind == "milne" and what == "acceleration":
+        A = np.zeros((max(role.level, order) + 1, 3))
+        A[role.level, role.axes[0] - 1] = tau
         return MilneElement(np.eye(3), A, 0.0)
-    raise ValueError("unknown generator %r for group %r" % (label, kind))
+    raise ValueError("no one-parameter subgroup of group %r for role %r" % (kind, role))
 
 
 # -- phase functions -------------------------------------------------------
@@ -236,7 +237,7 @@ class PhaseFunction:
 
 
 def _num_tag(value) -> str:
-    return "%g" % float(value)
+    return repr(float(value))
 
 
 def theta_galilean(mass) -> PhaseFunction:
@@ -470,15 +471,10 @@ class ExtractionResult:
     error: float
 
 
-def _label_level(label: str) -> int:
-    if label.startswith("d") and "_" in label:
-        return int(label[1:label.index("_")])
-    return 0
-
-
-def infinitesimal_from_finite(theta: PhaseFunction, a: str, b: str, p: Event,
-                              tau0: float = 0.1, levels: int = 6) -> ExtractionResult:
-    """Extract the infinitesimal exponent on the generator pair (a, b) at p.
+def infinitesimal_from_finite(theta: PhaseFunction, alg: LieAlgebra, a: str, b: str,
+                              p: Event, tau0: float = 0.1,
+                              levels: int = 6) -> ExtractionResult:
+    """Extract the infinitesimal exponent on the generator pair (a, b) of alg at p.
 
     Evaluates the commutator phase combination
 
@@ -487,7 +483,9 @@ def infinitesimal_from_finite(theta: PhaseFunction, a: str, b: str, p: Event,
                    + xi(u, u, p) + xi(w, w, p) ] / tau^2
 
     with u = exp(tau a), w = exp(tau b) on the halving schedule tau0*2^-k
-    and extrapolates tau -> 0.  The two diagonal terms vanish identically
+    and extrapolates tau -> 0; exp(tau a) is taken from the generator's
+    role in alg, as a Milne element of order max(level(a), level(b), 1)
+    for acceleration groups.  The two diagonal terms vanish identically
     for canonical subgroup exponents and cancel the self-phase defect of
     non-canonical ones.  The error estimate is the last diagonal
     difference of the extrapolation tableau; a sequence whose estimate
@@ -496,11 +494,12 @@ def infinitesimal_from_finite(theta: PhaseFunction, a: str, b: str, p: Event,
     if levels < 2:
         raise ValueError("need at least two extrapolation levels")
     kind = theta.group
-    order = max(_label_level(a), _label_level(b), 1)
+    ra, rb = alg.roles[alg.index(a)], alg.roles[alg.index(b)]
+    order = max([1] + [r.level for r in (ra, rb) if r is not None])
 
     def S(tau):
-        u = exp_generator(kind, a, tau, order)
-        w = exp_generator(kind, b, tau, order)
+        u = exp_generator(kind, ra, tau, order)
+        w = exp_generator(kind, rb, tau, order)
         uinv, winv = inverse(u), inverse(w)
         q = _act_event(compose(winv, uinv), p)
         total = (finite_exponent(theta, compose(u, w), compose(uinv, winv), p)

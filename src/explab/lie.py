@@ -11,19 +11,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .ratpoly import as_fraction
 
 __all__ = [
     "LieAlgebra",
     "JacobiViolation",
+    "Role",
     "galilean",
     "milne",
     "phase_space",
 ]
 
 Terms = Tuple[Tuple[int, Fraction], ...]
+
+
+class Role(NamedTuple):
+    """Kinematic role of one basis generator of a built-in algebra.
+
+    kind is "rotation" (axes: the rotated plane (i, j)), "translation" or
+    "boost" (axes: (i,)), "acceleration" (axes: (i,), level: n for d_i^(n))
+    or "time". Axes count from 1.
+    """
+
+    kind: str
+    axes: Tuple[int, ...] = ()
+    level: int = 0
 
 
 @dataclass(frozen=True)
@@ -80,6 +94,7 @@ class LieAlgebra:
         self._time_index = time_index
         self._name = str(name)
         self._index = {s: i for i, s in enumerate(labels)}
+        self._roles: Tuple[Optional[Role], ...] = (None,) * n
 
     # -- basic queries -----------------------------------------------
 
@@ -98,6 +113,12 @@ class LieAlgebra:
     @property
     def name(self) -> str:
         return self._name
+
+    @property
+    def roles(self) -> Tuple[Optional[Role], ...]:
+        """Per-generator kinematic Role; None for a generator without one,
+        which includes every generator of a from_dict algebra."""
+        return self._roles
 
     def index(self, label: str) -> int:
         try:
@@ -188,9 +209,16 @@ class LieAlgebra:
         for entry in raw:
             try:
                 li, ri = index[entry["lhs"]], index[entry["rhs"]]
-                terms = [(index[lab], Fraction(c)) for lab, c in entry["out"]]
+                out = [(index[lab], lab, c) for lab, c in entry["out"]]
             except KeyError as e:
                 raise ValueError("unknown label in bracket entry: %s" % (e,))
+            terms = []
+            for k, lab, c in out:
+                try:
+                    terms.append((k, as_fraction(c)))
+                except (TypeError, ValueError) as e:
+                    raise ValueError("bracket entry (%s, %s), coefficient of %s: %s"
+                                     % (entry["lhs"], entry["rhs"], lab, e))
             if li == ri:
                 raise ValueError("bracket with equal generators %r" % (entry["lhs"],))
             key = (min(li, ri), max(li, ri))
@@ -218,9 +246,20 @@ class LieAlgebra:
 # -- built-in algebras ----------------------------------------------
 
 _ROT = ((1, 2), (1, 3), (2, 3))
+_AXES = (1, 2, 3)
 
 
-def _rotation_rotation(brackets, rot_index):
+def _role_label(role: Role) -> str:
+    if role.kind == "rotation":
+        return "a%d%d" % role.axes
+    if role.kind == "acceleration":
+        return "d%d_%d" % (role.level, role.axes[0])
+    if role.kind == "time":
+        return "tau"
+    return ("b%d" if role.kind == "translation" else "d%d") % role.axes
+
+
+def _rotation_rotation(brackets, at):
     # [a_ij, a_kl] = d_jk a_il - d_ik a_jl + d_il a_jk - d_jl a_ik
     def a(i, j):
         if i == j:
@@ -228,11 +267,10 @@ def _rotation_rotation(brackets, rot_index):
         sign = 1
         if i > j:
             i, j, sign = j, i, -sign
-        return ((rot_index[(i, j)], Fraction(sign)),)
+        return ((at[Role("rotation", (i, j))], Fraction(sign)),)
 
-    items = sorted(rot_index.items(), key=lambda kv: kv[1])
-    for n1, ((i, j), idx1) in enumerate(items):
-        for (k, l), idx2 in items[n1 + 1:]:
+    for n1, (i, j) in enumerate(_ROT):
+        for (k, l) in _ROT[n1 + 1:]:
             terms = []
             if j == k:
                 terms.extend(a(i, l))
@@ -243,36 +281,47 @@ def _rotation_rotation(brackets, rot_index):
             if j == l:
                 terms.extend((t, -c) for t, c in a(i, k))
             if terms:
-                brackets[(idx1, idx2)] = terms
+                brackets[(at[Role("rotation", (i, j))],
+                          at[Role("rotation", (k, l))])] = terms
 
 
-def _rotation_vector(brackets, rot_index, vec_index):
-    # [a_ij, v_k] = d_jk v_i - d_ik v_j
-    for (i, j), ridx in rot_index.items():
-        for k in (1, 2, 3):
+def _rotation_vector(brackets, at, kind, level=0):
+    # [a_ij, v_k] = d_jk v_i - d_ik v_j for the vectors v of one kind and level
+    def v(i):
+        return at[Role(kind, (i,), level)]
+
+    for (i, j) in _ROT:
+        for k in _AXES:
             terms = []
             if j == k:
-                terms.append((vec_index[i], Fraction(1)))
+                terms.append((v(i), Fraction(1)))
             if i == k:
-                terms.append((vec_index[j], Fraction(-1)))
+                terms.append((v(j), Fraction(-1)))
             if terms:
-                brackets[(ridx, vec_index[k])] = terms
+                brackets[(at[Role("rotation", (i, j))], v(k))] = terms
+
+
+def _kinematic(roles: List[Role], brackets, name: str) -> LieAlgebra:
+    alg = LieAlgebra([_role_label(r) for r in roles], brackets,
+                     time_index=roles.index(Role("time")), name=name)
+    alg._roles = tuple(roles)
+    return alg
 
 
 def galilean() -> LieAlgebra:
     """Rotations, space translations b_i, boosts d_i and time translation."""
-    labels = ["a12", "a13", "a23", "b1", "b2", "b3", "d1", "d2", "d3", "tau"]
-    rot_index = {pair: n for n, pair in enumerate(_ROT)}
-    b_index = {i: 2 + i for i in (1, 2, 3)}
-    d_index = {i: 5 + i for i in (1, 2, 3)}
-    tau = 9
+    roles = ([Role("rotation", p) for p in _ROT]
+             + [Role("translation", (i,)) for i in _AXES]
+             + [Role("boost", (i,)) for i in _AXES] + [Role("time")])
+    at = {r: n for n, r in enumerate(roles)}
     brackets: dict = {}
-    _rotation_rotation(brackets, rot_index)
-    _rotation_vector(brackets, rot_index, b_index)
-    _rotation_vector(brackets, rot_index, d_index)
-    for i in (1, 2, 3):
-        brackets[(d_index[i], tau)] = [(b_index[i], Fraction(1))]
-    return LieAlgebra(labels, brackets, time_index=tau, name="galilean")
+    _rotation_rotation(brackets, at)
+    _rotation_vector(brackets, at, "translation")
+    _rotation_vector(brackets, at, "boost")
+    for i in _AXES:
+        brackets[(at[Role("boost", (i,))], at[Role("time")])] = [
+            (at[Role("translation", (i,))], Fraction(1))]
+    return _kinematic(roles, brackets, "galilean")
 
 
 def milne(m: int) -> LieAlgebra:
@@ -284,25 +333,26 @@ def milne(m: int) -> LieAlgebra:
     """
     if m < 1:
         raise ValueError("order must be >= 1")
-    labels = ["a12", "a13", "a23"]
-    for n in range(m + 1):
-        labels += ["d%d_%d" % (n, i) for i in (1, 2, 3)]
-    labels.append("tau")
-    rot_index = {pair: n for n, pair in enumerate(_ROT)}
-    tau = len(labels) - 1
+    roles = ([Role("rotation", p) for p in _ROT]
+             + [Role("acceleration", (i,), n) for n in range(m + 1) for i in _AXES]
+             + [Role("time")])
+    at = {r: k for k, r in enumerate(roles)}
     brackets: dict = {}
-    _rotation_rotation(brackets, rot_index)
+    _rotation_rotation(brackets, at)
     for n in range(m + 1):
-        base = 3 + 3 * n
-        _rotation_vector(brackets, rot_index, {i: base + i - 1 for i in (1, 2, 3)})
+        _rotation_vector(brackets, at, "acceleration", n)
         if n >= 1:
-            for i in (1, 2, 3):
-                brackets[(base + i - 1, tau)] = [(base + i - 4, Fraction(1))]
-    return LieAlgebra(labels, brackets, time_index=tau, name="milne:%d" % m)
+            for i in _AXES:
+                brackets[(at[Role("acceleration", (i,), n)], at[Role("time")])] = [
+                    (at[Role("acceleration", (i,), n - 1)], Fraction(1))]
+    return _kinematic(roles, brackets, "milne:%d" % m)
 
 
 def phase_space(n: int) -> LieAlgebra:
-    """2n-dimensional abelian translation algebra, no time generator."""
+    """2n-dimensional abelian translation algebra, no time generator.
+
+    Its generators have no kinematic role.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     labels = ["p%d" % i for i in range(1, n + 1)] + ["q%d" % i for i in range(1, n + 1)]

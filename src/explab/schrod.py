@@ -235,19 +235,14 @@ class SweepResult:
 
 
 def mass_equality_sweep(A: RatPoly, m_inertial: float,
-                        ratios: Sequence[float], *,
-                        width: float = 1.0, k0: float = 0.3,
-                        domain: Tuple[float, float] = (-16.0, 16.0),
-                        t_final: float = 0.8,
-                        base_nx: int = 161, base_nt: int = 41,
-                        refinements: int = 3) -> SweepResult:
+                        ratios: Sequence[float]) -> SweepResult:
     """Score gravitational/inertial mass ratios against the transformed wave.
 
-    For each ratio the residual is evaluated on a sequence of refined
-    grids with dt proportional to h; the finest value is the plateau
-    entry.  The inferred uniform field is g(t) = A''(t); when that is
-    identically zero the sweep cannot distinguish ratios and is flagged
-    degenerate instead of scored.
+    A Gaussian packet (k0 = 0.3, unit width) is moved into the frame A on
+    a 641 x 161 grid over x in [-16, 16], t in [0, 0.8], and each ratio's
+    entry is the residual there. The inferred uniform field is
+    g(t) = A''(t); when that is identically zero the sweep cannot
+    distinguish ratios and is flagged degenerate instead of scored.
     """
     ratios = [float(r) for r in ratios]
     if not any(r == 1.0 for r in ratios):
@@ -255,19 +250,13 @@ def mass_equality_sweep(A: RatPoly, m_inertial: float,
     addot = A.differentiate().differentiate()
     degenerate = addot.is_zero()
     g_of_t = lambda t: float(addot(t))
-    packet = gaussian_packet(m_inertial, x0=0.0, k0=k0, width=width)
-    finest = {}
-    for level in range(refinements):
-        factor = 2 ** level
-        nx = (base_nx - 1) * factor + 1
-        nt = (base_nt - 1) * factor + 1
-        xs = np.linspace(domain[0], domain[1], nx)
-        ts = np.linspace(0.0, t_final, nt)
-        moved = transform_wave(sample_wave(packet, xs, ts, m_inertial), A)
-        for rho in ratios:
-            rep = schrodinger_residual(moved, m_inertial, rho * m_inertial, g_of_t)
-            finest[rho] = rep.max_norm
-    table = [(rho, finest[rho]) for rho in ratios]
+    packet = gaussian_packet(m_inertial, x0=0.0, k0=0.3)
+    xs = np.linspace(-16.0, 16.0, 641)
+    ts = np.linspace(0.0, 0.8, 161)
+    moved = transform_wave(sample_wave(packet, xs, ts, m_inertial), A)
+    table = [(rho, schrodinger_residual(moved, m_inertial, rho * m_inertial,
+                                        g_of_t).max_norm)
+             for rho in ratios]
     if degenerate:
         return SweepResult(table=table, degenerate=True, best_ratio=None,
                            margin=None)

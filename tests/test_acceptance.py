@@ -12,22 +12,16 @@ from fractions import Fraction
 import numpy as np
 
 import test_classify as oracles
-from explab.bundle import (BundleMap, Section, apply_bundle_map, fiber_inner,
-                           phase_bundle_map, ray_equivalent, uniform_grid)
+from explab import checks
 from explab.classify import (are_equivalent, classify, realizable_subspace,
                              verify_milne_structure)
 from explab.cochain import OneCochain, coboundary
-from explab.groupexp import (HElement, check_cocycle_identities, compose,
+from explab.groupexp import (check_cocycle_identities,
                              exponent_shift_violation, exponent_time_variance,
-                             finite_exponent, h_inverse, h_multiply,
-                             infinitesimal_from_finite, inverse,
-                             random_element, random_event, theta_galilean,
-                             theta_milne, _act_event)
+                             infinitesimal_from_finite, theta_galilean,
+                             theta_milne)
 from explab.lie import galilean, milne, phase_space
 from explab.ratpoly import RatPoly
-from explab.schrod import (convergence_slope, gaussian_packet,
-                           mass_equality_sweep, sample_wave,
-                           schrodinger_residual, transform_wave)
 
 IDENTITY_TOL = 1e-12
 VARIANCE_TOL = 1e-24
@@ -38,6 +32,18 @@ def verdict(number, description, failures):
     status = "PASS" if not failures else "FAIL"
     print("ACCEPTANCE %02d %s - %s" % (number, status, description))
     assert not failures, "criterion %02d: %s" % (number, "; ".join(failures))
+
+
+def catalogue_failures(results, **stated):
+    """Failed checks of a catalogue suite, plus every catalogue tolerance
+    that differs from the value this gate states for it."""
+    failures = ["checks.%s is %r, the gate states %r"
+                % (name, getattr(checks, name), value)
+                for name, value in stated.items() if getattr(checks, name) != value]
+    failures += ["%s failed: %s" % (c["name"], {k: v for k, v in c.items()
+                                                if k not in ("name", "passed")})
+                 for c in results if not c["passed"]]
+    return failures
 
 
 def test_criterion_01_galilean_classification():
@@ -122,13 +128,13 @@ def test_criterion_04_abelian_brute_force_oracle():
 def test_criterion_05_extraction_reproduces_representative():
     started = time.perf_counter()
     rep = classify(galilean()).representatives[0]
-    labels = galilean().labels
+    alg = galilean()
     point = (np.array([0.4, -0.3, 0.2]), 0.6)
     failures = []
     for mass in (1.0, 2.5):
         theta = theta_galilean(mass)
-        for a, b in itertools.combinations(labels, 2):
-            res = infinitesimal_from_finite(theta, a, b, point)
+        for a, b in itertools.combinations(alg.labels, 2):
+            res = infinitesimal_from_finite(theta, alg, a, b, point)
             want = mass * float(rep.entry_by_labels(a, b)(point[1]))
             if abs(res.value - want) > EXTRACTION_RTOL * max(1.0, abs(want)):
                 failures.append("mass %g pair (%s,%s): %g vs %g"
@@ -159,29 +165,8 @@ def test_criterion_06_cocycle_identities_and_time_independence():
 
 
 def test_criterion_07_h_group_matches_composition_defect():
-    theta = theta_galilean(1.2)
-    rng = np.random.default_rng(23)
-    failures = []
-    worst_assoc = worst_inverse = 0.0
-    for k in range(100):
-        elements = [random_element(rng, "galilean") for _ in range(3)]
-        lifted = [HElement(lambda x, t, j=j: math.sin(j + x[0] - t), e, theta)
-                  for j, e in enumerate(elements)]
-        p = random_event(rng)
-        assoc = (h_multiply(h_multiply(lifted[0], lifted[1]), lifted[2]).theta(*p)
-                 - h_multiply(lifted[0], h_multiply(lifted[1], lifted[2])).theta(*p))
-        r, s, g = elements
-        composition = (finite_exponent(theta, r, s, p)
-                       + finite_exponent(theta, compose(r, s), g, p)
-                       - finite_exponent(theta, s, g, _act_event(inverse(r), p))
-                       - finite_exponent(theta, r, compose(s, g), p))
-        worst_assoc = max(worst_assoc, abs(assoc - composition))
-        cancel = h_multiply(h_inverse(lifted[0]), lifted[0])
-        worst_inverse = max(worst_inverse, abs(cancel.theta(*p)))
-    if worst_assoc > IDENTITY_TOL:
-        failures.append("associativity defect mismatch %g" % worst_assoc)
-    if worst_inverse > IDENTITY_TOL:
-        failures.append("inverse residue %g" % worst_inverse)
+    failures = catalogue_failures(checks.h_group_suite(samples=100, seed=23),
+                                  IDENTITY_TOL=IDENTITY_TOL)
     verdict(7, "semidirect product associativity defect equals the "
                "composition identity defect on 100 shared samples; inverses "
                "cancel (1e-12)", failures)
@@ -222,45 +207,8 @@ def test_criterion_08_equivalence_transport():
 
 
 def test_criterion_09_bundle_ray_equivalence():
-    rng = np.random.default_rng(17)
-    grid = uniform_grid(0.0, 1.0, 33)
-    dim = 4
-
-    def draw():
-        return Section(grid, rng.normal(size=(grid.size, dim))
-                       + 1j * rng.normal(size=(grid.size, dim)))
-
-    failures = []
-    section = draw()
-    planted = np.sin(grid.nodes) + 0.3
-    mapped = apply_bundle_map(phase_bundle_map(grid, dim, planted), section)
-    recovered = ray_equivalent(section, mapped)
-    if not recovered.equivalent:
-        failures.append("planted phases not recognized")
-    else:
-        dev = np.max(np.abs((recovered.phases - planted + np.pi) % (2 * np.pi)
-                            - np.pi))
-        if dev > IDENTITY_TOL:
-            failures.append("planted phases off by %g" % dev)
-    if ray_equivalent(section, Section(grid, 2.0 * section.fibers)).equivalent:
-        failures.append("non-unimodular scaling accepted")
-    if any(ray_equivalent(draw(), draw()).equivalent for _ in range(10)):
-        failures.append("independent sections accepted")
-
-    perm = np.arange(grid.size)[::-1].copy()
-    mats = []
-    for _ in range(grid.size):
-        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        q, r = np.linalg.qr(z)
-        mats.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
-    isometry = BundleMap(perm, np.stack(mats))
-    s1, s2 = draw(), draw()
-    t1, t2 = apply_bundle_map(isometry, s1), apply_bundle_map(isometry, s2)
-    worst = max(abs(fiber_inner(t1, t2, int(perm[k])) - fiber_inner(s1, s2, k))
-                for k in range(grid.size))
-    if worst > IDENTITY_TOL:
-        failures.append("isometry violates inner products at %g" % worst)
-
+    failures = catalogue_failures(checks.bundle_suite(samples=1, seed=17),
+                                  IDENTITY_TOL=IDENTITY_TOL)
     verdict(9, "ray equivalence recovers planted phases (1e-12), rejects "
                "scaled and independent sections, and isometries preserve "
                "fiber inner products (1e-12)", failures)
@@ -268,31 +216,9 @@ def test_criterion_09_bundle_ray_equivalence():
 
 def test_criterion_10_schrodinger_covariance_and_mass_equality():
     started = time.perf_counter()
-    mass = 1.0
-    profile = RatPoly.monomial(2, "2/5")  # A(t) = 0.4 t^2
-    addot = profile.differentiate().differentiate()
-    g = lambda t: float(addot(t))
-    packet = gaussian_packet(mass, x0=0.0, k0=0.3)
-
-    failures = []
-    hs, norms = [], []
-    for nx, nt in [(161, 41), (321, 81), (641, 161)]:
-        xs = np.linspace(-16.0, 16.0, nx)
-        ts = np.linspace(0.0, 0.8, nt)
-        moved = transform_wave(sample_wave(packet, xs, ts, mass), profile)
-        hs.append(moved.dx)
-        norms.append(schrodinger_residual(moved, mass, mass, g).max_norm)
-    slope = convergence_slope(hs, norms)
-    if slope < 1.8:
-        failures.append("convergence order %.2f < 1.8" % slope)
-
-    sweep = mass_equality_sweep(profile, mass, (0.5, 0.9, 1.0, 1.1, 2.0))
-    if sweep.degenerate:
-        failures.append("sweep unexpectedly degenerate")
-    elif sweep.best_ratio != 1.0:
-        failures.append("sweep minimum at ratio %s" % sweep.best_ratio)
-    elif sweep.margin is None or sweep.margin < 10.0:
-        failures.append("sweep margin %s < 10x" % sweep.margin)
+    failures = catalogue_failures(
+        checks.schrodinger_suite(samples=1, seed=0), SLOPE_MIN=1.8,
+        SWEEP_MARGIN=10.0, SWEEP_RATIOS=(0.5, 0.9, 1.0, 1.1, 2.0))
     elapsed = time.perf_counter() - started
     if elapsed > 60.0:
         failures.append("took %.1f s > 60 s" % elapsed)

@@ -15,8 +15,10 @@ from explab.groupexp import (ExtrapolationError, GalileanElement, HElement,
                              infinitesimal_from_finite, inverse, milne_identity,
                              random_element, random_event, theta_galilean,
                              theta_milne)
+from explab.lie import galilean, milne
 
 EYE = np.eye(3)
+GALILEAN, MILNE2 = galilean(), milne(2)
 
 
 def boost(v):
@@ -72,13 +74,14 @@ class TestGroupStructure:
 
     def test_one_parameter_subgroups(self):
         rng = np.random.default_rng(2)
-        labels = {"galilean": ["a12", "a23", "b1", "d2", "tau"],
-                  "milne": ["a13", "d0_1", "d1_2", "d2_3", "tau"]}
-        for kind, labs in labels.items():
+        labels = {("galilean", GALILEAN): ["a12", "a23", "b1", "d2", "tau"],
+                  ("milne", MILNE2): ["a13", "d0_1", "d1_2", "d2_3", "tau"]}
+        for (kind, alg), labs in labels.items():
             for lab in labs:
-                u = exp_generator(kind, lab, 0.3, order=2)
-                w = exp_generator(kind, lab, 0.5, order=2)
-                both = exp_generator(kind, lab, 0.8, order=2)
+                role = alg.roles[alg.index(lab)]
+                u = exp_generator(kind, role, 0.3, order=2)
+                w = exp_generator(kind, role, 0.5, order=2)
+                both = exp_generator(kind, role, 0.8, order=2)
                 x, t = random_event(rng)
                 x1, t1 = act(compose(u, w), x, t)
                 x2, t2 = act(both, x, t)
@@ -287,6 +290,10 @@ class TestHGroup:
         assert h.theta(*p) == pytest.approx(th1(r, *p))
         with pytest.raises(ValueError, match="exponent"):
             h_multiply(h, h_lift(th2, r))
+        # masses that agree to six significant digits are still different
+        near = h_lift(theta_galilean(1.0000001), r)
+        with pytest.raises(ValueError, match="exponent"):
+            h_multiply(near, h_lift(theta_galilean(1.0000002), r))
 
 
 class TestExtraction:
@@ -297,18 +304,18 @@ class TestExtraction:
         p = event([0.4, -0.3, 0.2], 0.6)
         diag = {("b1", "d1"), ("b2", "d2"), ("b3", "d3")}
         for la, lb in itertools.combinations(labels, 2):
-            res = infinitesimal_from_finite(th, la, lb, p)
+            res = infinitesimal_from_finite(th, GALILEAN, la, lb, p)
             want = mass if (la, lb) in diag else 0.0
             assert abs(res.value - want) <= 1e-6 * max(1.0, mass)
 
     def test_translation_pair_zero(self):
-        res = infinitesimal_from_finite(theta_galilean(1.0), "b1", "b2",
-                                        event([0.2, 0.0, 0.1], 0.4))
+        res = infinitesimal_from_finite(theta_galilean(1.0), GALILEAN, "b1",
+                                        "b2", event([0.2, 0.0, 0.1], 0.4))
         assert abs(res.value) <= 1e-9
 
     def test_rotation_time_pair_zero(self):
-        res = infinitesimal_from_finite(theta_galilean(1.0), "a12", "tau",
-                                        event([1.0, 2.0, 3.0], 0.8))
+        res = infinitesimal_from_finite(theta_galilean(1.0), GALILEAN, "a12",
+                                        "tau", event([1.0, 2.0, 3.0], 0.8))
         assert abs(res.value) <= 1e-9
 
     def test_milne_acceleration_table(self):
@@ -323,23 +330,24 @@ class TestExtraction:
                  ("d2_1", "tau"): 0.0,
                  ("a12", "d1_1"): 0.0}
         for (la, lb), want in cases.items():
-            res = infinitesimal_from_finite(th, la, lb, p)
+            res = infinitesimal_from_finite(th, MILNE2, la, lb, p)
             assert abs(res.value - want) <= 1e-6
             assert res.error <= 1e-6
 
     def test_extraction_scales_with_mass(self):
         p = event([0.1, 0.2, 0.3], 0.5)
-        one = infinitesimal_from_finite(theta_galilean(1.0), "b1", "d1", p)
-        two = infinitesimal_from_finite(theta_galilean(2.0), "b1", "d1", p)
+        one = infinitesimal_from_finite(theta_galilean(1.0), GALILEAN, "b1", "d1", p)
+        two = infinitesimal_from_finite(theta_galilean(2.0), GALILEAN, "b1", "d1", p)
         assert two.value == pytest.approx(2 * one.value, rel=1e-9)
 
     def test_non_convergent_diagnostic(self):
         rough = PhaseFunction("user", "galilean",
                               lambda r, x, t: abs(np.dot(r.v, r.v)) ** 0.25 * x[0])
         with pytest.raises(ExtrapolationError):
-            infinitesimal_from_finite(rough, "b1", "d1", event([0.4, 0.1, 0.0], 0.3))
+            infinitesimal_from_finite(rough, GALILEAN, "b1", "d1",
+                                      event([0.4, 0.1, 0.0], 0.3))
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
-            infinitesimal_from_finite(theta_galilean(1.0), "b1", "d1",
+            infinitesimal_from_finite(theta_galilean(1.0), GALILEAN, "b1", "d1",
                                       event([0, 0, 0], 0.0), levels=1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from explab.lie import LieAlgebra, galilean, milne, phase_space
+from explab.lie import LieAlgebra, Role, galilean, milne, phase_space
 
 
 def unit(alg, label):
@@ -90,6 +90,46 @@ class TestMilne:
         for l1 in small.labels:
             for l2 in small.labels:
                 assert bracket_labels(small, l1, l2) == bracket_labels(big, l1, l2)
+
+
+class TestRoles:
+    """Every bracket the role table predicts is in the structure constants."""
+
+    @pytest.mark.parametrize("alg", [galilean()] + [milne(m) for m in range(1, 5)],
+                             ids=lambda alg: alg.name)
+    def test_roles_match_structure_constants(self, alg):
+        roles = alg.roles
+        at = {r: k for k, r in enumerate(roles)}
+        assert len(at) == alg.dim
+        assert roles[alg.time_index] == Role("time")
+        tau = alg.time_index
+
+        def bracket(i, j):
+            return dict(alg.bracket_basis(i, j))
+
+        for k, r in enumerate(roles):
+            if r.kind == "boost":
+                assert bracket(k, tau) == {at[Role("translation", r.axes)]: 1}
+            elif r.kind == "translation" or (r.kind == "acceleration" and r.level == 0):
+                assert bracket(k, tau) == {}
+            elif r.kind == "acceleration":
+                below = Role("acceleration", r.axes, r.level - 1)
+                assert bracket(k, tau) == {at[below]: 1}
+            if r.kind in ("translation", "boost", "acceleration"):
+                (axis,) = r.axes
+                for rot in (q for q in roles if q.kind == "rotation"):
+                    i, j = rot.axes
+                    # [a_ij, v_k] = d_jk v_i - d_ik v_j
+                    want = {}
+                    if j == axis:
+                        want[at[r._replace(axes=(i,))]] = 1
+                    if i == axis:
+                        want[at[r._replace(axes=(j,))]] = -1
+                    assert bracket(at[rot], k) == want
+
+    def test_other_algebras_have_no_roles(self):
+        for alg in (phase_space(2), LieAlgebra.from_dict(milne(1).to_dict())):
+            assert alg.roles == (None,) * alg.dim
 
 
 class TestPhaseSpace:

@@ -234,14 +234,13 @@ class TestMassEqualitySweep:
             mass_equality_sweep(QUAD, MASS, [0.5, 2.0])
 
     def test_linear_profile_is_degenerate(self):
-        result = mass_equality_sweep(LINEAR, MASS, [1.0, 2.0], refinements=1)
+        result = mass_equality_sweep(LINEAR, MASS, [1.0, 2.0])
         assert result.degenerate
         assert result.best_ratio is None
         assert result.margin is None
 
     def test_zero_profile_is_degenerate(self):
-        result = mass_equality_sweep(RatPoly.zero(), MASS, [1.0, 2.0],
-                                     refinements=1)
+        result = mass_equality_sweep(RatPoly.zero(), MASS, [1.0, 2.0])
         assert result.degenerate
 
     def test_jsonable_shape(self):
