@@ -10,13 +10,15 @@ All arithmetic in this module is exact; no floats anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .cochain import OneCochain, TwoCochain, coboundary, is_cocycle
+from .cochain import OneCochain, TwoCochain, coboundary
 from .lie import LieAlgebra
 from .ratpoly import RatPoly
 
@@ -44,20 +46,29 @@ def _require_valid(alg: LieAlgebra) -> None:
 
 # -- coefficient layout ------------------------------------------------
 
+# Largest number of coefficient columns a layout may have. It admits auto
+# mode's default cap (degree 16) on every built-in algebra up to milne:7
+# (378 pairs x 17 powers = 6426 columns) and refuses an oversized explicit
+# degree before any row is built.
+MAX_COLUMNS = 10_000
+
+
 class _Layout:
     """Column numbering for cochain coefficients at a fixed degree bound."""
 
     def __init__(self, alg: LieAlgebra, degree: int) -> None:
         if degree < 0:
             raise ValueError("degree bound must be >= 0")
+        ncols = alg.dim * (alg.dim - 1) // 2 * (degree + 1)
+        if ncols > MAX_COLUMNS:
+            raise ValueError("degree %d needs %d coefficient columns on %s; the limit is %d"
+                             % (degree, ncols, alg.name, MAX_COLUMNS))
+        cx = _complex(alg)
         self.alg = alg
         self.degree = degree
-        self.pairs: List[Tuple[int, int]] = list(alg.pairs())
-        self.rank = {p: n for n, p in enumerate(self.pairs)}
-        self.ncols = len(self.pairs) * (degree + 1)
-
-    def col(self, i: int, j: int, power: int) -> int:
-        return self.rank[(i, j)] * (self.degree + 1) + power
+        self.pairs: List[Tuple[int, int]] = cx.pairs
+        self.rank = cx.rank
+        self.ncols = ncols
 
     def to_row(self, xi: TwoCochain) -> Dict[int, Fraction]:
         row: Dict[int, Fraction] = {}
@@ -78,54 +89,128 @@ class _Layout:
         return TwoCochain(self.alg, {self.pairs[k]: RatPoly(cs) for k, cs in polys.items()})
 
 
-# -- constraint assembly -----------------------------------------------
+# -- the cochain complex as sparse integer operators ----------------------
 
-def _cocycle_rows(alg: LieAlgebra, layout: _Layout) -> List[Dict[int, Fraction]]:
-    D = layout.degree
-    ti = alg.time_index
-    rows: List[Dict[int, Fraction]] = []
-    for (i, j, k) in itertools.combinations(range(alg.dim), 3):
-        per_power: List[Dict[int, Fraction]] = [{} for _ in range(D + 1)]
+class _Complex:
+    """Degree-free templates of one algebra's cochain complex.
 
-        def add(col: int, value: Fraction, power: int) -> None:
-            tgt = per_power[power]
-            nv = tgt.get(col, Fraction(0)) + value
-            if nv:
-                tgt[col] = nv
-            else:
-                tgt.pop(col, None)
+    Pair numbers are ranks in the lexicographic pair order, so the column
+    of (pair, power) at degree bound D is pair * (D + 1) + power. Rows at
+    any D expand from the templates in time linear in their size:
 
-        for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, c in alg.bracket_basis(p, q):
-                if m == r:
-                    continue
-                if m < r:
-                    pidx, s = layout.rank[(m, r)], c
-                else:
-                    pidx, s = layout.rank[(r, m)], -c
-                base = pidx * (D + 1)
-                for u in range(D + 1):
-                    add(base + u, s, u)
-            if ti is not None and p == ti:
-                # -bold(tau) = +d/dt on the (q, r) entry
-                if q < r:
-                    pidx, s = layout.rank[(q, r)], Fraction(1)
-                else:
-                    pidx, s = layout.rank[(r, q)], Fraction(-1)
-                base = pidx * (D + 1)
-                for u in range(D):
-                    add(base + u + 1, s * (u + 1), u)
-        rows.extend(pp for pp in per_power if pp)
-    return rows
+    * cocycle constraints, one row per basis triple and power of t: the
+      cyclic sum of bracket entries, plus -bold(tau) = +d/dt on the pair
+      opposite the time generator. Each triple's template is scaled to
+      integers once, which changes neither the kernel nor the test
+      row . xi = 0;
+    * d1 of each unit one-cochain t^u e_k: -c_k^{ij} t^u on every pair,
+      plus bold(tau) t^u = -u t^(u-1) on the pair of e_k with the time
+      generator, signed by the time generator's slot.
+
+    The templates hold no reference to the algebra, which holds them
+    (`_complex`), so they are freed with it and never shared with another.
+    """
+
+    def __init__(self, alg: LieAlgebra) -> None:
+        self.dim = alg.dim
+        self.time_index = ti = alg.time_index
+        self.pairs: List[Tuple[int, int]] = list(alg.pairs())
+        self.rank = rank = {p: n for n, p in enumerate(self.pairs)}
+
+        def signed(a: int, b: int, c) -> Tuple[int, Fraction]:
+            return (rank[(a, b)], c) if a < b else (rank[(b, a)], -c)
+
+        # per triple: ((pair, c), ...) of the bracket sum and (pair, c) of the
+        # derivative term or None; triples_at lists the triples reading a pair
+        self.triples: List[Tuple[Tuple[Tuple[int, int], ...], Optional[Tuple[int, int]]]] = []
+        self.triples_at: Dict[int, List[int]] = {}
+        for (i, j, k) in itertools.combinations(range(alg.dim), 3):
+            bracket: Dict[int, Fraction] = {}
+            deriv = None
+            for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, c in alg.bracket_basis(p, q):
+                    if m != r:
+                        pidx, s = signed(m, r, c)
+                        bracket[pidx] = bracket.get(pidx, 0) + s
+                if p == ti:
+                    deriv = signed(q, r, 1)
+            bracket = {pidx: c for pidx, c in bracket.items() if c}
+            if not bracket and deriv is None:
+                continue
+            scale = 1
+            for c in bracket.values():
+                scale = scale * c.denominator // gcd(scale, c.denominator)
+            entry = (tuple((pidx, int(c * scale)) for pidx, c in bracket.items()),
+                     None if deriv is None else (deriv[0], deriv[1] * scale))
+            for pidx in set(bracket) | ({deriv[0]} if deriv else set()):
+                self.triples_at.setdefault(pidx, []).append(len(self.triples))
+            self.triples.append(entry)
+
+        # d1: per generator k, ((pair, -c_k^{ij}), ...), integral values as ints
+        lowered: Dict[int, List[Tuple[int, object]]] = {}
+        for n, (i, j) in enumerate(self.pairs):
+            for k, c in alg.bracket_basis(i, j):
+                lowered.setdefault(k, []).append((n, -c.numerator if c.denominator == 1 else -c))
+        self.lowered = lowered
+        # (pair, sign) of the time-grading term of each generator
+        self.time_pair = {} if ti is None else \
+            {k: signed(ti, k, -1) for k in range(alg.dim) if k != ti}
+
+    def cocycle_rows(self, D: int) -> List[Dict[int, int]]:
+        """Integer rows at degree bound D; xi is a cocycle iff each row . xi = 0."""
+        width = D + 1
+        rows: List[Dict[int, int]] = []
+        for bracket, deriv in self.triples:
+            for u in range(width):
+                row = {pidx * width + u: c for pidx, c in bracket}
+                if deriv is not None and u < D:
+                    row[deriv[0] * width + u + 1] = deriv[1] * (u + 1)
+                if row:
+                    rows.append(row)
+        return rows
+
+    def units(self, D: int) -> List[Tuple[int, int]]:
+        """(k, u) of each unit one-cochain t^u e_k at degree bound D; the
+        time generator's component is constant, so its only unit is t^0."""
+        return [(k, u) for k in range(self.dim)
+                for u in range((0 if k == self.time_index else D) + 1)]
+
+    def coboundary_rows(self, D: int) -> List[Dict[int, object]]:
+        """d1 of each unit of `units(D)`, in that order, as rows at bound D."""
+        width = D + 1
+        rows: List[Dict[int, object]] = []
+        for k, u in self.units(D):
+            row = {pidx * width + u: c for pidx, c in self.lowered.get(k, ())}
+            if u > 0 and k in self.time_pair:
+                pidx, sign = self.time_pair[k]
+                row[pidx * width + u - 1] = sign * u
+            rows.append(row)
+        return rows
+
+    def is_cocycle(self, xi: TwoCochain) -> bool:
+        """True iff every constraint row annihilates xi, whatever its degree."""
+        coeffs = {self.rank[p]: poly.coeffs for p, poly in xi.nonzero_entries().items()}
+        touched = set()
+        for pidx in coeffs:
+            touched.update(self.triples_at.get(pidx, ()))
+        for t in touched:
+            bracket, deriv = self.triples[t]
+            residual: Dict[int, Fraction] = {}
+            for pidx, c in bracket:
+                for u, v in enumerate(coeffs.get(pidx, ())):
+                    residual[u] = residual.get(u, 0) + c * v
+            if deriv is not None:
+                for u, v in enumerate(coeffs.get(deriv[0], ())):
+                    if u:
+                        residual[u - 1] = residual.get(u - 1, 0) + deriv[1] * u * v
+            if any(residual.values()):
+                return False
+        return True
 
 
-def _lambda_units(alg: LieAlgebra, D: int):
-    for k in range(alg.dim):
-        top = 0 if k == alg.time_index else D
-        for u in range(top + 1):
-            comps = [RatPoly.zero()] * alg.dim
-            comps[k] = RatPoly.monomial(u)
-            yield OneCochain(alg, comps)
+def _complex(alg: LieAlgebra) -> _Complex:
+    """The algebra's complex templates, assembled once per instance."""
+    return alg.memo("complex", lambda: _Complex(alg))
 
 
 # -- classification -----------------------------------------------------
@@ -165,8 +250,9 @@ def _solve_at_degree(alg: LieAlgebra, D: int) -> _DegreeSolve:
     """Cocycle basis, coboundary echelon basis and quotient representatives
     at entry-degree bound D, all as rows in the layout's column numbering."""
     layout = _Layout(alg, D)
-    z_vecs = linalg.nullspace(_cocycle_rows(alg, layout), layout.ncols)
-    b_rows = linalg.rref([layout.to_row(coboundary(lam)) for lam in _lambda_units(alg, D)])
+    cx = _complex(alg)
+    z_vecs = linalg.nullspace(cx.cocycle_rows(D), layout.ncols)
+    b_rows = linalg.rref(cx.coboundary_rows(D))
     reduced = [linalg.reduce_mod_rows(v, b_rows) for v in z_vecs]
     rep_rows = linalg.rref([r for r in reduced if r])
     if len(rep_rows) != len(z_vecs) - len(b_rows):
@@ -247,6 +333,14 @@ def classify(alg: LieAlgebra, degree="auto", cap: int = 16) -> Classification:
 
 # -- equivalence --------------------------------------------------------
 
+# Witness components are mostly small polynomials that recur from query to
+# query (in 126 seeded queries on galilean and milne:2, 1600 witness
+# coefficients took 7 distinct values). RatPoly is immutable, so results
+# share one object per recurring value, and a caller that keeps many
+# results holds each value once.
+_shared_poly = functools.lru_cache(maxsize=4096)(RatPoly)
+
+
 @dataclass
 class EquivalenceResult:
     equivalent: bool
@@ -262,25 +356,26 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     The witness search runs over one-cochains of component degree
     deg(x2 - x1) + 1; a coboundary of that entry degree cannot need more,
     since both the bracket pairing and the time derivative lower or preserve
-    component degree.
+    component degree. The witness is the solution whose free unit
+    coefficients are zero, in the operators' unit order.
     """
     if x1.alg.labels != x2.alg.labels:
         raise ValueError("cochains live on different algebras")
     alg = x1.alg
     _require_valid(alg)
+    cx = _complex(alg)
     for x in (x1, x2):
-        if not is_cocycle(x):
+        if not cx.is_cocycle(x):
             raise ValueError("input is not a cocycle")
     delta = x2 - x1
     if delta.is_zero():
         return EquivalenceResult(True, OneCochain.zero(alg))
     lam_degree = max(delta.max_degree() + 1, 1)
-    units = list(_lambda_units(alg, lam_degree))
-    layout = _Layout(alg, max(lam_degree, delta.max_degree()))
+    layout = _Layout(alg, lam_degree)
+    units = cx.units(lam_degree)
 
-    eq_rows: Dict[int, Dict[int, Fraction]] = {}
-    for ucol, lam in enumerate(units):
-        img = layout.to_row(coboundary(lam))
+    eq_rows: Dict[int, Dict[int, object]] = {}
+    for ucol, img in enumerate(cx.coboundary_rows(lam_degree)):
         for ecol, v in img.items():
             eq_rows.setdefault(ecol, {})[ucol] = v
     ncols = len(units)
@@ -295,13 +390,11 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     sol = linalg.solve_augmented(rows, ncols)
     if sol is None:
         return EquivalenceResult(False, None)
-    comps = [RatPoly.zero()] * alg.dim
-    for ucol, coeff in sol.items():
-        lam = units[ucol]
-        for k, p in enumerate(lam.components):
-            if not p.is_zero():
-                comps[k] = comps[k] + p * coeff
-    witness = OneCochain(alg, comps)
+    coeffs = [[Fraction(0)] * (lam_degree + 1) for _ in range(alg.dim)]
+    for ucol, v in sol.items():
+        k, u = units[ucol]
+        coeffs[k][u] = v
+    witness = OneCochain(alg, [_shared_poly(tuple(c)) for c in coeffs])
     if coboundary(witness) != delta:
         raise AssertionError("witness verification failed")
     return EquivalenceResult(True, witness)

@@ -160,7 +160,10 @@ def _group_algebra(spec: str) -> Tuple[str, LieAlgebra]:
 
 def cmd_classify(config: RunConfig) -> Tuple[dict, bool]:
     alg = load_algebra(config.algebra)
-    result = classify(alg, degree=config.degree)
+    try:
+        result = classify(alg, degree=config.degree)
+    except ValueError as exc:  # an explicit degree beyond the column limit
+        raise UsageError(str(exc))
     echo = {"algebra": config.algebra,
             "degree": "auto" if config.degree == "auto" else config.degree}
     return _report(config, echo, result.to_jsonable(), timing=None), True

@@ -488,8 +488,9 @@ def infinitesimal_from_finite(theta: PhaseFunction, alg: LieAlgebra, a: str, b: 
     for acceleration groups.  The two diagonal terms vanish identically
     for canonical subgroup exponents and cancel the self-phase defect of
     non-canonical ones.  The error estimate is the last diagonal
-    difference of the extrapolation tableau; a sequence whose estimate
-    grows instead of shrinking raises ExtrapolationError.
+    difference of the extrapolation tableau; a tableau whose last
+    difference is not below its first, and not within 1e-9 of the value's
+    scale either, raises ExtrapolationError.
     """
     if levels < 2:
         raise ValueError("need at least two extrapolation levels")
@@ -520,7 +521,7 @@ def infinitesimal_from_finite(theta: PhaseFunction, alg: LieAlgebra, a: str, b: 
     value = prev[-1]
     error = diffs[-1]
     scale = max(1.0, abs(value))
-    if error > max(diffs[0], 1e-9 * scale):
+    if error >= diffs[0] and error > 1e-9 * scale:
         raise ExtrapolationError(
             "no convergence on %s,%s: diagonal differences %s" % (a, b, diffs))
     return ExtractionResult(value=value, error=error)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .ratpoly import as_fraction
 
@@ -95,6 +96,7 @@ class LieAlgebra:
         self._name = str(name)
         self._index = {s: i for i, s in enumerate(labels)}
         self._roles: Tuple[Optional[Role], ...] = (None,) * n
+        self._memo: Dict[object, object] = {}
 
     # -- basic queries -----------------------------------------------
 
@@ -157,10 +159,26 @@ class LieAlgebra:
                 out[k] += w * c
         return out
 
+    def memo(self, key, build: Callable[[], object]):
+        """build() once per key for this instance.
+
+        Data derived from the structure constants (the Jacobi check, the
+        solver's operator templates) is kept here, so it lives and dies
+        with the algebra and is never shared with an equal one.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
     # -- validation --------------------------------------------------
 
     def validate(self) -> List[JacobiViolation]:
         """All structure-constant Jacobi violations; empty list means ok."""
+        return list(self.memo("validate", self._jacobi_violations))
+
+    def _jacobi_violations(self) -> List[JacobiViolation]:
         out: List[JacobiViolation] = []
         n = self.dim
         for i in range(n):

@@ -90,11 +90,22 @@ def echelon_int(rows: Iterable[IntRow]) -> Dict[int, IntRow]:
 
 
 def _back_reduce(pivots: Dict[int, IntRow]) -> None:
+    """Clear every pivot column above its pivot, last pivot first.
+
+    By the time column `col` is cleared, its pivot row has no entry in any
+    later pivot column and none before `col`, so clearing it changes other
+    rows only at `col` and at non-pivot columns. Which rows hold an entry in
+    a pivot column is therefore fixed by the forward pass and indexed once.
+    """
+    holders: Dict[int, List[int]] = {col: [] for col in pivots}
+    for lead, row in pivots.items():
+        for c in row:
+            if c != lead and c in holders:
+                holders[c].append(lead)
     for col in sorted(pivots, reverse=True):
         piv = pivots[col]
-        for other_col, row in pivots.items():
-            if other_col < col and col in row:
-                _combine(row, piv, col)
+        for other in holders[col]:
+            _combine(pivots[other], piv, col)
 
 
 def _to_unit_fracrow(row: IntRow, pivot_col: int) -> FracRow:

@@ -1,13 +1,15 @@
+import functools
 import itertools
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from explab.classify import (Classification, DegreeCapError, _solve_at_degree,
-                             are_equivalent, classify, realizable_subspace,
-                             verify_milne_structure)
+from explab.classify import (MAX_COLUMNS, Classification, DegreeCapError, _complex,
+                             _Layout, _solve_at_degree, are_equivalent, classify,
+                             realizable_subspace, verify_milne_structure)
 from explab.cochain import OneCochain, TwoCochain, coboundary, is_cocycle
 from explab.lie import LieAlgebra, galilean, milne, phase_space
 from explab.ratpoly import RatPoly
@@ -315,3 +317,130 @@ class TestDeterminism:
         a = json.dumps(classify(milne(2)).to_jsonable(), sort_keys=True)
         b = json.dumps(classify(milne(2)).to_jsonable(), sort_keys=True)
         assert a == b
+
+
+# -- the sparse operators against the RatPoly oracles ----------------------
+
+def rescaled_copy(alg):
+    """alg as a JSON algebra with relabelled generators, generator k scaled
+    by (k+2)/3, so its structure constants are non-integer rationals."""
+    spec = alg.to_dict()
+    scale = {lab: Fraction(k + 2, 3) for k, lab in enumerate(spec["labels"])}
+    name = {lab: "x%02d" % ((7 * k) % len(spec["labels"]))
+            for k, lab in enumerate(spec["labels"])}
+    brackets = [{"lhs": name[e["lhs"]], "rhs": name[e["rhs"]],
+                 "out": [[name[k], str(scale[e["lhs"]] * scale[e["rhs"]] * Fraction(c)
+                                       / scale[k])] for k, c in e["out"]]}
+                for e in spec["brackets"]]
+    return LieAlgebra.from_dict({"labels": [name[lab] for lab in spec["labels"]],
+                                 "brackets": brackets,
+                                 "time_generator": name[spec["time_generator"]]})
+
+
+CHECK_ALGEBRAS = [galilean(), milne(2), rescaled_copy(milne(1)), phase_space(2)]
+
+
+@functools.lru_cache(maxsize=None)
+def cocycle_basis(alg, D):
+    return _solve_at_degree(alg, D).cocycle_rows
+
+
+def oracle_algebras():
+    return ([galilean()] + [milne(m) for m in (1, 2, 3, 4)]
+            + [phase_space(2), rescaled_copy(milne(2))])
+
+
+class TestOperators:
+    def test_rescaled_copy_has_non_integer_constants(self):
+        alg = rescaled_copy(milne(2))
+        assert any(c.denominator > 1 for i, j in alg.pairs()
+                   for _, c in alg.bracket_basis(i, j))
+
+    def test_coboundary_rows_match_coboundary_of_each_unit(self):
+        for alg in oracle_algebras():
+            cx = _complex(alg)
+            for D in range(4):
+                layout = _Layout(alg, D)
+                units, rows = cx.units(D), cx.coboundary_rows(D)
+                assert len(units) == len(rows)
+                for (k, u), row in zip(units, rows):
+                    comps = [RatPoly.zero()] * alg.dim
+                    comps[k] = RatPoly.monomial(u)
+                    assert row == layout.to_row(coboundary(OneCochain(alg, comps))), \
+                        (alg.name, D, k, u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_cached_cocycle_check_agrees_with_is_cocycle(self, data):
+        # a random combination of cocycles, plus up to two random
+        # coefficients that mostly break the cocycle condition
+        alg = data.draw(st.sampled_from(CHECK_ALGEBRAS))
+        D = data.draw(st.integers(min_value=0, max_value=3))
+        layout = _Layout(alg, D)
+        basis = cocycle_basis(alg, D)
+        small = st.integers(min_value=-3, max_value=3)
+        row = {}
+        for vec in basis:
+            coeff = data.draw(small)
+            for c, v in vec.items():
+                row[c] = row.get(c, 0) + coeff * v
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+            col = data.draw(st.integers(min_value=0, max_value=layout.ncols - 1))
+            row[col] = row.get(col, 0) + data.draw(small)
+        xi = layout.to_cochain({c: Fraction(v) for c, v in row.items() if v})
+        assert _complex(alg).is_cocycle(xi) == is_cocycle(xi)
+
+
+class TestOperatorCache:
+    def test_second_query_returns_the_same_witness(self):
+        g = milne(2)
+        xi = classify(g).representatives[0]
+        lam = OneCochain.from_labels(g, {"d0_1": RatPoly((1, 2)), "d2_3": RatPoly.t(),
+                                         "a12": RatPoly((0, 0, 5)), "tau": 3})
+        target = xi + coboundary(lam)
+        first, second = are_equivalent(xi, target), are_equivalent(xi, target)
+        assert first.equivalent and second.witness == first.witness
+        assert coboundary(second.witness) == coboundary(lam)
+
+    def test_equal_algebras_do_not_share_operators(self):
+        a, b = milne(2), milne(2)
+        assert _complex(a) is _complex(a)
+        assert _complex(b) is not _complex(a)
+        xa = classify(a).representatives[1]
+        xb = classify(b).representatives[1]
+        lam = OneCochain.from_labels(a, {"d1_2": RatPoly((2, -1))})
+        wa = are_equivalent(xa, xa + coboundary(lam)).witness
+        wb = are_equivalent(xb, xb + coboundary(OneCochain(b, lam.components))).witness
+        assert wa.alg is a and wb.alg is b
+        assert wa.components == wb.components
+
+    def test_operators_are_freed_with_the_algebra(self):
+        alg = milne(2)
+        classify(alg)
+        ref = weakref.ref(_complex(alg))
+        del alg
+        assert ref() is None
+
+    def test_validate_runs_once_per_instance(self, monkeypatch):
+        calls = []
+        jacobi = LieAlgebra._jacobi_violations
+        monkeypatch.setattr(LieAlgebra, "_jacobi_violations",
+                            lambda alg: calls.append(alg) or jacobi(alg))
+        g = galilean()
+        assert g.validate() == [] and g.validate() == []
+        classify(g)
+        assert calls == [g]
+        galilean().validate()
+        assert len(calls) == 2
+
+
+class TestDegreeBound:
+    def test_oversized_degree_refused(self):
+        with pytest.raises(ValueError, match="limit is %d" % MAX_COLUMNS):
+            classify(galilean(), degree=10 ** 9)
+
+    def test_limit_admits_the_auto_cap_on_builtins(self):
+        algebras = ([galilean()] + [milne(m) for m in range(1, 8)]
+                    + [phase_space(n) for n in (1, 2, 3)])
+        for alg in algebras:
+            assert _Layout(alg, 16).ncols <= MAX_COLUMNS

@@ -1,21 +1,36 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import explab.checks as checks
 import explab.cli as cli
-from explab.classify import DegreeCapError
-from explab.groupexp import ExtrapolationError
+from explab.classify import MAX_COLUMNS, DegreeCapError
+from explab.groupexp import ExtrapolationError, PhaseFunction
+
+# sha256 of each built-in `classify --format json` report, recorded with
+# the benchmark; read here, never rewritten by the tests
+EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "expected.json").read_text())["classify"]
 
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rough_phase(r, x, t):
+    """x1 v1 log|v1|: not smooth at the identity, so extraction cannot converge."""
+    v = r.v[0]
+    return x[0] * v * math.log(abs(v)) if v else 0.0
 
 
 def run_json(argv, capsys):
@@ -111,6 +126,20 @@ class TestClassifyCommand:
         code, _, err = run_cli(
             ["classify", "--algebra", "galilean", "--degree", "-1"], capsys)
         assert code == 2 and "degree" in err
+
+    def test_oversized_degree_is_a_usage_error(self, capsys):
+        # refused from the column count alone: no row is built, so the
+        # run stays far below the memory a layout of that size would take
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["classify", "--algebra", "galilean",
+                                      "--degree", "1000000000"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "limit is %d" % MAX_COLUMNS in err
+        assert peak < 1_000_000
 
     def test_degree_cap_abort_exits_one(self, capsys, monkeypatch):
         def blow_up(alg, degree="auto"):
@@ -252,11 +281,31 @@ class TestExponentCommand:
                                   "--pair", "b1,d1"], capsys)
         assert code == 1 and out == "" and "converge" in err
 
+    def test_non_smooth_phase_exits_one(self, capsys, monkeypatch):
+        rough = PhaseFunction("rough", "galilean", rough_phase)
+        monkeypatch.setattr(cli, "load_theta", lambda spec: (rough, 1.0))
+        code, out, err = run_cli(["exponent", "--group", "galilean",
+                                  "--theta", "galilean-mass:1",
+                                  "--pair", "b1,d1"], capsys)
+        assert code == 1 and out == "" and "converge" in err
+
     def test_bad_theta_spec(self, capsys):
         code, _, err = run_cli(["exponent", "--group", "galilean",
                                 "--theta", "newton-mass:1",
                                 "--pair", "b1,d1"], capsys)
         assert code == 2 and "theta" in err
+
+
+@pytest.mark.parametrize("spec", ["galilean", "milne:1", "milne:2", "milne:3",
+                                  "milne:4", "milne:5", "phase-space:1",
+                                  "phase-space:2", "phase-space:3"])
+def test_classify_report_bytes_are_golden(spec, capsys, monkeypatch):
+    # the digests were taken with explab run from src/, uninstalled
+    monkeypatch.setattr(cli, "_tool_stamp",
+                        lambda: {"name": "explab", "version": "unknown"})
+    code, out, _ = run_cli(["classify", "--algebra", spec, "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXPECTED[spec]["sha256"]
 
 
 def test_module_entry_point_runs():

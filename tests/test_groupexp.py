@@ -347,6 +347,20 @@ class TestExtraction:
             infinitesimal_from_finite(rough, GALILEAN, "b1", "d1",
                                       event([0.4, 0.1, 0.0], 0.3))
 
+    def test_tableau_that_does_not_shrink_is_refused(self):
+        # x1 v1 log|v1| is not smooth at the identity. With two levels the
+        # tableau's one difference is both its first and its last, so it
+        # passes only when it is within the floor.
+        rough = PhaseFunction("rough", "galilean", lambda r, x, t:
+                              x[0] * r.v[0] * math.log(abs(r.v[0])) if r.v[0] else 0.0)
+        p = event([0.4, 0.1, 0.0], 0.3)
+        for levels in (2, 6):
+            with pytest.raises(ExtrapolationError):
+                infinitesimal_from_finite(rough, GALILEAN, "b1", "d1", p, levels=levels)
+        res = infinitesimal_from_finite(theta_galilean(2.0), GALILEAN, "b1", "d1", p,
+                                        levels=2)
+        assert abs(res.value - 2.0) <= 1e-6
+
     def test_level_validation(self):
         with pytest.raises(ValueError):
             infinitesimal_from_finite(theta_galilean(1.0), GALILEAN, "b1", "d1",
