@@ -1,10 +1,12 @@
 import itertools
 import math
+import numbers
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from explab import checks
 from explab.groupexp import (ExtrapolationError, GalileanElement, HElement,
                              MilneElement, OrderMismatchError, PhaseFunction,
                              act, check_cocycle_identities, compose,
@@ -71,6 +73,22 @@ class TestGroupStructure:
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError, match="orthogonal"):
             GalileanElement(EYE * 1.001, np.zeros(3), np.zeros(3), 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rotation_rejected(self, bad):
+        R = EYE.copy()
+        R[0, 0] = bad
+        with pytest.raises(ValueError, match="orthogonal"):
+            GalileanElement(R, np.zeros(3), np.zeros(3), 0.0)
+        stack = random_element(np.random.default_rng(0), "milne", size=100).R.copy()
+        stack[37, 1, 2] = bad
+        with pytest.raises(ValueError, match="orthogonal"):
+            MilneElement(stack, np.zeros((3, 3)), 0.0)
+
+    def test_sample_axes_must_broadcast(self):
+        R = random_element(np.random.default_rng(1), "galilean", size=4).R
+        with pytest.raises(ValueError):
+            GalileanElement(R, np.zeros((5, 3)), np.zeros(3), 0.0)
 
     def test_one_parameter_subgroups(self):
         rng = np.random.default_rng(2)
@@ -203,12 +221,39 @@ class TestIdentityChecks:
         th = theta_galilean(1.0)
 
         def bad_xi(r, s, p):
-            bump = 0.1 if r.b > 0.2 else 0.0
+            bump = np.where(r.b > 0.2, 0.1, 0.0)
             return finite_exponent(th, r, s, p) + bump
 
         report = check_cocycle_identities(xi=bad_xi, group="galilean",
                                           samples=200, seed=1)
         assert report["composition"] >= 0.01
+
+    def test_defect_in_one_of_1000_samples_is_reported(self):
+        # the report draws all r, then all s, from the seeded generator
+        th = theta_galilean(1.0)
+        rng = np.random.default_rng(4)
+        rk = random_element(rng, "galilean", size=1000).take(617)
+        sk = random_element(rng, "galilean", size=1000).take(617)
+
+        def bad_xi(r, s, p):
+            hit = (r.b == rk.b) & (s.b == sk.b)
+            return finite_exponent(th, r, s, p) + np.where(hit, 0.5, 0.0)
+
+        report = check_cocycle_identities(xi=bad_xi, group="galilean",
+                                          samples=1000, seed=4)
+        assert report["composition"] == pytest.approx(0.5, abs=1e-12)
+        assert report["unit"] <= 1e-12 and report["inverse"] <= 1e-12
+
+    def test_nan_violation_fails(self):
+        th = theta_galilean(1.0)
+
+        def nan_xi(r, s, p):
+            return finite_exponent(th, r, s, p) + np.where(r.b > 0.9, math.nan, 0.0)
+
+        report = check_cocycle_identities(xi=nan_xi, group="galilean",
+                                          samples=200, seed=1)
+        assert math.isnan(report["composition"])
+        assert not report["max_violation"] <= 1e-12
 
     def test_requires_group_for_raw_xi(self):
         with pytest.raises(ValueError):
@@ -229,6 +274,18 @@ class TestEquivalenceTransform:
         th = theta_milne(0.8)
         zeta = lambda r, p: r.b * math.sin(p[1])
         assert exponent_shift_violation(th, zeta, samples=200, seed=6) <= 1e-12
+
+    def test_nan_gauge_fails(self):
+        zeta = lambda r, p: math.nan if r.b > 0.9 else 0.7 * r.b
+        assert not exponent_shift_violation(theta_galilean(1.0), zeta,
+                                            samples=200, seed=5) <= 1e-12
+
+    def test_nan_time_variance_fails(self):
+        th = theta_galilean(1.0)
+        flaky = PhaseFunction("flaky", "galilean", lambda r, x, t:
+                              th(r, x, t) + np.where(r.b > 0.9, math.nan, 0.0),
+                              stacked=True)
+        assert not exponent_time_variance(flaky, samples=100, seed=3) <= 1e-24
 
     def test_transform_returns_shifted_phase(self):
         th = theta_galilean(1.0)
@@ -280,6 +337,14 @@ class TestHGroup:
                   - finite_exponent(th, s, g, _act_event(inverse(r), p))
                   - finite_exponent(th, r, compose(s, g), p))
             assert abs(assoc - eq) <= 1e-12
+
+    def test_nan_phase_fails_the_suite(self, monkeypatch):
+        flaky = PhaseFunction("flaky", "galilean",
+                              lambda r, x, t: math.nan if r.b > 0.9 else 0.0)
+        monkeypatch.setattr(checks, "theta_galilean", lambda mass: flaky)
+        results = {c["name"]: c for c in checks.h_group_suite(samples=100, seed=23)}
+        assert not results["associativity-matches-composition"]["passed"]
+        assert math.isnan(results["associativity-matches-composition"]["max_violation"])
 
     def test_lift_and_mismatched_exponents(self):
         th1, th2 = theta_galilean(1.0), theta_galilean(2.0)
@@ -361,7 +426,114 @@ class TestExtraction:
                                         levels=2)
         assert abs(res.value - 2.0) <= 1e-6
 
+    @pytest.mark.parametrize("tau0", [0.1, 0.01, 0.001])
+    def test_logarithmic_phase_is_refused(self, tau0):
+        # sign(a1) a1^2 log|a1|: the diagonal differences level off instead of
+        # falling, the last stays below the first, and the value drifts with tau0
+        def planted(r, x, t):
+            a1 = r.a[0]
+            return math.copysign(a1 ** 2 * math.log(abs(a1)), a1) if a1 else 0.0
+
+        with pytest.raises(ExtrapolationError):
+            infinitesimal_from_finite(PhaseFunction("log", "galilean", planted),
+                                      GALILEAN, "b1", "tau",
+                                      event([0.4, -0.3, 0.2], 0.6), tau0=tau0)
+
+    def test_nan_phase_is_refused(self):
+        broken = PhaseFunction("nan", "galilean", lambda r, x, t: math.nan)
+        with pytest.raises(ExtrapolationError):
+            infinitesimal_from_finite(broken, GALILEAN, "b1", "d1",
+                                      event([0.4, 0.1, 0.0], 0.3))
+
     def test_level_validation(self):
         with pytest.raises(ValueError):
             infinitesimal_from_finite(theta_galilean(1.0), GALILEAN, "b1", "d1",
                                       event([0, 0, 0], 0.0), levels=1)
+
+
+def _signed_permutations():
+    """The 24 rotations that are signed permutation matrices, as int arrays."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            R = np.zeros((3, 3), dtype=int)
+            R[range(3), perm] = signs
+            if round(np.linalg.det(R)) == 1:
+                out.append(R)
+    return np.array(out)
+
+
+def _fractions(rng, shape):
+    return np.array([F(int(n), int(d)) for n, d in zip(rng.integers(-9, 10, np.prod(shape)),
+                                                       rng.integers(1, 8, np.prod(shape)))],
+                    dtype=object).reshape(shape)
+
+
+def _exact_stack(rng, kind, n):
+    R = _signed_permutations()[rng.integers(0, 24, n)]
+    if kind == "galilean":
+        return GalileanElement(R, _fractions(rng, (n, 3)), _fractions(rng, (n, 3)),
+                               _fractions(rng, (n,)))
+    return MilneElement(R, _fractions(rng, (n, 3, 3)), _fractions(rng, (n,)))
+
+
+class TestStackedSamples:
+    """One call on N stacked samples equals N calls on single elements."""
+
+    N = 64
+
+    def _cases(self, kind, theta, r, s, x, t):
+        """(name, stacked result, per-sample function) of every operation."""
+        rs, ri, (ax, at) = compose(r, s), inverse(r), act(r, x, t)
+        fields = ("R", "v", "a", "b") if kind == "galilean" else ("R", "A", "b")
+        for name in fields:
+            yield ("compose." + name, getattr(rs, name),
+                   lambda a, b, y, u, name=name: getattr(compose(a, b), name))
+            yield ("inverse." + name, getattr(ri, name),
+                   lambda a, b, y, u, name=name: getattr(inverse(a), name))
+        yield "act.x", ax, lambda a, b, y, u: act(a, y, u)[0]
+        yield "act.t", at, lambda a, b, y, u: act(a, y, u)[1]
+        yield "theta", theta(r, x, t), lambda a, b, y, u: theta(a, y, u)
+        yield ("finite_exponent", finite_exponent(theta, r, s, (x, t)),
+               lambda a, b, y, u: finite_exponent(theta, a, b, (y, u)))
+
+    @pytest.mark.parametrize("kind", ["galilean", "milne"])
+    def test_floats_match_per_element(self, kind):
+        theta = theta_galilean(1.7) if kind == "galilean" else theta_milne(1.3)
+        rng = np.random.default_rng(3)
+        r, s = (random_element(rng, kind, size=self.N) for _ in range(2))
+        x, t = random_event(rng, size=self.N)
+        for name, stacked, single in self._cases(kind, theta, r, s, x, t):
+            one = np.array([single(r.take(i), s.take(i), x[i], t[i])
+                            for i in range(self.N)])
+            scale = np.max(np.abs(one))
+            assert np.max(np.abs(stacked - one)) <= 1e-15 * scale, name
+
+    @pytest.mark.parametrize("kind", ["galilean", "milne"])
+    def test_fractions_match_per_element_exactly(self, kind):
+        theta = theta_galilean(F(3, 2)) if kind == "galilean" else theta_milne(F(2))
+        rng = np.random.default_rng(9)
+        r, s = (_exact_stack(rng, kind, self.N) for _ in range(2))
+        x, t = _fractions(rng, (self.N, 3)), _fractions(rng, (self.N,))
+        for name, stacked, single in self._cases(kind, theta, r, s, x, t):
+            one = np.array([single(r.take(i), s.take(i), x[i], t[i])
+                            for i in range(self.N)], dtype=object)
+            stacked = np.asarray(stacked)
+            assert all(isinstance(v, numbers.Rational) for v in stacked.flat), name
+            assert np.array_equal(stacked, one.reshape(stacked.shape)), name
+
+    def test_per_sample_phase_on_a_stack(self):
+        # a phase without `stacked` sees one sample per call
+        th = theta_galilean(1.1)
+        seen = []
+
+        def one_at_a_time(r, x, t):
+            seen.append(np.shape(r.b))
+            return th(r, x, t)
+
+        scalar = PhaseFunction("scalar", "galilean", one_at_a_time)
+        rng = np.random.default_rng(6)
+        r, s = (random_element(rng, "galilean", size=8) for _ in range(2))
+        p = random_event(rng, size=8)
+        assert np.array_equal(finite_exponent(scalar, r, s, p), finite_exponent(th, r, s, p))
+        assert set(seen) == {()} and len(seen) == 3 * 8
