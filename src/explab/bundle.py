@@ -13,6 +13,8 @@ from typing import Optional
 
 import numpy as np
 
+from .groupexp import worst_abs
+
 UNITARITY_TOL = 1e-12
 DEFAULT_RAY_TOL = 1e-9
 
@@ -106,8 +108,8 @@ class BundleMap:
             raise ValueError("need one square matrix per node")
         d = mats.shape[1]
         for k in range(mats.shape[0]):
-            defect = np.max(np.abs(mats[k].conj().T @ mats[k] - np.eye(d)))
-            if defect > UNITARITY_TOL:
+            defect = worst_abs(mats[k].conj().T @ mats[k] - np.eye(d))
+            if not defect <= UNITARITY_TOL:  # a NaN entry has a NaN defect
                 raise ValueError("matrix at node %d not unitary (defect %.3e)"
                                  % (k, defect))
         object.__setattr__(self, "base_map", perm)
@@ -164,7 +166,7 @@ def ray_equivalent(s1: Section, s2: Section, tol: float = DEFAULT_RAY_TOL) -> Ra
             raise DegenerateSectionError("zero fiber at node %d" % k)
         ref = int(np.argmax(np.abs(f1)))
         phi = float(np.angle(f2[ref] / f1[ref])) if f2[ref] != 0 else 0.0
-        if np.max(np.abs(f2 - np.exp(1j * phi) * f1)) > tol * scale:
+        if not worst_abs(f2 - np.exp(1j * phi) * f1) <= tol * scale:
             return RayResult(False, None)
         phases[k] = phi % (2 * np.pi)
     return RayResult(True, phases)

@@ -133,10 +133,8 @@ def bundle_suite(samples: int, seed: int) -> List[dict]:
     s1, s2 = _random_section(rng, grid, dim), _random_section(rng, grid, dim)
     t1 = bundlemod.apply_bundle_map(isometry, s1)
     t2 = bundlemod.apply_bundle_map(isometry, s2)
-    worst = max(
-        abs(bundlemod.fiber_inner(t1, t2, int(perm[k]))
-            - bundlemod.fiber_inner(s1, s2, k))
-        for k in range(grid.size))
+    worst = worst_abs([bundlemod.fiber_inner(t1, t2, int(perm[k]))
+                       - bundlemod.fiber_inner(s1, s2, k) for k in range(grid.size)])
     checks.append(check("isometry-inner-products", worst <= IDENTITY_TOL,
                         max_violation=worst))
     return checks
@@ -170,21 +168,15 @@ def h_group_suite(samples: int, seed: int) -> List[dict]:
     rng = np.random.default_rng(seed)
     trials = max(1, min(samples, 200))
     elements = [random_element(rng, "galilean", size=trials) for _ in range(3)]
-    x, t = random_event(rng, size=trials)
+    p = random_event(rng, size=trials)
     composition = composition_defect(
-        lambda a, b, q: finite_exponent(theta, a, b, q), *elements, (x, t))
-    # the lifted phases are scalar closures, so the H-group side runs per sample
-    assoc, inverses, units = [], [], []
-    for k in range(trials):
-        lifted = [HElement(lambda x, t, j=j: math.sin(j + x[0] - t), e.take(k), theta)
-                  for j, e in enumerate(elements)]
-        p = (x[k], t[k])
-        assoc.append(h_multiply(h_multiply(lifted[0], lifted[1]), lifted[2]).theta(*p)
-                     - h_multiply(lifted[0], h_multiply(lifted[1], lifted[2])).theta(*p)
-                     - composition[k])
-        inverses.append(h_multiply(h_inverse(lifted[0]), lifted[0]).theta(*p))
-        neutral = h_multiply(h_unit(theta), lifted[0])
-        units.append(neutral.theta(*p) - lifted[0].theta(*p))
+        lambda a, b, q: finite_exponent(theta, a, b, q), *elements, p)
+    h0, h1, h2 = (HElement(lambda x, t, j=j: np.sin(j + x[..., 0] - t), e, theta)
+                  for j, e in enumerate(elements))
+    assoc = (h_multiply(h_multiply(h0, h1), h2).theta(*p)
+             - h_multiply(h0, h_multiply(h1, h2)).theta(*p) - composition)
+    inverses = h_multiply(h_inverse(h0), h0).theta(*p)
+    units = h_multiply(h_unit(theta), h0).theta(*p) - h0.theta(*p)
     worst_assoc, worst_inverse, worst_unit = (worst_abs(v) for v in (assoc, inverses, units))
     return [
         check("associativity-matches-composition", worst_assoc <= IDENTITY_TOL,

@@ -26,6 +26,7 @@ __all__ = [
     "Classification",
     "EquivalenceResult",
     "DegreeCapError",
+    "ColumnLimitError",
     "MilneStructureReport",
     "classify",
     "are_equivalent",
@@ -36,6 +37,10 @@ __all__ = [
 
 class DegreeCapError(RuntimeError):
     """Auto-degree escalation hit the cap without the quotient stabilizing."""
+
+
+class ColumnLimitError(ValueError):
+    """A degree bound whose coefficient layout exceeds MAX_COLUMNS."""
 
 
 def _require_valid(alg: LieAlgebra) -> None:
@@ -53,16 +58,22 @@ def _require_valid(alg: LieAlgebra) -> None:
 MAX_COLUMNS = 10_000
 
 
+def _columns(alg: LieAlgebra, degree: int) -> int:
+    """Coefficient columns at `degree`; ColumnLimitError beyond MAX_COLUMNS."""
+    if degree < 0:
+        raise ValueError("degree bound must be >= 0")
+    ncols = alg.dim * (alg.dim - 1) // 2 * (degree + 1)
+    if ncols > MAX_COLUMNS:
+        raise ColumnLimitError("degree %d needs %d coefficient columns on %s; the limit is %d"
+                               % (degree, ncols, alg.name, MAX_COLUMNS))
+    return ncols
+
+
 class _Layout:
     """Column numbering for cochain coefficients at a fixed degree bound."""
 
     def __init__(self, alg: LieAlgebra, degree: int) -> None:
-        if degree < 0:
-            raise ValueError("degree bound must be >= 0")
-        ncols = alg.dim * (alg.dim - 1) // 2 * (degree + 1)
-        if ncols > MAX_COLUMNS:
-            raise ValueError("degree %d needs %d coefficient columns on %s; the limit is %d"
-                             % (degree, ncols, alg.name, MAX_COLUMNS))
+        ncols = _columns(alg, degree)
         cx = _complex(alg)
         self.alg = alg
         self.degree = degree
@@ -297,6 +308,8 @@ def classify(alg: LieAlgebra, degree="auto", cap: int = 16) -> Classification:
     every higher degree replicates the same classification and escalation
     would never terminate.
     """
+    first = (0 if alg.time_index is None else 1) if degree == "auto" else int(degree)
+    _columns(alg, first)  # refuse a negative or oversized first solve before validating
     _require_valid(alg)
 
     def finish(solve: _DegreeSolve, used: int) -> Classification:
@@ -312,14 +325,8 @@ def classify(alg: LieAlgebra, degree="auto", cap: int = 16) -> Classification:
         cls.coordinates = _coordinate_names(alg, solve)
         return cls
 
-    if degree != "auto":
-        D = int(degree)
-        if D < 0:
-            raise ValueError("degree must be >= 0")
-        return finish(_solve_at_degree(alg, D), D)
-
-    if alg.time_index is None:
-        return finish(_solve_at_degree(alg, 0), 0)
+    if degree != "auto" or alg.time_index is None:
+        return finish(_solve_at_degree(alg, first), first)
 
     prev = _solve_at_degree(alg, 1)
     for D in range(2, cap + 1):

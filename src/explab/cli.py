@@ -30,7 +30,7 @@ import numpy as np
 
 # SWEEP_RATIOS and SWEEP_MARGIN are re-exported for callers that read them here
 from .checks import SUITE_NAMES, SWEEP_MARGIN, SWEEP_RATIOS, check, suite  # noqa: F401
-from .classify import DegreeCapError, classify
+from .classify import ColumnLimitError, DegreeCapError, classify
 from .groupexp import (ExtrapolationError, infinitesimal_from_finite,
                        theta_galilean, theta_milne)
 from .lie import LieAlgebra, galilean, milne, phase_space
@@ -159,11 +159,7 @@ def _group_algebra(spec: str) -> Tuple[str, LieAlgebra]:
 
 
 def cmd_classify(config: RunConfig) -> Tuple[dict, bool]:
-    alg = load_algebra(config.algebra)
-    try:
-        result = classify(alg, degree=config.degree)
-    except ValueError as exc:  # an explicit degree beyond the column limit
-        raise UsageError(str(exc))
+    result = classify(load_algebra(config.algebra), degree=config.degree)
     echo = {"algebra": config.algebra,
             "degree": "auto" if config.degree == "auto" else config.degree}
     return _report(config, echo, result.to_jsonable(), timing=None), True
@@ -394,7 +390,7 @@ def main(argv=None) -> int:
             report, passed = cmd_verify(config)
         else:
             report, passed = cmd_exponent(config)
-    except UsageError as exc:
+    except (UsageError, ColumnLimitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except DegreeCapError as exc:

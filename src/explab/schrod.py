@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .groupexp import acceleration_phase_polys
+from .groupexp import MilneElement, theta_milne
 from .ratpoly import RatPoly
 
 SUPPORT_TOL = 1e-10
@@ -108,21 +107,11 @@ def _profile_rows(A: RatPoly) -> np.ndarray:
 
 
 def milne_phase(mass: float, A: RatPoly) -> Callable:
-    """theta(x, t) for the 1D profile A; same closed form as theta_milne."""
-    rows = _profile_rows(A)
-    if rows.shape[0] == 1:
-        return lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-    _, uniform = acceleration_phase_polys(mass, rows)
-    dA = rows[1:]
-
-    def phase(x, t):
-        adot = dA[-1]
-        for k in range(dA.shape[0] - 2, -1, -1):
-            adot = dA[k] + adot * t / (k + 1)
-        return (mass * (adot[0] * np.asarray(x, dtype=float))
-                + npoly.polyval(t, uniform) - npoly.polyval(0.0, uniform))
-
-    return phase
+    """theta(x, t) for the 1D profile A: theta_milne of the frame change
+    x -> x + A(t), with x on the first spatial axis.  x and t broadcast."""
+    frame = MilneElement(np.eye(3), _profile_rows(A), 0.0)
+    theta = theta_milne(mass)
+    return lambda x, t: theta(frame, np.multiply.outer(x, [1.0, 0.0, 0.0]), t)
 
 
 def _lagrange_weights(frac: float, width: int = 8) -> np.ndarray:
@@ -146,7 +135,7 @@ def transform_wave(psi: WaveField, A: RatPoly, mass: Optional[float] = None,
     non-negligible off-grid data raises GridSupportError.
     """
     mass = psi.mass if mass is None else mass
-    theta = milne_phase(mass, A)
+    phase = milne_phase(mass, A)(psi.xs, psi.ts[:, None])
     h = psi.dx
     nx = psi.xs.size
     out = np.zeros_like(psi.values)
@@ -170,7 +159,7 @@ def transform_wave(psi: WaveField, A: RatPoly, mass: Optional[float] = None,
             lo, hi = max(0, -src), min(nx, nx - src)
             if lo < hi:
                 row[lo:hi] += wval * vals[lo + src:hi + src]
-        out[k] = np.exp(1j * theta(psi.xs, t)) * row
+        out[k] = np.exp(1j * phase[k]) * row
     return WaveField(psi.xs, psi.ts, out, psi.mass)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from explab import bundle, checks
 from explab.bundle import (BundleMap, DegenerateSectionError, Section,
                            TimeGrid, apply_bundle_map, direct_integral_norm,
                            fiber_inner, identity_bundle_map, phase_bundle_map,
@@ -97,6 +98,12 @@ class TestBundleMaps:
         with pytest.raises(ValueError, match="unitary"):
             BundleMap(np.arange(2), mats)
 
+    def test_nan_matrix_rejected(self):
+        mats = np.stack([np.eye(2)] * 2).astype(complex)
+        mats[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="node 1 not unitary"):
+            BundleMap(np.arange(2), mats)
+
     def test_bad_permutation_rejected(self):
         grid = uniform_grid(0, 1, 2)
         mats = np.stack([np.eye(2)] * 2).astype(complex)
@@ -168,6 +175,14 @@ class TestRayEquivalence:
             s2 = random_section(rng, grid, 3)
             assert not ray_equivalent(s1, s2)
 
+    def test_nan_fiber_entry_is_not_equivalent(self):
+        rng = np.random.default_rng(14)
+        s1 = random_section(rng, uniform_grid(0, 1, 4), 3)
+        fibers = s1.fibers.copy()
+        ref = int(np.argmax(np.abs(fibers[2])))
+        fibers[2, (ref + 1) % 3] = np.nan  # not the entry the phase is read from
+        assert not ray_equivalent(s1, Section(s1.grid, fibers))
+
     def test_zero_fiber_degenerate(self):
         grid = uniform_grid(0, 1, 3)
         f = np.ones((3, 2), dtype=complex)
@@ -204,3 +219,18 @@ class TestRayEquivalence:
             for k in range(grid.size):
                 assert abs(fiber_inner(s1, probe, k)) == pytest.approx(
                     abs(fiber_inner(s2, probe, k)), abs=1e-9)
+
+
+def test_nan_inner_product_fails_the_isometry_check(monkeypatch):
+    real = bundle.fiber_inner
+    calls = []
+
+    def flaky(s1, s2, node):
+        calls.append(node)
+        # NaN at node 5 of the mapped sections, past the first term
+        return complex(np.nan) if node == 5 and len(calls) % 2 == 1 else real(s1, s2, node)
+
+    monkeypatch.setattr(bundle, "fiber_inner", flaky)
+    results = {c["name"]: c for c in checks.bundle_suite(samples=1, seed=0)}
+    isometry = results["isometry-inner-products"]
+    assert not isometry["passed"] and np.isnan(isometry["max_violation"])

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from explab.classify import (MAX_COLUMNS, Classification, DegreeCapError, _complex,
-                             _Layout, _solve_at_degree, are_equivalent, classify,
-                             realizable_subspace, verify_milne_structure)
+from explab.classify import (MAX_COLUMNS, Classification, ColumnLimitError,
+                             DegreeCapError, _complex, _Layout, _solve_at_degree,
+                             are_equivalent, classify, realizable_subspace,
+                             verify_milne_structure)
 from explab.cochain import OneCochain, TwoCochain, coboundary, is_cocycle
 from explab.lie import LieAlgebra, galilean, milne, phase_space
 from explab.ratpoly import RatPoly
@@ -436,8 +437,18 @@ class TestOperatorCache:
 
 class TestDegreeBound:
     def test_oversized_degree_refused(self):
-        with pytest.raises(ValueError, match="limit is %d" % MAX_COLUMNS):
+        with pytest.raises(ColumnLimitError, match="limit is %d" % MAX_COLUMNS):
             classify(galilean(), degree=10 ** 9)
+
+    def test_oversized_algebra_refused_before_validation(self, monkeypatch):
+        # auto mode's first solve (degree 1) already exceeds the limit, so
+        # the O(dim^3) Jacobi check must not run
+        def fail(self):
+            raise AssertionError("validate() ran before the column check")
+        alg = milne(45)
+        monkeypatch.setattr(LieAlgebra, "validate", fail)
+        with pytest.raises(ColumnLimitError, match="degree 1 needs"):
+            classify(alg)
 
     def test_limit_admits_the_auto_cap_on_builtins(self):
         algebras = ([galilean()] + [milne(m) for m in range(1, 8)]

@@ -192,6 +192,13 @@ class TestVerifyCommand:
                      if c["name"] == "mass-ratio-sweep")
         assert sweep["best_ratio"] == 1.0
 
+    def test_oversized_milne_suite_is_a_usage_error(self, capsys):
+        # auto mode escalates until degree 11 exceeds the column limit
+        code, out, err = run_cli(["verify", "--suite", "milne:12"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "limit is %d" % MAX_COLUMNS in err
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(["verify", "--suite", "nope"], capsys)
         assert code == 2 and "unknown suite" in err

@@ -482,8 +482,9 @@ class TestStackedSamples:
 
     N = 64
 
-    def _cases(self, kind, theta, r, s, x, t):
-        """(name, stacked result, per-sample function) of every operation."""
+    def _cases(self, kind, theta, r, s, x, t, unit):
+        """(name, stacked result, per-sample function) of every operation;
+        `unit` is the H-group unit the products start from."""
         rs, ri, (ax, at) = compose(r, s), inverse(r), act(r, x, t)
         fields = ("R", "v", "a", "b") if kind == "galilean" else ("R", "A", "b")
         for name in fields:
@@ -496,6 +497,14 @@ class TestStackedSamples:
         yield "theta", theta(r, x, t), lambda a, b, y, u: theta(a, y, u)
         yield ("finite_exponent", finite_exponent(theta, r, s, (x, t)),
                lambda a, b, y, u: finite_exponent(theta, a, b, (y, u)))
+        # H-group products of lifts: the fiber phases receive stacked events
+        hr, hs = h_lift(theta, r), h_lift(theta, s)
+        yield ("h_multiply", h_multiply(hr, hs).theta(x, t),
+               lambda a, b, y, u: h_multiply(h_lift(theta, a), h_lift(theta, b)).theta(y, u))
+        yield ("h_inverse", h_inverse(hr).theta(x, t),
+               lambda a, b, y, u: h_inverse(h_lift(theta, a)).theta(y, u))
+        yield ("h_unit", h_multiply(unit, hr).theta(x, t),
+               lambda a, b, y, u: h_multiply(unit, h_lift(theta, a)).theta(y, u))
 
     @pytest.mark.parametrize("kind", ["galilean", "milne"])
     def test_floats_match_per_element(self, kind):
@@ -503,7 +512,7 @@ class TestStackedSamples:
         rng = np.random.default_rng(3)
         r, s = (random_element(rng, kind, size=self.N) for _ in range(2))
         x, t = random_event(rng, size=self.N)
-        for name, stacked, single in self._cases(kind, theta, r, s, x, t):
+        for name, stacked, single in self._cases(kind, theta, r, s, x, t, h_unit(theta)):
             one = np.array([single(r.take(i), s.take(i), x[i], t[i])
                             for i in range(self.N)])
             scale = np.max(np.abs(one))
@@ -515,7 +524,10 @@ class TestStackedSamples:
         rng = np.random.default_rng(9)
         r, s = (_exact_stack(rng, kind, self.N) for _ in range(2))
         x, t = _fractions(rng, (self.N, 3)), _fractions(rng, (self.N,))
-        for name, stacked, single in self._cases(kind, theta, r, s, x, t):
+        # h_unit's identity is float; e = r r^-1 of one exact sample is exact
+        e = compose(r.take(0), inverse(r.take(0)))
+        unit = HElement(lambda x, t: 0, e, theta)
+        for name, stacked, single in self._cases(kind, theta, r, s, x, t, unit):
             one = np.array([single(r.take(i), s.take(i), x[i], t[i])
                             for i in range(self.N)], dtype=object)
             stacked = np.asarray(stacked)

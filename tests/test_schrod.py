@@ -125,6 +125,14 @@ class TestMilnePhase:
                 lifted = theta(element, np.array([x, 0.0, 0.0]), t)
                 assert phase(np.array([x]), t)[0] == lifted
 
+    def test_grid_equals_per_slice_calls(self):
+        """One call on the (t, x) grid is bitwise the per-time-slice calls."""
+        profile = RatPoly((Fraction(1, 3), Fraction(-2, 7), Fraction(2, 5), Fraction(1, 9)))
+        phase = milne_phase(MASS, profile)
+        grid = phase(XS, TS[:, None])
+        assert grid.shape == (TS.size, XS.size)
+        assert np.array_equal(grid, np.array([phase(XS, t) for t in TS]))
+
 
 class TestTransformWave:
     def test_zero_profile_is_identity(self):
