@@ -1,9 +1,10 @@
 """Classification of polynomial cocycles modulo coboundaries, exactly.
 
-The Jacobi/cocycle condition per basis triple is a linear constraint on the
-polynomial coefficients of a two-cochain. Unknowns are ordered entry-first
-(pairs (i, j) lexicographic) then by ascending power of t; this single global
-ordering fixes pivots, echelon forms and therefore every canonical output.
+The cocycle condition per basis triple is a linear constraint on the
+polynomial coefficients of a two-cochain. The rows of the constraints and of
+d1 expand from the algebra's complex templates (`explab.cochain`), whose
+column order, entry-first (pairs (i, j) lexicographic) then by ascending
+power of t, fixes pivots, echelon forms and therefore every canonical output.
 
 All arithmetic in this module is exact; no floats anywhere.
 """
@@ -11,14 +12,12 @@ All arithmetic in this module is exact; no floats anywhere.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .cochain import OneCochain, TwoCochain, coboundary
+from .cochain import OneCochain, TwoCochain, _complex, coboundary, is_cocycle
 from .lie import LieAlgebra
 from .ratpoly import RatPoly
 
@@ -40,18 +39,12 @@ class DegreeCapError(RuntimeError):
 
 
 class ColumnLimitError(ValueError):
-    """A degree bound whose coefficient layout exceeds MAX_COLUMNS."""
+    """A degree bound that needs more than MAX_COLUMNS coefficient columns."""
 
 
-def _require_valid(alg: LieAlgebra) -> None:
-    bad = alg.validate()
-    if bad:
-        raise ValueError(bad[0].describe(alg))
+# -- degree bound -------------------------------------------------------
 
-
-# -- coefficient layout ------------------------------------------------
-
-# Largest number of coefficient columns a layout may have. It admits auto
+# Largest number of coefficient columns a solve may have. It admits auto
 # mode's default cap (degree 16) on every built-in algebra up to milne:7
 # (378 pairs x 17 powers = 6426 columns) and refuses an oversized explicit
 # degree before any row is built.
@@ -67,161 +60,6 @@ def _columns(alg: LieAlgebra, degree: int) -> int:
         raise ColumnLimitError("degree %d needs %d coefficient columns on %s; the limit is %d"
                                % (degree, ncols, alg.name, MAX_COLUMNS))
     return ncols
-
-
-class _Layout:
-    """Column numbering for cochain coefficients at a fixed degree bound."""
-
-    def __init__(self, alg: LieAlgebra, degree: int) -> None:
-        ncols = _columns(alg, degree)
-        cx = _complex(alg)
-        self.alg = alg
-        self.degree = degree
-        self.pairs: List[Tuple[int, int]] = cx.pairs
-        self.rank = cx.rank
-        self.ncols = ncols
-
-    def to_row(self, xi: TwoCochain) -> Dict[int, Fraction]:
-        row: Dict[int, Fraction] = {}
-        for (i, j), p in xi.nonzero_entries().items():
-            if p.degree > self.degree:
-                raise ValueError("entry degree %d exceeds bound %d" % (p.degree, self.degree))
-            base = self.rank[(i, j)] * (self.degree + 1)
-            for u, c in enumerate(p.coeffs):
-                if c:
-                    row[base + u] = c
-        return row
-
-    def to_cochain(self, row: Dict[int, Fraction]) -> TwoCochain:
-        width = self.degree + 1
-        polys: Dict[int, List[Fraction]] = {}
-        for col, v in row.items():
-            polys.setdefault(col // width, [Fraction(0)] * width)[col % width] = v
-        return TwoCochain(self.alg, {self.pairs[k]: RatPoly(cs) for k, cs in polys.items()})
-
-
-# -- the cochain complex as sparse integer operators ----------------------
-
-class _Complex:
-    """Degree-free templates of one algebra's cochain complex.
-
-    Pair numbers are ranks in the lexicographic pair order, so the column
-    of (pair, power) at degree bound D is pair * (D + 1) + power. Rows at
-    any D expand from the templates in time linear in their size:
-
-    * cocycle constraints, one row per basis triple and power of t: the
-      cyclic sum of bracket entries, plus -bold(tau) = +d/dt on the pair
-      opposite the time generator. Each triple's template is scaled to
-      integers once, which changes neither the kernel nor the test
-      row . xi = 0;
-    * d1 of each unit one-cochain t^u e_k: -c_k^{ij} t^u on every pair,
-      plus bold(tau) t^u = -u t^(u-1) on the pair of e_k with the time
-      generator, signed by the time generator's slot.
-
-    The templates hold no reference to the algebra, which holds them
-    (`_complex`), so they are freed with it and never shared with another.
-    """
-
-    def __init__(self, alg: LieAlgebra) -> None:
-        self.dim = alg.dim
-        self.time_index = ti = alg.time_index
-        self.pairs: List[Tuple[int, int]] = list(alg.pairs())
-        self.rank = rank = {p: n for n, p in enumerate(self.pairs)}
-
-        def signed(a: int, b: int, c) -> Tuple[int, Fraction]:
-            return (rank[(a, b)], c) if a < b else (rank[(b, a)], -c)
-
-        # per triple: ((pair, c), ...) of the bracket sum and (pair, c) of the
-        # derivative term or None; triples_at lists the triples reading a pair
-        self.triples: List[Tuple[Tuple[Tuple[int, int], ...], Optional[Tuple[int, int]]]] = []
-        self.triples_at: Dict[int, List[int]] = {}
-        for (i, j, k) in itertools.combinations(range(alg.dim), 3):
-            bracket: Dict[int, Fraction] = {}
-            deriv = None
-            for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, c in alg.bracket_basis(p, q):
-                    if m != r:
-                        pidx, s = signed(m, r, c)
-                        bracket[pidx] = bracket.get(pidx, 0) + s
-                if p == ti:
-                    deriv = signed(q, r, 1)
-            bracket = {pidx: c for pidx, c in bracket.items() if c}
-            if not bracket and deriv is None:
-                continue
-            scale = 1
-            for c in bracket.values():
-                scale = scale * c.denominator // gcd(scale, c.denominator)
-            entry = (tuple((pidx, int(c * scale)) for pidx, c in bracket.items()),
-                     None if deriv is None else (deriv[0], deriv[1] * scale))
-            for pidx in set(bracket) | ({deriv[0]} if deriv else set()):
-                self.triples_at.setdefault(pidx, []).append(len(self.triples))
-            self.triples.append(entry)
-
-        # d1: per generator k, ((pair, -c_k^{ij}), ...), integral values as ints
-        lowered: Dict[int, List[Tuple[int, object]]] = {}
-        for n, (i, j) in enumerate(self.pairs):
-            for k, c in alg.bracket_basis(i, j):
-                lowered.setdefault(k, []).append((n, -c.numerator if c.denominator == 1 else -c))
-        self.lowered = lowered
-        # (pair, sign) of the time-grading term of each generator
-        self.time_pair = {} if ti is None else \
-            {k: signed(ti, k, -1) for k in range(alg.dim) if k != ti}
-
-    def cocycle_rows(self, D: int) -> List[Dict[int, int]]:
-        """Integer rows at degree bound D; xi is a cocycle iff each row . xi = 0."""
-        width = D + 1
-        rows: List[Dict[int, int]] = []
-        for bracket, deriv in self.triples:
-            for u in range(width):
-                row = {pidx * width + u: c for pidx, c in bracket}
-                if deriv is not None and u < D:
-                    row[deriv[0] * width + u + 1] = deriv[1] * (u + 1)
-                if row:
-                    rows.append(row)
-        return rows
-
-    def units(self, D: int) -> List[Tuple[int, int]]:
-        """(k, u) of each unit one-cochain t^u e_k at degree bound D; the
-        time generator's component is constant, so its only unit is t^0."""
-        return [(k, u) for k in range(self.dim)
-                for u in range((0 if k == self.time_index else D) + 1)]
-
-    def coboundary_rows(self, D: int) -> List[Dict[int, object]]:
-        """d1 of each unit of `units(D)`, in that order, as rows at bound D."""
-        width = D + 1
-        rows: List[Dict[int, object]] = []
-        for k, u in self.units(D):
-            row = {pidx * width + u: c for pidx, c in self.lowered.get(k, ())}
-            if u > 0 and k in self.time_pair:
-                pidx, sign = self.time_pair[k]
-                row[pidx * width + u - 1] = sign * u
-            rows.append(row)
-        return rows
-
-    def is_cocycle(self, xi: TwoCochain) -> bool:
-        """True iff every constraint row annihilates xi, whatever its degree."""
-        coeffs = {self.rank[p]: poly.coeffs for p, poly in xi.nonzero_entries().items()}
-        touched = set()
-        for pidx in coeffs:
-            touched.update(self.triples_at.get(pidx, ()))
-        for t in touched:
-            bracket, deriv = self.triples[t]
-            residual: Dict[int, Fraction] = {}
-            for pidx, c in bracket:
-                for u, v in enumerate(coeffs.get(pidx, ())):
-                    residual[u] = residual.get(u, 0) + c * v
-            if deriv is not None:
-                for u, v in enumerate(coeffs.get(deriv[0], ())):
-                    if u:
-                        residual[u - 1] = residual.get(u - 1, 0) + deriv[1] * u * v
-            if any(residual.values()):
-                return False
-        return True
-
-
-def _complex(alg: LieAlgebra) -> _Complex:
-    """The algebra's complex templates, assembled once per instance."""
-    return alg.memo("complex", lambda: _Complex(alg))
 
 
 # -- classification -----------------------------------------------------
@@ -251,7 +89,7 @@ class Classification:
 
 @dataclass
 class _DegreeSolve:
-    layout: _Layout
+    degree: int
     cocycle_rows: List[Dict[int, Fraction]]
     coboundary_rows: List[Dict[int, Fraction]]
     rep_rows: List[Dict[int, Fraction]]
@@ -259,16 +97,16 @@ class _DegreeSolve:
 
 def _solve_at_degree(alg: LieAlgebra, D: int) -> _DegreeSolve:
     """Cocycle basis, coboundary echelon basis and quotient representatives
-    at entry-degree bound D, all as rows in the layout's column numbering."""
-    layout = _Layout(alg, D)
+    at entry-degree bound D, all as rows in the complex's column numbering."""
+    ncols = _columns(alg, D)
     cx = _complex(alg)
-    z_vecs = linalg.nullspace(cx.cocycle_rows(D), layout.ncols)
+    z_vecs = linalg.nullspace(cx.cocycle_rows(D), ncols)
     b_rows = linalg.rref(cx.coboundary_rows(D))
     reduced = [linalg.reduce_mod_rows(v, b_rows) for v in z_vecs]
     rep_rows = linalg.rref([r for r in reduced if r])
     if len(rep_rows) != len(z_vecs) - len(b_rows):
         raise AssertionError("coboundary basis escapes the cocycle space")
-    return _DegreeSolve(layout, z_vecs, b_rows, rep_rows)
+    return _DegreeSolve(D, z_vecs, b_rows, rep_rows)
 
 
 def _kind(alg: LieAlgebra, i: int) -> Optional[str]:
@@ -281,10 +119,11 @@ def _coordinate_names(alg: LieAlgebra, solve: _DegreeSolve) -> List[str]:
     gamma_(l,n) on acceleration levels, gamma on a translation and the
     boost along the same axis, c(a,b)*t^p for any other pair."""
     names = []
-    width = solve.layout.degree + 1
+    width = solve.degree + 1
+    pairs = _complex(alg).pairs
     for row in solve.rep_rows:
         lead = min(row)
-        i, j = solve.layout.pairs[lead // width]
+        i, j = pairs[lead // width]
         power = lead % width
         ri, rj = alg.roles[i], alg.roles[j]
         kinds = (_kind(alg, i), _kind(alg, j))
@@ -310,10 +149,11 @@ def classify(alg: LieAlgebra, degree="auto", cap: int = 16) -> Classification:
     """
     first = (0 if alg.time_index is None else 1) if degree == "auto" else int(degree)
     _columns(alg, first)  # refuse a negative or oversized first solve before validating
-    _require_valid(alg)
+    alg._require_valid()
 
     def finish(solve: _DegreeSolve, used: int) -> Classification:
-        reps = [solve.layout.to_cochain(r) for r in solve.rep_rows]
+        cx = _complex(alg)
+        reps = [cx.to_cochain(alg, r, solve.degree) for r in solve.rep_rows]
         cls = Classification(
             alg=alg,
             cocycle_dim=len(solve.cocycle_rows),
@@ -369,16 +209,16 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     if x1.alg.labels != x2.alg.labels:
         raise ValueError("cochains live on different algebras")
     alg = x1.alg
-    _require_valid(alg)
-    cx = _complex(alg)
+    alg._require_valid()
     for x in (x1, x2):
-        if not cx.is_cocycle(x):
+        if not is_cocycle(x):
             raise ValueError("input is not a cocycle")
     delta = x2 - x1
     if delta.is_zero():
         return EquivalenceResult(True, OneCochain.zero(alg))
     lam_degree = max(delta.max_degree() + 1, 1)
-    layout = _Layout(alg, lam_degree)
+    _columns(alg, lam_degree)
+    cx = _complex(alg)
     units = cx.units(lam_degree)
 
     eq_rows: Dict[int, Dict[int, object]] = {}
@@ -386,7 +226,7 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
         for ecol, v in img.items():
             eq_rows.setdefault(ecol, {})[ucol] = v
     ncols = len(units)
-    rhs = layout.to_row(delta)
+    rhs = cx.to_row(delta, lam_degree)
     rows = []
     for ecol in set(eq_rows) | set(rhs):
         row = dict(eq_rows.get(ecol, {}))
@@ -504,16 +344,17 @@ def realizable_subspace(c: Classification, m: int) -> Classification:
             if row:
                 constraints.append(row)
     combos = linalg.nullspace(constraints, len(reps))
-    degree = max((r.max_degree() for r in reps), default=0)
-    layout = _Layout(c.alg, max(degree, 0))
+    degree = max([r.max_degree() for r in reps] + [0])
+    _columns(c.alg, degree)
+    cx = _complex(c.alg)
     rows = []
     for combo in combos:
         acc = TwoCochain.zero(c.alg)
         for s, coeff in combo.items():
             acc = acc + coeff * reps[s]
-        rows.append(layout.to_row(acc))
+        rows.append(cx.to_row(acc, degree))
     rep_rows = linalg.rref(rows)
-    restricted = [layout.to_cochain(r) for r in rep_rows]
+    restricted = [cx.to_cochain(c.alg, r, degree) for r in rep_rows]
     out = Classification(
         alg=c.alg,
         cocycle_dim=c.cocycle_dim,
@@ -522,6 +363,6 @@ def realizable_subspace(c: Classification, m: int) -> Classification:
         representatives=restricted,
         degree_used=c.degree_used,
     )
-    solve = _DegreeSolve(layout, [], [], rep_rows)
+    solve = _DegreeSolve(degree, [], [], rep_rows)
     out.coordinates = _coordinate_names(c.alg, solve)
     return out

@@ -1,4 +1,4 @@
-"""One- and two-cochains with polynomial time dependence.
+"""One- and two-cochains with polynomial time dependence, and their complex.
 
 A two-cochain assigns to every basis pair (a_i, a_j), i < j, a polynomial
 Xi(a_i, a_j, t); the lower triangle is the negative by convention. A
@@ -11,7 +11,7 @@ time generator moves time (t -> t + sigma under its flow), so its action is
 with the ladder normalization [d, tau] = +d' of the built-in algebras, this
 orientation is what produces the downstream integration recurrences with
 plus signs; flipping either the grading sign or the ladder sign alone would
-flip them.
+flip them. The sign is written once, in the templates of `_Complex`.
 
 Admissibility of one-cochains. Lam must pair constantly with each generator
 along that generator's own flow. Flows of generators other than the time
@@ -22,21 +22,15 @@ Algebras without a time generator carry no constraint at all.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .lie import LieAlgebra
 from .ratpoly import RatPoly, as_fraction
 
-__all__ = ["TwoCochain", "OneCochain", "coboundary", "jacobi_residual", "is_cocycle",
-           "time_grading"]
-
-
-def time_grading(alg: LieAlgebra, gen_index: int, p: RatPoly) -> RatPoly:
-    """bold(a_k) applied to a scalar value: -d/dt for the time generator, else 0."""
-    if alg.time_index is not None and gen_index == alg.time_index:
-        return -p.differentiate()
-    return RatPoly.zero()
+__all__ = ["TwoCochain", "OneCochain", "coboundary", "jacobi_residual", "is_cocycle"]
 
 
 def _as_poly(value) -> RatPoly:
@@ -226,42 +220,188 @@ class OneCochain:
         return "OneCochain(%s, %d nonzero components)" % (self.alg.name, nz)
 
 
+# -- the cochain complex as sparse integer operators ----------------------
+
+class _Complex:
+    """Degree-free templates of one algebra's cochain complex.
+
+    Pair numbers are ranks in the lexicographic pair order, so the column
+    of (pair, power) at degree bound D is pair * (D + 1) + power. Rows at
+    any D expand from the templates in time linear in their size:
+
+    * the cocycle condition, one row per basis triple i < j < k and power
+      of t: the cyclic sum of bracket entries, plus -bold(tau) = +d/dt on
+      the pair opposite the time generator. Each triple's template is
+      scaled to integers once, which changes neither the kernel nor the
+      test row . xi = 0;
+    * d1 of each unit one-cochain t^u e_k: -c_k^{ij} t^u on every pair,
+      plus bold(tau) t^u = -u t^(u-1) on the pair of e_k with the time
+      generator, signed by the time generator's slot.
+
+    They are the only formulas for d1, the cocycle condition and the time
+    grading: the functions below apply them, and `explab.classify` solves.
+
+    The templates hold no reference to the algebra, which holds them
+    (`_complex`), so they are freed with it and never shared with another.
+    """
+
+    def __init__(self, alg: LieAlgebra) -> None:
+        self.dim = alg.dim
+        self.time_index = ti = alg.time_index
+        self.pairs: List[Tuple[int, int]] = list(alg.pairs())
+        self.rank = rank = {p: n for n, p in enumerate(self.pairs)}
+
+        def signed(a: int, b: int, c) -> Tuple[int, Fraction]:
+            return (rank[(a, b)], c) if a < b else (rank[(b, a)], -c)
+
+        # per triple with a nonzero template: ((pair, c), ...) of the bracket
+        # sum, (pair, c) of the derivative term or None, and the integer
+        # scale; triples_at lists the triples reading a pair
+        self.triples: Dict[Tuple[int, int, int], tuple] = {}
+        self.triples_at: Dict[int, List[Tuple[int, int, int]]] = {}
+        for triple in itertools.combinations(range(alg.dim), 3):
+            i, j, k = triple
+            bracket: Dict[int, Fraction] = {}
+            deriv = None
+            for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, c in alg.bracket_basis(p, q):
+                    if m != r:
+                        pidx, s = signed(m, r, c)
+                        bracket[pidx] = bracket.get(pidx, 0) + s
+                if p == ti:
+                    deriv = signed(q, r, 1)
+            bracket = {pidx: c for pidx, c in bracket.items() if c}
+            if not bracket and deriv is None:
+                continue
+            scale = lcm(*(c.denominator for c in bracket.values()))
+            self.triples[triple] = (
+                tuple((pidx, int(c * scale)) for pidx, c in bracket.items()),
+                None if deriv is None else (deriv[0], deriv[1] * scale), scale)
+            for pidx in set(bracket) | ({deriv[0]} if deriv else set()):
+                self.triples_at.setdefault(pidx, []).append(triple)
+
+        # d1: per generator k, ((pair, -c_k^{ij}), ...), integral values as ints
+        self.lowered: Dict[int, List[Tuple[int, object]]] = {}
+        for n, (i, j) in enumerate(self.pairs):
+            for k, c in alg.bracket_basis(i, j):
+                self.lowered.setdefault(k, []).append(
+                    (n, -c.numerator if c.denominator == 1 else -c))
+        # (pair, sign) of the time-grading term of each generator
+        self.time_pair = {} if ti is None else \
+            {k: signed(ti, k, -1) for k in range(alg.dim) if k != ti}
+
+    def units(self, D: int) -> List[Tuple[int, int]]:
+        """(k, u) of each unit one-cochain t^u e_k at degree bound D; the
+        time generator's component is constant, so its only unit is t^0."""
+        return [(k, u) for k in range(self.dim)
+                for u in range((0 if k == self.time_index else D) + 1)]
+
+    def d1_unit(self, k: int, u: int) -> List[Tuple[int, int, object]]:
+        """d1 of the unit one-cochain t^u e_k as (pair, power, value) terms."""
+        terms = [(pidx, u, c) for pidx, c in self.lowered.get(k, ())]
+        if u > 0 and k in self.time_pair:
+            pidx, sign = self.time_pair[k]
+            terms.append((pidx, u - 1, sign * u))
+        return terms
+
+    def coboundary_rows(self, D: int) -> List[Dict[int, object]]:
+        """d1 of each unit of `units(D)`, in that order, as rows at bound D."""
+        width = D + 1
+        return [{pidx * width + power: c for pidx, power, c in self.d1_unit(k, u)}
+                for k, u in self.units(D)]
+
+    def cocycle_rows(self, D: int) -> List[Dict[int, int]]:
+        """Integer rows at degree bound D; xi is a cocycle iff each row . xi = 0."""
+        width = D + 1
+        rows: List[Dict[int, int]] = []
+        for bracket, deriv, _ in self.triples.values():
+            for u in range(width):
+                row = {pidx * width + u: c for pidx, c in bracket}
+                if deriv is not None and u < D:
+                    row[deriv[0] * width + u + 1] = deriv[1] * (u + 1)
+                if row:
+                    rows.append(row)
+        return rows
+
+    def residual(self, triple, coeffs: Dict[int, tuple]) -> Dict[int, object]:
+        """row . xi of the triple's template per power of t, for xi given as
+        {pair: coefficients}: the triple's scale times its Jacobi residual."""
+        bracket, deriv, _ = self.triples[triple]
+        out: Dict[int, object] = {}
+        for pidx, c in bracket:
+            for u, v in enumerate(coeffs.get(pidx, ())):
+                out[u] = out.get(u, 0) + c * v
+        if deriv is not None:
+            pidx, c = deriv
+            for u, v in enumerate(coeffs.get(pidx, ())[1:], 1):
+                out[u - 1] = out.get(u - 1, 0) + c * u * v
+        return out
+
+    def coefficients(self, xi: TwoCochain) -> Dict[int, tuple]:
+        return {self.rank[p]: poly.coeffs for p, poly in xi._entries.items()}
+
+    def to_row(self, xi: TwoCochain, D: int) -> Dict[int, Fraction]:
+        """xi's coefficients as a row at degree bound D."""
+        row: Dict[int, Fraction] = {}
+        for pidx, coeffs in self.coefficients(xi).items():
+            if len(coeffs) > D + 1:
+                raise ValueError("entry degree %d exceeds bound %d" % (len(coeffs) - 1, D))
+            row.update((pidx * (D + 1) + u, c) for u, c in enumerate(coeffs) if c)
+        return row
+
+    def to_cochain(self, alg: LieAlgebra, row: Dict[int, Fraction], D: int) -> TwoCochain:
+        """The two-cochain on `alg` whose coefficients at degree bound D are `row`."""
+        width = D + 1
+        polys: Dict[int, List[Fraction]] = {}
+        for col, v in row.items():
+            polys.setdefault(col // width, [Fraction(0)] * width)[col % width] = v
+        return TwoCochain(alg, {self.pairs[k]: RatPoly(cs) for k, cs in polys.items()})
+
+
+def _complex(alg: LieAlgebra) -> _Complex:
+    """The algebra's complex templates, assembled once per instance."""
+    return alg.memo("complex", lambda: _Complex(alg))
+
+
 def coboundary(lam: OneCochain) -> TwoCochain:
-    """d[Lam](a_i, a_j) = bold(a_i)Lam_j - bold(a_j)Lam_i - Lam([a_i, a_j])."""
+    """d[Lam](a_i, a_j) = bold(a_i)Lam_j - bold(a_j)Lam_i - Lam([a_i, a_j]),
+    summed from the d1 templates of Lam's unit one-cochains."""
     alg = lam.alg
-    entries: Dict[Tuple[int, int], RatPoly] = {}
-    for (i, j) in alg.pairs():
-        p = time_grading(alg, i, lam.components[j]) \
-            - time_grading(alg, j, lam.components[i]) \
-            - lam.value(alg.bracket_basis(i, j))
-        if not p.is_zero():
-            entries[(i, j)] = p
-    return TwoCochain(alg, entries)
+    cx = _complex(alg)
+    width = max(len(p.coeffs) for p in lam.components)
+    polys: Dict[int, List[object]] = {}
+    for k, comp in enumerate(lam.components):
+        for u, v in enumerate(comp.coeffs):
+            if v:
+                for pidx, power, c in cx.d1_unit(k, u):
+                    acc = polys.setdefault(pidx, [0] * width)
+                    acc[power] += c * v
+    return TwoCochain(alg, {cx.pairs[pidx]: RatPoly(cs) for pidx, cs in polys.items()})
 
 
 def jacobi_residual(xi: TwoCochain, i: int, j: int, k: int) -> RatPoly:
     """Cocycle defect on the basis triple (i, j, k); zero iff the condition holds there.
 
     Xi([a_i,a_j], a_k) + Xi([a_j,a_k], a_i) + Xi([a_k,a_i], a_j)
-      - bold(a_i)Xi(a_j,a_k) - bold(a_j)Xi(a_k,a_i) - bold(a_k)Xi(a_i,a_j)
+      - bold(a_i)Xi(a_j,a_k) - bold(a_j)Xi(a_k,a_i) - bold(a_k)Xi(a_i,a_j),
+    read from the sorted triple's template, unscaled and signed by the permutation.
     """
     if len({i, j, k}) != 3:
         raise ValueError("indices must be distinct")
-    alg = xi.alg
-    out = RatPoly.zero()
-    for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, c in alg.bracket_basis(p, q):
-            out = out + xi.entry(m, r) * c
-        out = out - time_grading(alg, p, xi.entry(q, r))
-    return out
+    cx = _complex(xi.alg)
+    triple = tuple(sorted((i, j, k)))
+    if triple not in cx.triples:
+        return RatPoly.zero()
+    res = cx.residual(triple, cx.coefficients(xi))
+    scale = cx.triples[triple][2] * (-1) ** ((i > j) + (i > k) + (j > k))
+    return RatPoly([Fraction(res.get(u, 0), scale) for u in range(max(res, default=-1) + 1)])
 
 
 def is_cocycle(xi: TwoCochain) -> bool:
-    """True iff the Jacobi residual vanishes identically on every basis triple."""
-    n = xi.alg.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if not jacobi_residual(xi, i, j, k).is_zero():
-                    return False
-    return True
+    """True iff every triple's template annihilates xi, whatever its degree."""
+    cx = _complex(xi.alg)
+    coeffs = cx.coefficients(xi)
+    touched = set()
+    for pidx in coeffs:
+        touched.update(cx.triples_at.get(pidx, ()))
+    return not any(any(cx.residual(t, coeffs).values()) for t in touched)

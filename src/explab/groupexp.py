@@ -116,16 +116,19 @@ class _Stacked:
             return shapes[0]
         return np.broadcast_shapes(*shapes)
 
-    def take(self, index, shape=None):
-        """The sample at `index`, with the sample axes first broadcast to
-        `shape` (default: `batch`)."""
-        shape = self.batch if shape is None else tuple(shape)
+    def _samples(self, shape):
+        """sample(index): the sample at `index`, with the sample axes
+        broadcast to `shape` once for all the samples taken."""
         fields = {}
         for name, core in self.CORE.items():
             value = np.asarray(getattr(self, name))
-            full = np.broadcast_to(value, shape + value.shape[value.ndim - core:])
-            fields[name] = full[index]
-        return type(self)(**fields)
+            fields[name] = np.broadcast_to(value, tuple(shape) + value.shape[value.ndim - core:])
+        return lambda index: type(self)(**{name: full[index] for name, full in fields.items()})
+
+    def take(self, index, shape=None):
+        """The sample at `index`, with the sample axes first broadcast to
+        `shape` (default: `batch`)."""
+        return self._samples(self.batch if shape is None else shape)(index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +316,8 @@ class PhaseFunction:
             return self.fn(r, x, t)
         xs = np.broadcast_to(x, shape + (3,))
         ts = np.broadcast_to(t, shape)
-        return np.array([self.fn(r.take(i, shape), xs[i], ts[i])
+        sample = r._samples(shape)
+        return np.array([self.fn(sample(i), xs[i], ts[i])
                          for i in np.ndindex(shape)]).reshape(shape)
 
 

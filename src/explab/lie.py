@@ -178,6 +178,22 @@ class LieAlgebra:
         """All structure-constant Jacobi violations; empty list means ok."""
         return list(self.memo("validate", self._jacobi_violations))
 
+    def _require_valid(self) -> None:
+        """Raise ValueError naming the first Jacobi violation, or else the
+        first bracket with a time component: time acts on polynomials in t as
+        -d/dt, a representation (so d1 d1 = 0) only if no bracket yields it."""
+        bad = self.validate()
+        if bad:
+            raise ValueError(bad[0].describe(self))
+        ti = self._time_index
+        for (i, j), terms in sorted(self._table.items()):
+            if any(k == ti for k, _ in terms):
+                lb = self._labels
+                raise ValueError(
+                    "bracket [%s, %s] has a component along the time generator %s, "
+                    "so polynomials in t are not a module of the algebra"
+                    % (lb[i], lb[j], lb[ti]))
+
     def _jacobi_violations(self) -> List[JacobiViolation]:
         out: List[JacobiViolation] = []
         n = self.dim
@@ -252,9 +268,7 @@ class LieAlgebra:
                 raise ValueError("time_generator %r not a basis label" % (tgen,))
             ti = index[tgen]
         alg = cls(labels, brackets, time_index=ti, name=name)
-        bad = alg.validate()
-        if bad:
-            raise ValueError(bad[0].describe(alg))
+        alg._require_valid()
         return alg
 
     def __repr__(self) -> str:

@@ -129,22 +129,19 @@ def rref(rows: Iterable[Dict[int, object]]) -> List[FracRow]:
 
 
 def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[FracRow]:
-    """Canonical basis of {x : Ax = 0}, one vector per free column, then RREF'd."""
+    """Canonical basis of {x : Ax = 0}, one vector per free column f in
+    ascending order (x_f = 1, other free columns 0); not in echelon form."""
     reduced = rref(rows)
-    pivot_cols = [min(r) for r in reduced]
-    pivot_set = set(pivot_cols)
-    basis: List[FracRow] = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec: FracRow = {f: Fraction(1)}
-        for r, p in zip(reduced, pivot_cols):
-            coef = r.get(f)
-            if coef:
-                vec[p] = -coef
-        basis.append(vec)
-    # one extra pass makes the presentation canonical in the global ordering
-    return rref(basis)
+    leads = [min(r) for r in reduced]
+    pivots = set(leads)
+    basis: Dict[int, FracRow] = {f: {f: Fraction(1)} for f in range(ncols)
+                                 if f not in pivots}
+    # each reduced row holds one pivot and otherwise only free columns
+    for r, p in zip(reduced, leads):
+        for f, coef in r.items():
+            if f != p:
+                basis[f][p] = -coef
+    return list(basis.values())
 
 
 def solve_augmented(rows: Iterable[Dict[int, object]], ncols: int) -> Optional[FracRow]:

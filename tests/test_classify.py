@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from explab import linalg
 from explab.classify import (MAX_COLUMNS, Classification, ColumnLimitError,
-                             DegreeCapError, _complex, _Layout, _solve_at_degree,
+                             DegreeCapError, _columns, _solve_at_degree,
                              are_equivalent, classify, realizable_subspace,
                              verify_milne_structure)
-from explab.cochain import OneCochain, TwoCochain, coboundary, is_cocycle
+from explab.cochain import (OneCochain, TwoCochain, _complex, coboundary, is_cocycle,
+                            jacobi_residual)
 from explab.lie import LieAlgebra, galilean, milne, phase_space
 from explab.ratpoly import RatPoly
 
@@ -75,11 +77,45 @@ def brute_force_constant_quotient(alg):
     return cocycle_dim - cob_dim
 
 
+def grading(alg, k, p):
+    """bold(a_k) on a scalar polynomial: -d/dt for the time generator, else 0."""
+    return -p.differentiate() if k == alg.time_index else RatPoly.zero()
+
+
+def oracle_coboundary(lam):
+    """d[Lam](a_i, a_j) = bold(a_i)Lam_j - bold(a_j)Lam_i - Lam([a_i, a_j])."""
+    alg = lam.alg
+    entries = {}
+    for (i, j) in alg.pairs():
+        p = grading(alg, i, lam.components[j]) - grading(alg, j, lam.components[i])
+        for k, c in alg.bracket_basis(i, j):
+            p = p - lam.components[k] * c
+        entries[(i, j)] = p
+    return TwoCochain(alg, entries)
+
+
+def oracle_residual(xi, i, j, k):
+    """The cyclic sum of Xi([a_p, a_q], a_r) - bold(a_p)Xi(a_q, a_r)."""
+    alg = xi.alg
+    out = RatPoly.zero()
+    for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, c in alg.bracket_basis(p, q):
+            out = out + xi.entry(m, r) * c
+        out = out - grading(alg, p, xi.entry(q, r))
+    return out
+
+
+def oracle_is_cocycle(xi):
+    return all(oracle_residual(xi, i, j, k).is_zero()
+               for (i, j, k) in itertools.combinations(range(xi.alg.dim), 3))
+
+
 def bases(alg, D):
     """Cocycle basis and coboundary echelon basis at degree bound D."""
     solve = _solve_at_degree(alg, D)
-    return ([solve.layout.to_cochain(r) for r in solve.cocycle_rows],
-            [solve.layout.to_cochain(r) for r in solve.coboundary_rows])
+    cx = _complex(alg)
+    return ([cx.to_cochain(alg, r, D) for r in solve.cocycle_rows],
+            [cx.to_cochain(alg, r, D) for r in solve.coboundary_rows])
 
 
 class TestGalilean:
@@ -119,12 +155,12 @@ class TestSolverCrossChecks:
     def test_cocycle_basis_passes_independent_evaluator(self):
         for alg, D in ((galilean(), 2), (milne(2), 3), (phase_space(2), 1)):
             for xi in bases(alg, D)[0]:
-                assert is_cocycle(xi)
+                assert oracle_is_cocycle(xi)
 
     def test_coboundary_basis_lies_in_cocycle_space(self):
         for alg, D in ((galilean(), 1), (milne(2), 2)):
             for b in bases(alg, D)[1]:
-                assert is_cocycle(b)
+                assert oracle_is_cocycle(b)
 
     def test_milne_coboundaries_vanish_on_acceleration_pairs(self):
         g = milne(2)
@@ -134,12 +170,11 @@ class TestSolverCrossChecks:
                 assert b.entry_by_labels(l1, l2).is_zero()
 
     def test_representative_entries_solve_planted_residuals(self):
-        from explab.cochain import jacobi_residual
         c = classify(milne(2))
         n = c.alg.dim
         for rep in c.representatives:
             for (i, j, k) in itertools.combinations(range(n), 3):
-                assert jacobi_residual(rep, i, j, k).is_zero()
+                assert oracle_residual(rep, i, j, k).is_zero()
 
 
 class TestPhaseSpace:
@@ -313,6 +348,36 @@ class TestAutoModeMechanics:
         assert c.quotient_dim == 3
 
 
+class TestTimeComponentRefused:
+    # [x, y] = tau: the time generator is central and also a bracket, so
+    # bold(tau) = -d/dt is no representation and d1 d1 != 0
+    @staticmethod
+    def central_time():
+        return LieAlgebra(["tau", "x", "y", "z"], {(1, 2): [(0, 1)]}, time_index=0,
+                          name="central-time")
+
+    def test_jacobi_holds(self):
+        assert self.central_time().validate() == []
+
+    def test_classify_raises_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(linalg, "nullspace", None)
+        with pytest.raises(ValueError, match=r"\[x, y\].*tau"):
+            classify(self.central_time())
+        with pytest.raises(ValueError, match=r"\[x, y\]"):
+            classify(self.central_time(), degree=2)
+
+    def test_are_equivalent_raises(self):
+        alg = self.central_time()
+        zero = TwoCochain.zero(alg)
+        with pytest.raises(ValueError, match=r"\[x, y\]"):
+            are_equivalent(zero, zero)
+
+    def test_from_dict_names_the_bracket(self):
+        spec = self.central_time().to_dict()
+        with pytest.raises(ValueError, match=r"bracket \[x, y\].*time generator tau"):
+            LieAlgebra.from_dict(spec)
+
+
 class TestDeterminism:
     def test_repeated_runs_identical(self):
         a = json.dumps(classify(milne(2)).to_jsonable(), sort_keys=True)
@@ -361,14 +426,13 @@ class TestOperators:
         for alg in oracle_algebras():
             cx = _complex(alg)
             for D in range(4):
-                layout = _Layout(alg, D)
                 units, rows = cx.units(D), cx.coboundary_rows(D)
                 assert len(units) == len(rows)
                 for (k, u), row in zip(units, rows):
                     comps = [RatPoly.zero()] * alg.dim
                     comps[k] = RatPoly.monomial(u)
-                    assert row == layout.to_row(coboundary(OneCochain(alg, comps))), \
-                        (alg.name, D, k, u)
+                    want = oracle_coboundary(OneCochain(alg, comps))
+                    assert row == cx.to_row(want, D), (alg.name, D, k, u)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -377,7 +441,7 @@ class TestOperators:
         # coefficients that mostly break the cocycle condition
         alg = data.draw(st.sampled_from(CHECK_ALGEBRAS))
         D = data.draw(st.integers(min_value=0, max_value=3))
-        layout = _Layout(alg, D)
+        ncols = _columns(alg, D)
         basis = cocycle_basis(alg, D)
         small = st.integers(min_value=-3, max_value=3)
         row = {}
@@ -386,10 +450,47 @@ class TestOperators:
             for c, v in vec.items():
                 row[c] = row.get(c, 0) + coeff * v
         for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
-            col = data.draw(st.integers(min_value=0, max_value=layout.ncols - 1))
+            col = data.draw(st.integers(min_value=0, max_value=ncols - 1))
             row[col] = row.get(col, 0) + data.draw(small)
-        xi = layout.to_cochain({c: Fraction(v) for c, v in row.items() if v})
-        assert _complex(alg).is_cocycle(xi) == is_cocycle(xi)
+        xi = _complex(alg).to_cochain(alg, {c: Fraction(v) for c, v in row.items() if v}, D)
+        assert is_cocycle(xi) == oracle_is_cocycle(xi)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_coboundary_agrees_with_oracle(self, data):
+        alg = data.draw(st.sampled_from(CHECK_ALGEBRAS))
+        coeffs = st.lists(st.integers(min_value=-3, max_value=3).map(Fraction), max_size=4)
+        comps = [RatPoly(data.draw(coeffs)) for _ in range(alg.dim)]
+        if alg.time_index is not None:
+            comps[alg.time_index] = RatPoly.constant(comps[alg.time_index].coeff(0))
+        lam = OneCochain(alg, comps)
+        assert coboundary(lam) == oracle_coboundary(lam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_jacobi_residual_agrees_with_oracle(self, data):
+        alg = data.draw(st.sampled_from(CHECK_ALGEBRAS))
+        coeffs = st.lists(st.integers(min_value=-3, max_value=3).map(Fraction), max_size=3)
+        xi = TwoCochain(alg, {p: RatPoly(data.draw(coeffs)) for p in alg.pairs()})
+        triple = data.draw(st.permutations(range(alg.dim)))[:3]
+        assert jacobi_residual(xi, *triple) == oracle_residual(xi, *triple)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_nullspace_against_dense_rank(self, data):
+        ncols = data.draw(st.integers(min_value=1, max_value=7))
+        entry = st.integers(min_value=-2, max_value=2)
+        dense = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                                   max_size=6))
+        rows = [{c: Fraction(v) for c, v in enumerate(r) if v} for r in dense]
+        basis = linalg.nullspace(rows, ncols)
+        assert len(basis) == ncols - dense_rank(dense)
+        for vec in basis:
+            assert all(sum(r.get(c, 0) * v for c, v in vec.items()) == 0 for r in rows)
+        # independent: the basis vectors stack to full rank
+        assert dense_rank([[vec.get(c, 0) for c in range(ncols)] for vec in basis]) \
+            == len(basis)
 
 
 class TestOperatorCache:
@@ -454,4 +555,4 @@ class TestDegreeBound:
         algebras = ([galilean()] + [milne(m) for m in range(1, 8)]
                     + [phase_space(n) for n in (1, 2, 3)])
         for alg in algebras:
-            assert _Layout(alg, 16).ncols <= MAX_COLUMNS
+            assert _columns(alg, 16) <= MAX_COLUMNS

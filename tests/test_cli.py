@@ -108,6 +108,18 @@ class TestClassifyCommand:
         assert code == 2
         assert "jacobi" in err and "(x,y,z)" in err
 
+    def test_time_component_in_a_bracket_is_a_usage_error(self, capsys, tmp_path):
+        # [x, y] = tau: polynomials in t are then not a module, so there is
+        # no complex to classify on
+        spec = tmp_path / "central-time.json"
+        spec.write_text(json.dumps({
+            "labels": ["tau", "x", "y", "z"],
+            "brackets": [{"lhs": "x", "rhs": "y", "out": [["tau", "1"]]}],
+            "time_generator": "tau"}))
+        code, out, err = run_cli(["classify", "--algebra", str(spec)], capsys)
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and "[x, y]" in err and "tau" in err
+
     def test_float_coefficient_rejected(self, capsys, tmp_path):
         spec = tmp_path / "inexact.json"
         spec.write_text(json.dumps({
