@@ -203,13 +203,6 @@ class OneCochain:
             comps[alg.index(label)] = _as_poly(p)
         return cls(alg, comps)
 
-    def value(self, terms: Iterable[Tuple[int, Fraction]]) -> RatPoly:
-        """Lam applied to a sum of basis terms ((index, coeff), ...)."""
-        out = RatPoly.zero()
-        for k, c in terms:
-            out = out + self.components[k] * c
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, OneCochain):
             return NotImplemented

@@ -15,12 +15,17 @@ Conventions fixed once for the whole package:
 With this orientation the translation/boost extraction below returns
 ``+mass``, matching the classification's canonical representative.
 
+One element type.  Every element is a `MilneElement` (R, A, b) acting by
+(x, t) -> (R x + A(t), t + b), with A a polynomial of some order k.  The
+Galilean group is the order-1 case, A(t) = a + v t stored as the rows
+(a, v); the group kind "galilean" only fixes the order to 1.
+
 Sample axes.  Every field of an element may carry leading sample axes:
-R has shape (..., 3, 3), v and a (..., 3), A (..., k+1, 3) and b (...);
-an event's x has shape (..., 3) and its t (...).  The sample axes of all
-fields and events broadcast against each other, so `compose`, `inverse`,
-`act`, the built-in phases and `finite_exponent` evaluate a stack of N
-samples in one call, and one element is the case without sample axes.
+R has shape (..., 3, 3), A (..., k+1, 3) and b (...); an event's x has
+shape (..., 3) and its t (...).  The sample axes of all fields and events
+broadcast against each other, so `compose`, `inverse`, `act`, the
+built-in phases and `finite_exponent` evaluate a stack of N samples in
+one call, and one element is the case without sample axes.
 The sampled checks draw all their samples in one call, so a seed maps to
 other samples than it did when they were drawn one at a time; their gates
 and tolerances are unchanged, and a NaN anywhere fails them.
@@ -33,7 +38,7 @@ exact identity tests).
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -87,7 +92,8 @@ _EYE = np.eye(3)
 
 
 def _orthogonality_defect(R):
-    return float(np.abs(_T(R) @ R - _EYE).max(initial=0.0))
+    with np.errstate(invalid="ignore"):  # inf * 0 in the product of a non-finite R
+        return float(np.abs(_T(R) @ R - _EYE).max(initial=0.0))
 
 
 def _check_rotation(R):
@@ -100,72 +106,20 @@ def _check_rotation(R):
     return R
 
 
-class _Stacked:
-    """Sample-axis bookkeeping shared by the element types."""
-
-    CORE: ClassVar[Dict[str, int]]  # field name -> rank of one sample's value
-
-    @property
-    def batch(self) -> Tuple[int, ...]:
-        """Shape of the sample axes; () for a single element."""
-        shapes = []
-        for name, core in self.CORE.items():
-            shape = getattr(getattr(self, name), "shape", ())
-            shapes.append(shape[:len(shape) - core])
-        if shapes.count(shapes[0]) == len(shapes):
-            return shapes[0]
-        return np.broadcast_shapes(*shapes)
-
-    def _samples(self, shape):
-        """sample(index): the sample at `index`, with the sample axes
-        broadcast to `shape` once for all the samples taken."""
-        fields = {}
-        for name, core in self.CORE.items():
-            value = np.asarray(getattr(self, name))
-            fields[name] = np.broadcast_to(value, tuple(shape) + value.shape[value.ndim - core:])
-        return lambda index: type(self)(**{name: full[index] for name, full in fields.items()})
-
-    def take(self, index, shape=None):
-        """The sample at `index`, with the sample axes first broadcast to
-        `shape` (default: `batch`)."""
-        return self._samples(self.batch if shape is None else shape)(index)
-
-
 @dataclass(frozen=True, eq=False)
-class GalileanElement(_Stacked):
-    """Rotation R, boost v, space translation a, time shift b.
-
-    Acts on events by (x, t) -> (R x + v t + a, t + b).
-    """
-
-    R: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-    b: float
-
-    CORE: ClassVar[Dict[str, int]] = {"R": 2, "v": 1, "a": 1, "b": 0}
-
-    def __post_init__(self):
-        object.__setattr__(self, "R", _check_rotation(self.R))
-        object.__setattr__(self, "v", _vector(self.v))
-        object.__setattr__(self, "a", _vector(self.a))
-        self.batch  # raises ValueError unless the sample axes broadcast
-
-
-@dataclass(frozen=True, eq=False)
-class MilneElement(_Stacked):
+class MilneElement:
     """Rotation R, polynomial translation A, time shift b.
 
     Acts on events by (x, t) -> (R x + A(t), t + b).  Row n of A holds the
     divided-power coefficient v_(n), so A(t) = sum_n t^n/n! * v_(n); the
     order is the number of rows minus one and is preserved by composition.
+    A Galilean element is the order-1 case: A = (a, v) for the space
+    translation a and the boost v.
     """
 
     R: np.ndarray
     A: np.ndarray
     b: float
-
-    CORE: ClassVar[Dict[str, int]] = {"R": 2, "A": 2, "b": 0}
 
     def __post_init__(self):
         object.__setattr__(self, "R", _check_rotation(self.R))
@@ -179,9 +133,36 @@ class MilneElement(_Stacked):
     def order(self) -> int:
         return self.A.shape[-2] - 1
 
+    @property
+    def batch(self) -> Tuple[int, ...]:
+        """Shape of the sample axes; () for a single element."""
+        shapes = (self.R.shape[:-2], self.A.shape[:-2], getattr(self.b, "shape", ()))
+        if shapes[0] == shapes[1] == shapes[2]:
+            return shapes[0]
+        return np.broadcast_shapes(*shapes)
 
-def galilean_identity() -> GalileanElement:
-    return GalileanElement(np.eye(3), np.zeros(3), np.zeros(3), 0.0)
+    def _samples(self, shape):
+        """sample(index): the sample at `index`, with the sample axes
+        broadcast to `shape` once for all the samples taken."""
+        shape = tuple(shape)
+        R = np.broadcast_to(self.R, shape + (3, 3))
+        A = np.broadcast_to(self.A, shape + self.A.shape[-2:])
+        b = np.broadcast_to(self.b, shape)
+        return lambda index: MilneElement(R[index], A[index], b[index])
+
+    def take(self, index, shape=None):
+        """The sample at `index`, with the sample axes first broadcast to
+        `shape` (default: `batch`)."""
+        return self._samples(self.batch if shape is None else shape)(index)
+
+
+def _order(kind: str, order: int) -> int:
+    """Polynomial order of the elements of a group kind: 1 for galilean."""
+    if kind == "galilean":
+        return 1
+    if kind == "milne":
+        return order
+    raise ValueError("unknown group kind %r" % kind)
 
 
 def milne_identity(order: int) -> MilneElement:
@@ -199,57 +180,38 @@ def _divided_eval(A, t):
 
 
 def _divided_shift(A, b):
-    """Divided-power coefficients of t -> A(t + b)."""
-    b = _col(b)
-    n = A.shape[-2]
-    rows = []
-    for k in range(n):
-        acc = A[..., n - 1, :]
-        for j in range(n - 2, k - 1, -1):
-            acc = A[..., j, :] + acc * b / (j + 1 - k)
-        rows.append(acc)
-    return np.stack(np.broadcast_arrays(*rows), axis=-2)
+    """Divided-power coefficients of t -> A(t + b): row k is A^(k)(b)."""
+    rows = [_divided_eval(A[..., k:, :], b) for k in range(A.shape[-2])]
+    out = np.empty(rows[0].shape[:-1] + A.shape[-2:], dtype=rows[0].dtype)
+    for k, row in enumerate(rows):  # row 0 has the sample axes of both A and b
+        out[..., k, :] = row
+    return out
 
 
-def compose(r, s):
+def compose(r: MilneElement, s: MilneElement) -> MilneElement:
     """Group product: act(compose(r, s), p) = act(r, act(s, p))."""
-    if isinstance(r, GalileanElement) and isinstance(s, GalileanElement):
-        return GalileanElement(
-            r.R @ s.R,
-            _rot(r.R, s.v) + r.v,
-            _rot(r.R, s.a) + r.v * _col(s.b) + r.a,
-            r.b + s.b,
-        )
-    if isinstance(r, MilneElement) and isinstance(s, MilneElement):
-        if r.order != s.order:
-            raise OrderMismatchError(
-                "cannot compose orders %d and %d" % (r.order, s.order))
-        return MilneElement(r.R @ s.R, s.A @ _T(r.R) + _divided_shift(r.A, s.b),
-                            r.b + s.b)
-    raise TypeError("cannot compose %s with %s" % (type(r).__name__, type(s).__name__))
+    if r.order != s.order:
+        raise OrderMismatchError("cannot compose orders %d and %d" % (r.order, s.order))
+    return MilneElement(r.R @ s.R, s.A @ _T(r.R) + _divided_shift(r.A, s.b), r.b + s.b)
 
 
-def inverse(r):
-    if isinstance(r, GalileanElement):
-        Rt = _T(r.R)
-        return GalileanElement(Rt, -_rot(Rt, r.v), _rot(Rt, r.v * _col(r.b) - r.a), -r.b)
-    if isinstance(r, MilneElement):
-        return MilneElement(_T(r.R), -(_divided_shift(r.A, -r.b) @ r.R), -r.b)
-    raise TypeError("not a group element: %r" % (r,))
+def inverse(r: MilneElement) -> MilneElement:
+    return MilneElement(_T(r.R), -(_divided_shift(r.A, -r.b) @ r.R), -r.b)
 
 
-def act(r, x, t):
+def act(r: MilneElement, x, t):
     """Apply r to the event (x, t)."""
-    x = _vector(x)
-    if isinstance(r, GalileanElement):
-        return _rot(r.R, x) + r.v * _col(t) + r.a, t + r.b
-    if isinstance(r, MilneElement):
-        return _rot(r.R, x) + _divided_eval(r.A, t), t + r.b
-    raise TypeError("not a group element: %r" % (r,))
+    return _rot(r.R, _vector(x)) + _divided_eval(r.A, t), t + r.b
 
 
 def _act_event(r, p: Event) -> Event:
     return act(r, p[0], p[1])
+
+
+def _act_inverse(r: MilneElement, x, t):
+    """act(inverse(r), x, t) without forming the inverse element."""
+    s = t - r.b
+    return _rot(_T(r.R), _vector(x) - _divided_eval(r.A, s)), s
 
 
 # -- one-parameter subgroups ---------------------------------------------
@@ -263,28 +225,26 @@ def _rotation_matrix(i: int, j: int, angle):
     return R
 
 
+# the roles whose one-parameter subgroups move A, per group kind
+_VECTOR_ROLES = {"galilean": ("translation", "boost"), "milne": ("acceleration",)}
+
+
 def exp_generator(kind: str, role: Optional[Role], tau, order: int = 1):
     """exp(tau * generator) in the kind's group for a generator of this role.
 
-    Milne elements get `order`, raised to the level of an acceleration role.
-    An array of tau gives a stack of elements with tau's shape as sample axes.
+    The element has the kind's order (`order` for milne, 1 for galilean),
+    raised to the level of the role: a translation has level 0, a boost
+    level 1 and the acceleration d_i^(n) level n.  An array of tau gives a
+    stack of elements with tau's shape as sample axes.
     """
+    order = _order(kind, order)
     what = None if role is None else role.kind
-    if what in ("rotation", "time"):
-        if what == "rotation":
-            R, b = _rotation_matrix(role.axes[0] - 1, role.axes[1] - 1, tau), 0.0
-        else:
-            R, b = np.eye(3), tau
-        if kind == "galilean":
-            return GalileanElement(R, np.zeros(3), np.zeros(3), b)
-        return MilneElement(R, np.zeros((order + 1, 3)), b)
-    if kind == "galilean" and what in ("translation", "boost"):
-        e = np.zeros(np.shape(tau) + (3,))
-        e[..., role.axes[0] - 1] = tau
-        if what == "translation":
-            return GalileanElement(np.eye(3), np.zeros(3), e, 0.0)
-        return GalileanElement(np.eye(3), e, np.zeros(3), 0.0)
-    if kind == "milne" and what == "acceleration":
+    if what == "rotation":
+        R = _rotation_matrix(role.axes[0] - 1, role.axes[1] - 1, tau)
+        return MilneElement(R, np.zeros((order + 1, 3)), 0.0)
+    if what == "time":
+        return MilneElement(np.eye(3), np.zeros((order + 1, 3)), tau)
+    if what in _VECTOR_ROLES[kind]:
         A = np.zeros(np.shape(tau) + (max(role.level, order) + 1, 3))
         A[..., role.level, role.axes[0] - 1] = tau
         return MilneElement(np.eye(3), A, 0.0)
@@ -326,11 +286,17 @@ def _num_tag(value) -> str:
 
 
 def theta_galilean(mass) -> PhaseFunction:
-    """Mass multiplier: theta = -m v.x + (m/2)|v|^2 t on the boost part."""
+    """Mass multiplier: theta = -m v.x + (m/2)|v|^2 t on the boost v = A[..., 1, :].
 
-    def fn(r: GalileanElement, x, t):
+    On order-1 elements theta_galilean(m) = theta_milne(-m); the closed
+    form stays because it skips theta_milne's polynomial phase data, which
+    makes one finite exponent several times slower.
+    """
+
+    def fn(r: MilneElement, x, t):
         x = np.asarray(x)
-        return -mass * _dot(r.v, x) + mass * _dot(r.v, r.v) * t / 2
+        v = r.A[..., 1, :]
+        return -mass * _dot(v, x) + mass * _dot(v, v) * t / 2
 
     return PhaseFunction("galilean-mass:%s" % _num_tag(mass), "galilean", fn,
                          stacked=True)
@@ -393,14 +359,14 @@ def theta_milne(mass) -> PhaseFunction:
 def finite_exponent(theta: PhaseFunction, r, s, p: Event):
     """xi(r, s, p) = theta(r, p) + theta(s, r^-1 p) - theta(rs, p)."""
     x, t = p
-    xr, tr = act(inverse(r), x, t)
+    xr, tr = _act_inverse(r, x, t)
     return theta(r, x, t) + theta(s, xr, tr) - theta(compose(r, s), x, t)
 
 
 def composition_defect(xi: Callable, r, s, g, p: Event):
     """xi(r,s,p) + xi(rs,g,p) - xi(s,g,r^-1 p) - xi(r,sg,p); zero for an exponent."""
     return (xi(r, s, p) + xi(compose(r, s), g, p)
-            - xi(s, g, _act_event(inverse(r), p)) - xi(r, compose(s, g), p))
+            - xi(s, g, _act_inverse(r, *p)) - xi(r, compose(s, g), p))
 
 
 # -- seeded sampling -------------------------------------------------------
@@ -419,16 +385,10 @@ def random_rotation(rng, size: Optional[int] = None) -> np.ndarray:
 
 
 def random_element(rng, kind: str, order: int = 2, size: Optional[int] = None):
-    """A random element, or a stack of `size` elements."""
-    R = random_rotation(rng, size)
-    shape = _shape(size)
-    if kind == "galilean":
-        return GalileanElement(R, rng.uniform(-1, 1, shape + (3,)),
-                               rng.uniform(-1, 1, shape + (3,)), rng.uniform(-1, 1, size))
-    if kind == "milne":
-        return MilneElement(R, rng.uniform(-1, 1, shape + (order + 1, 3)),
-                            rng.uniform(-1, 1, size))
-    raise ValueError("unknown group kind %r" % kind)
+    """A random element of the kind's order, or a stack of `size` elements."""
+    A_shape = _shape(size) + (_order(kind, order) + 1, 3)
+    return MilneElement(random_rotation(rng, size), rng.uniform(-1, 1, A_shape),
+                        rng.uniform(-1, 1, size))
 
 
 def random_event(rng, size: Optional[int] = None) -> Event:
@@ -436,8 +396,8 @@ def random_event(rng, size: Optional[int] = None) -> Event:
     return rng.uniform(-1, 1, _shape(size) + (3,)), rng.uniform(-1, 1, size)
 
 
-def _group_identity(kind: str, order: int):
-    return galilean_identity() if kind == "galilean" else milne_identity(order)
+def _group_identity(kind: str, order: int) -> MilneElement:
+    return milne_identity(_order(kind, order))
 
 
 def check_cocycle_identities(theta: Optional[PhaseFunction] = None, *,
@@ -560,7 +520,7 @@ def h_multiply(h1: HElement, h2: HElement) -> HElement:
     r1, r2, exponent = h1.r, h2.r, h1.exponent
 
     def theta(x, t):
-        y, u = act(inverse(r1), x, t)
+        y, u = _act_inverse(r1, x, t)
         return h1.theta(x, t) + h2.theta(y, u) + finite_exponent(exponent, r1, r2, (x, t))
 
     return HElement(theta, compose(r1, r2), exponent)

@@ -31,9 +31,12 @@ Terms = Tuple[Tuple[int, Fraction], ...]
 class Role(NamedTuple):
     """Kinematic role of one basis generator of a built-in algebra.
 
-    kind is "rotation" (axes: the rotated plane (i, j)), "translation" or
-    "boost" (axes: (i,)), "acceleration" (axes: (i,), level: n for d_i^(n))
-    or "time". Axes count from 1.
+    kind is "rotation" (axes: the rotated plane (i, j)), "translation"
+    (axes: (i,), level 0), "boost" (axes: (i,), level 1), "acceleration"
+    (axes: (i,), level: n for d_i^(n)) or "time". Axes count from 1. The
+    level of a vector generator is its place in the polynomial
+    translation A(t): a translation moves A's constant term, a boost its
+    linear term.
     """
 
     kind: str
@@ -317,7 +320,7 @@ def _rotation_rotation(brackets, at):
                           at[Role("rotation", (k, l))])] = terms
 
 
-def _rotation_vector(brackets, at, kind, level=0):
+def _rotation_vector(brackets, at, kind, level):
     # [a_ij, v_k] = d_jk v_i - d_ik v_j for the vectors v of one kind and level
     def v(i):
         return at[Role(kind, (i,), level)]
@@ -333,7 +336,22 @@ def _rotation_vector(brackets, at, kind, level=0):
                 brackets[(at[Role("rotation", (i, j))], v(k))] = terms
 
 
-def _kinematic(roles: List[Role], brackets, name: str) -> LieAlgebra:
+def _polynomial_translations(kinds: Sequence[str], name: str) -> LieAlgebra:
+    """Rotations, the vectors v_i^(n) of levels n = 0..len(kinds)-1 and
+    time, with [v_i^(n), tau] = v_i^(n-1) and v^(-1) = 0; the vectors
+    commute.  kinds[n] is the role kind of the level-n vectors."""
+    roles = ([Role("rotation", p) for p in _ROT]
+             + [Role(kind, (i,), n) for n, kind in enumerate(kinds) for i in _AXES]
+             + [Role("time")])
+    at = {r: k for k, r in enumerate(roles)}
+    brackets: dict = {}
+    _rotation_rotation(brackets, at)
+    for n, kind in enumerate(kinds):
+        _rotation_vector(brackets, at, kind, n)
+        if n >= 1:
+            for i in _AXES:
+                brackets[(at[Role(kind, (i,), n)], at[Role("time")])] = [
+                    (at[Role(kinds[n - 1], (i,), n - 1)], Fraction(1))]
     alg = LieAlgebra([_role_label(r) for r in roles], brackets,
                      time_index=roles.index(Role("time")), name=name)
     alg._roles = tuple(roles)
@@ -341,19 +359,10 @@ def _kinematic(roles: List[Role], brackets, name: str) -> LieAlgebra:
 
 
 def galilean() -> LieAlgebra:
-    """Rotations, space translations b_i, boosts d_i and time translation."""
-    roles = ([Role("rotation", p) for p in _ROT]
-             + [Role("translation", (i,)) for i in _AXES]
-             + [Role("boost", (i,)) for i in _AXES] + [Role("time")])
-    at = {r: n for n, r in enumerate(roles)}
-    brackets: dict = {}
-    _rotation_rotation(brackets, at)
-    _rotation_vector(brackets, at, "translation")
-    _rotation_vector(brackets, at, "boost")
-    for i in _AXES:
-        brackets[(at[Role("boost", (i,))], at[Role("time")])] = [
-            (at[Role("translation", (i,))], Fraction(1))]
-    return _kinematic(roles, brackets, "galilean")
+    """Rotations, space translations b_i, boosts d_i and time translation:
+    the order-1 acceleration algebra, with the levels 0 and 1 named
+    translations and boosts."""
+    return _polynomial_translations(("translation", "boost"), "galilean")
 
 
 def milne(m: int) -> LieAlgebra:
@@ -365,19 +374,7 @@ def milne(m: int) -> LieAlgebra:
     """
     if m < 1:
         raise ValueError("order must be >= 1")
-    roles = ([Role("rotation", p) for p in _ROT]
-             + [Role("acceleration", (i,), n) for n in range(m + 1) for i in _AXES]
-             + [Role("time")])
-    at = {r: k for k, r in enumerate(roles)}
-    brackets: dict = {}
-    _rotation_rotation(brackets, at)
-    for n in range(m + 1):
-        _rotation_vector(brackets, at, "acceleration", n)
-        if n >= 1:
-            for i in _AXES:
-                brackets[(at[Role("acceleration", (i,), n)], at[Role("time")])] = [
-                    (at[Role("acceleration", (i,), n - 1)], Fraction(1))]
-    return _kinematic(roles, brackets, "milne:%d" % m)
+    return _polynomial_translations(("acceleration",) * (m + 1), "milne:%d" % m)
 
 
 def phase_space(n: int) -> LieAlgebra:

@@ -378,6 +378,23 @@ class TestTimeComponentRefused:
             LieAlgebra.from_dict(spec)
 
 
+class TestCentralTimeTruncation:
+    # [x, y] = z with tau central: H^2 over R[t] has dimension 2, but every
+    # truncation to degree <= D adds two classes at t^D that are coboundaries
+    # of one-cochains of degree D + 1 (ROADMAP item 1, Bug B)
+    SPEC = {"labels": ["tau", "x", "y", "z"], "time_generator": "tau",
+            "brackets": [{"lhs": "x", "rhs": "y", "out": [["z", "1"]]}]}
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1 (Bug B): auto mode counts "
+                       "truncation artifacts until its degree bound is certified")
+    def test_every_class_is_nontrivial(self):
+        alg = LieAlgebra.from_dict(self.SPEC)
+        c = classify(alg)
+        assert c.quotient_dim == 2
+        zero = TwoCochain.zero(alg)
+        assert not any(are_equivalent(zero, rep) for rep in c.representatives)
+
+
 class TestDeterminism:
     def test_repeated_runs_identical(self):
         a = json.dumps(classify(milne(2)).to_jsonable(), sort_keys=True)

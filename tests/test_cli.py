@@ -29,7 +29,7 @@ def run_cli(argv, capsys):
 
 def rough_phase(r, x, t):
     """x1 v1 log|v1|: not smooth at the identity, so extraction cannot converge."""
-    v = r.v[0]
+    v = r.A[..., 1, :][0]
     return x[0] * v * math.log(abs(v)) if v else 0.0
 
 

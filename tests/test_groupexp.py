@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from explab import checks
-from explab.groupexp import (ExtrapolationError, GalileanElement, HElement,
-                             MilneElement, OrderMismatchError, PhaseFunction,
-                             act, check_cocycle_identities, compose,
+from explab.groupexp import (ExtrapolationError, HElement, MilneElement,
+                             OrderMismatchError, PhaseFunction, _act_inverse, act,
+                             check_cocycle_identities, compose,
                              equivalence_transform, exp_generator,
                              exponent_shift_violation, exponent_time_variance,
-                             finite_exponent, galilean_identity, h_inverse,
-                             h_lift, h_multiply, h_unit,
+                             finite_exponent, h_inverse, h_lift, h_multiply, h_unit,
                              infinitesimal_from_finite, inverse, milne_identity,
                              random_element, random_event, theta_galilean,
                              theta_milne)
@@ -24,11 +23,11 @@ GALILEAN, MILNE2 = galilean(), milne(2)
 
 
 def boost(v):
-    return GalileanElement(EYE, v, np.zeros(3), 0.0)
+    return MilneElement(EYE, [np.zeros(3), v], 0.0)
 
 
 def translation(a):
-    return GalileanElement(EYE, np.zeros(3), a, 0.0)
+    return MilneElement(EYE, [a, np.zeros(3)], 0.0)
 
 
 def event(x, t):
@@ -72,14 +71,14 @@ class TestGroupStructure:
 
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError, match="orthogonal"):
-            GalileanElement(EYE * 1.001, np.zeros(3), np.zeros(3), 0.0)
+            MilneElement(EYE * 1.001, [np.zeros(3), np.zeros(3)], 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rotation_rejected(self, bad):
         R = EYE.copy()
         R[0, 0] = bad
         with pytest.raises(ValueError, match="orthogonal"):
-            GalileanElement(R, np.zeros(3), np.zeros(3), 0.0)
+            MilneElement(R, [np.zeros(3), np.zeros(3)], 0.0)
         stack = random_element(np.random.default_rng(0), "milne", size=100).R.copy()
         stack[37, 1, 2] = bad
         with pytest.raises(ValueError, match="orthogonal"):
@@ -88,7 +87,7 @@ class TestGroupStructure:
     def test_sample_axes_must_broadcast(self):
         R = random_element(np.random.default_rng(1), "galilean", size=4).R
         with pytest.raises(ValueError):
-            GalileanElement(R, np.zeros((5, 3)), np.zeros(3), 0.0)
+            MilneElement(R, np.zeros((5, 2, 3)), 0.0)
 
     def test_one_parameter_subgroups(self):
         rng = np.random.default_rng(2)
@@ -108,7 +107,7 @@ class TestGroupStructure:
 
 class TestPhases:
     def test_identity_phase_zero(self):
-        assert theta_galilean(2.0)(galilean_identity(), np.ones(3), 1.5) == 0
+        assert theta_galilean(2.0)(milne_identity(1), np.ones(3), 1.5) == 0
         assert theta_milne(2.0)(milne_identity(2), np.ones(3), 1.5) == 0
 
     def test_galilean_value(self):
@@ -163,7 +162,7 @@ class TestFiniteExponent:
         bo = boost([1.1, 0.0, 0.4])
         p = event([0.3, -0.2, 0.9], 0.45)
         assert finite_exponent(th, tr, bo, p) == pytest.approx(
-            m * np.dot(bo.v, tr.a), abs=1e-12)
+            m * np.dot(bo.A[..., 1, :], tr.A[..., 0, :]), abs=1e-12)
 
     def test_time_independence_galilean(self):
         assert exponent_time_variance(theta_galilean(1.75), samples=50, seed=3) <= 1e-24
@@ -172,7 +171,7 @@ class TestFiniteExponent:
         eye = np.eye(3, dtype=int)
 
         def gal(v, a, b):
-            return GalileanElement(eye, [F(c) for c in v], [F(c) for c in a], F(b))
+            return MilneElement(eye, [[F(c) for c in a], [F(c) for c in v]], F(b))
 
         th = theta_galilean(F(3, 2))
         r = gal(("1/2", 0, "2/3"), (1, "1/5", 0), "1/3")
@@ -290,7 +289,7 @@ class TestEquivalenceTransform:
     def test_transform_returns_shifted_phase(self):
         th = theta_galilean(1.0)
         shifted = equivalence_transform(th, lambda r, p: 2.0 * r.b, tag="shifted")
-        r = GalileanElement(EYE, np.zeros(3), np.zeros(3), 1.5)
+        r = MilneElement(EYE, [np.zeros(3), np.zeros(3)], 1.5)
         assert shifted(r, np.zeros(3), 0.0) == pytest.approx(3.0)
         assert shifted.tag == "shifted" and shifted.group == "galilean"
 
@@ -406,8 +405,8 @@ class TestExtraction:
         assert two.value == pytest.approx(2 * one.value, rel=1e-9)
 
     def test_non_convergent_diagnostic(self):
-        rough = PhaseFunction("user", "galilean",
-                              lambda r, x, t: abs(np.dot(r.v, r.v)) ** 0.25 * x[0])
+        rough = PhaseFunction("user", "galilean", lambda r, x, t:
+                              abs(np.dot(r.A[..., 1, :], r.A[..., 1, :])) ** 0.25 * x[0])
         with pytest.raises(ExtrapolationError):
             infinitesimal_from_finite(rough, GALILEAN, "b1", "d1",
                                       event([0.4, 0.1, 0.0], 0.3))
@@ -417,7 +416,8 @@ class TestExtraction:
         # tableau's one difference is both its first and its last, so it
         # passes only when it is within the floor.
         rough = PhaseFunction("rough", "galilean", lambda r, x, t:
-                              x[0] * r.v[0] * math.log(abs(r.v[0])) if r.v[0] else 0.0)
+                              x[0] * r.A[..., 1, :][0] * math.log(abs(r.A[..., 1, :][0]))
+                              if r.A[..., 1, :][0] else 0.0)
         p = event([0.4, 0.1, 0.0], 0.3)
         for levels in (2, 6):
             with pytest.raises(ExtrapolationError):
@@ -431,7 +431,7 @@ class TestExtraction:
         # sign(a1) a1^2 log|a1|: the diagonal differences level off instead of
         # falling, the last stays below the first, and the value drifts with tau0
         def planted(r, x, t):
-            a1 = r.a[0]
+            a1 = r.A[..., 0, :][0]
             return math.copysign(a1 ** 2 * math.log(abs(a1)), a1) if a1 else 0.0
 
         with pytest.raises(ExtrapolationError):
@@ -472,8 +472,8 @@ def _fractions(rng, shape):
 def _exact_stack(rng, kind, n):
     R = _signed_permutations()[rng.integers(0, 24, n)]
     if kind == "galilean":
-        return GalileanElement(R, _fractions(rng, (n, 3)), _fractions(rng, (n, 3)),
-                               _fractions(rng, (n,)))
+        v, a = _fractions(rng, (n, 3)), _fractions(rng, (n, 3))
+        return MilneElement(R, np.stack([a, v], axis=-2), _fractions(rng, (n,)))
     return MilneElement(R, _fractions(rng, (n, 3, 3)), _fractions(rng, (n,)))
 
 
@@ -482,12 +482,11 @@ class TestStackedSamples:
 
     N = 64
 
-    def _cases(self, kind, theta, r, s, x, t, unit):
+    def _cases(self, theta, r, s, x, t, unit):
         """(name, stacked result, per-sample function) of every operation;
         `unit` is the H-group unit the products start from."""
         rs, ri, (ax, at) = compose(r, s), inverse(r), act(r, x, t)
-        fields = ("R", "v", "a", "b") if kind == "galilean" else ("R", "A", "b")
-        for name in fields:
+        for name in ("R", "A", "b"):
             yield ("compose." + name, getattr(rs, name),
                    lambda a, b, y, u, name=name: getattr(compose(a, b), name))
             yield ("inverse." + name, getattr(ri, name),
@@ -512,7 +511,7 @@ class TestStackedSamples:
         rng = np.random.default_rng(3)
         r, s = (random_element(rng, kind, size=self.N) for _ in range(2))
         x, t = random_event(rng, size=self.N)
-        for name, stacked, single in self._cases(kind, theta, r, s, x, t, h_unit(theta)):
+        for name, stacked, single in self._cases(theta, r, s, x, t, h_unit(theta)):
             one = np.array([single(r.take(i), s.take(i), x[i], t[i])
                             for i in range(self.N)])
             scale = np.max(np.abs(one))
@@ -527,12 +526,34 @@ class TestStackedSamples:
         # h_unit's identity is float; e = r r^-1 of one exact sample is exact
         e = compose(r.take(0), inverse(r.take(0)))
         unit = HElement(lambda x, t: 0, e, theta)
-        for name, stacked, single in self._cases(kind, theta, r, s, x, t, unit):
+        for name, stacked, single in self._cases(theta, r, s, x, t, unit):
             one = np.array([single(r.take(i), s.take(i), x[i], t[i])
                             for i in range(self.N)], dtype=object)
             stacked = np.asarray(stacked)
             assert all(isinstance(v, numbers.Rational) for v in stacked.flat), name
             assert np.array_equal(stacked, one.reshape(stacked.shape)), name
+
+    @pytest.mark.parametrize("kind", ["galilean", "milne"])
+    def test_inverse_action_matches_the_inverse_element(self, kind):
+        rng = np.random.default_rng(10)
+        r = _exact_stack(rng, kind, self.N)
+        x, t = _fractions(rng, (self.N, 3)), _fractions(rng, (self.N,))
+        (y, u), (y_want, u_want) = _act_inverse(r, x, t), act(inverse(r), x, t)
+        assert np.array_equal(y, y_want) and np.array_equal(u, u_want)
+
+    def test_galilean_phase_is_milne_phase_of_opposite_mass(self):
+        # on order-1 elements theta_galilean(m) = theta_milne(-m), so the
+        # finite exponents of one mass are negatives of each other
+        m = F(3, 2)
+        rng = np.random.default_rng(12)
+        r, s = (_exact_stack(rng, "galilean", self.N) for _ in range(2))
+        x, t = _fractions(rng, (self.N, 3)), _fractions(rng, (self.N,))
+        galilean_xi = finite_exponent(theta_galilean(m), r, s, (x, t))
+        milne_xi = finite_exponent(theta_milne(m), r, s, (x, t))
+        assert all(isinstance(v, numbers.Rational) for v in galilean_xi.flat)
+        assert np.any(galilean_xi != 0)
+        assert np.array_equal(theta_galilean(m)(r, x, t), theta_milne(-m)(r, x, t))
+        assert np.array_equal(galilean_xi, -milne_xi)
 
     def test_per_sample_phase_on_a_stack(self):
         # a phase without `stacked` sees one sample per call

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,12 @@ class TestRoles:
                     if i == axis:
                         want[at[r._replace(axes=(j,))]] = -1
                     assert bracket(at[rot], k) == want
+
+    def test_galilean_is_milne_of_order_one(self):
+        gal, mil = galilean(), milne(1)
+        assert gal.time_index == mil.time_index
+        for i, j in itertools.product(range(gal.dim), repeat=2):
+            assert gal.bracket_basis(i, j) == mil.bracket_basis(i, j)
 
     def test_other_algebras_have_no_roles(self):
         for alg in (phase_space(2), LieAlgebra.from_dict(milne(1).to_dict())):
