@@ -3,23 +3,26 @@
 A suite maps (samples, seed) to a list of check dicts
 ``{"name": ..., "passed": ..., **details}``.  The `explab verify` command
 and the acceptance gate both run suites from here, so a check and its
-tolerance are defined once.
+tolerance are defined once.  `exponent_table` is the extraction table of
+`explab exponent` with the checks that table admits.
 """
 
 import functools
+import itertools
 import math
-from typing import Callable, List
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import bundle as bundlemod
 from .classify import classify, realizable_subspace, verify_milne_structure
-from .groupexp import (HElement, check_cocycle_identities, composition_defect,
-                       exponent_shift_violation, exponent_time_variance,
-                       finite_exponent, h_inverse, h_multiply, h_unit,
+from .groupexp import (HElement, PhaseFunction, check_cocycle_identities,
+                       composition_defect, exponent_shift_violation,
+                       exponent_time_variance, finite_exponent, h_inverse,
+                       h_multiply, h_unit, infinitesimal_from_finite,
                        random_element, random_event, theta_galilean,
                        theta_milne, worst_abs)
-from .lie import galilean, milne
+from .lie import LieAlgebra, family_index, galilean, milne
 from .ratpoly import RatPoly
 from .schrod import (convergence_slope, gaussian_packet, mass_equality_sweep,
                      sample_wave, schrodinger_residual, transform_wave)
@@ -29,6 +32,12 @@ VARIANCE_TOL = 1e-24
 SLOPE_MIN = 1.8
 SWEEP_RATIOS = (0.5, 0.9, 1.0, 1.1, 2.0)
 SWEEP_MARGIN = 10.0
+EXTRACTION_TOL = 1e-6
+
+# fixed probe event for exponent extraction; any regular point works,
+# this one avoids the coordinate planes
+PROBE_X = (0.3, -0.4, 0.25)
+PROBE_T = 0.0
 
 
 def check(name: str, passed: bool, **details) -> dict:
@@ -197,13 +206,72 @@ def suite(name: str) -> Callable[[int, int], List[dict]]:
     """The suite called `name`; ValueError names the valid ones."""
     if name in _FIXED_SUITES:
         return _FIXED_SUITES[name]
-    if name is not None and name.startswith("milne:"):
-        try:
-            m = int(name[len("milne:"):])
-        except ValueError:
-            raise ValueError("bad index in %r: expected milne:<integer>" % name)
-        if m < 1:
-            raise ValueError("milne index must be >= 1")
+    m = family_index(name, "milne")
+    if m is not None:
         return functools.partial(milne_suite, m)
     raise ValueError("unknown suite %r (use %s, or %s)"
                      % (name, ", ".join(SUITE_NAMES[:-1]), SUITE_NAMES[-1]))
+
+
+def _galilean_reference(mass: float):
+    rep = classify(galilean()).representatives[0]
+
+    def ref(a: str, b: str) -> float:
+        return mass * float(rep.entry_by_labels(a, b)(PROBE_T))
+
+    return ref
+
+
+def _milne_table_checks(alg: LieAlgebra, entries: List[dict]) -> List[dict]:
+    """Structural zeros a realizable table must show at t = 0."""
+    worst = {"rotation-time-zero": 0.0, "cross-axis-zero": 0.0,
+             "inner-pairs-zero-at-origin": 0.0}
+    for entry in entries:
+        ra = alg.roles[alg.index(entry["a"])]
+        rb = alg.roles[alg.index(entry["b"])]
+        value = abs(entry["value"])
+        if ra.kind != "acceleration" or rb.kind != "acceleration":
+            worst["rotation-time-zero"] = max(worst["rotation-time-zero"], value)
+        elif ra.axes != rb.axes:
+            worst["cross-axis-zero"] = max(worst["cross-axis-zero"], value)
+        elif ra.level >= 1 and rb.level >= 1:
+            worst["inner-pairs-zero-at-origin"] = max(
+                worst["inner-pairs-zero-at-origin"], value)
+    return [check(name, value <= EXTRACTION_TOL, max_abs_value=value)
+            for name, value in worst.items()]
+
+
+def exponent_table(theta: PhaseFunction, alg: LieAlgebra, mass: float,
+                   pair: Optional[Tuple[str, str]] = None
+                   ) -> Tuple[List[dict], List[dict]]:
+    """Infinitesimal values of theta at the probe event, and their checks.
+
+    Extracts the generator pair `pair`, or every unordered pair when it is
+    None, and returns (entries, checks).  A Galilean table is compared with
+    mass times the classified representative; a full Milne table must show
+    the structural zeros of a realizable one.  Both gates use
+    EXTRACTION_TOL.
+    """
+    pairs = list(itertools.combinations(alg.labels, 2)) if pair is None else [pair]
+    point = (np.array(PROBE_X), PROBE_T)
+    reference = _galilean_reference(mass) if theta.group == "galilean" else None
+    entries = []
+    worst_ref = 0.0
+    for a, b in pairs:
+        res = infinitesimal_from_finite(theta, alg, a, b, point)
+        entry = {"a": a, "b": b, "value": res.value, "error": res.error}
+        if reference is not None:
+            want = reference(a, b)
+            entry["reference"] = want
+            worst_ref = max(worst_ref,
+                            abs(res.value - want) / max(1.0, abs(want)))
+        entries.append(entry)
+
+    checks = []
+    if reference is not None:
+        checks.append(check("matches-classified-representative",
+                            worst_ref <= EXTRACTION_TOL,
+                            max_relative_deviation=worst_ref))
+    if theta.group == "milne" and pair is None:
+        checks.extend(_milne_table_checks(alg, entries))
+    return entries, checks

@@ -6,75 +6,53 @@ Three subcommands share one report envelope:
     verify    named property suite with per-check pass/fail lines
     exponent  numeric extraction of infinitesimal values from a phase function
 
+The module only parses flags, calls the handler its subcommand names
+(`cmd_classify`, `cmd_verify`, `cmd_exponent`, each taking the argparse
+namespace) and renders the report.  The verify suites, the exponent
+table's checks and every tolerance live in the check catalogue,
+`explab.checks`; `milne:<m>` and `phase-space:<n>` specs are parsed by
+`explab.lie.family_index` alone.
+
 JSON output is the stable contract (schema_version field, canonical key
 order); text output is for humans and may change.  Exit codes: 0 when
 every executed check passed, 1 for check failures and numeric aborts,
-2 for unusable input (bad flags, malformed or inconsistent algebra
-files).  Classify reports carry no timing so identical inputs produce
-byte-identical bytes; the stochastic commands echo (seed, samples) and
-report wall time.  The verify suites live in the check catalogue,
-`explab.checks`.
+2 for unusable input (bad flags or values, malformed, unreadable or
+inconsistent algebra files, an unwritable --out path), reported as one
+`error:` line on stderr.  `--samples` is bounded by MAX_SAMPLES and
+`--seed` must be nonnegative.  Classify reports carry no timing so
+identical inputs produce byte-identical bytes; the stochastic commands
+echo (seed, samples) and report wall time.
 """
 
 import argparse
-import itertools
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from importlib import metadata
-from typing import List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Optional, Tuple
 
 # SWEEP_RATIOS and SWEEP_MARGIN are re-exported for callers that read them here
-from .checks import SUITE_NAMES, SWEEP_MARGIN, SWEEP_RATIOS, check, suite  # noqa: F401
+from .checks import (PROBE_T, PROBE_X, SUITE_NAMES, SWEEP_MARGIN,  # noqa: F401
+                     SWEEP_RATIOS, exponent_table, suite)
 from .classify import ColumnLimitError, DegreeCapError, classify
-from .groupexp import (ExtrapolationError, infinitesimal_from_finite,
-                       theta_galilean, theta_milne)
-from .lie import LieAlgebra, galilean, milne, phase_space
+from .groupexp import ExtrapolationError, theta_galilean, theta_milne
+from .lie import LieAlgebra, family_index, galilean, milne, phase_space
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 SCHEMA_VERSION = 1
-EXTRACTION_TOL = 1e-6
-
-# fixed probe event for exponent extraction; any regular point works,
-# this one avoids the coordinate planes
-PROBE_X = (0.3, -0.4, 0.25)
-PROBE_T = 0.0
+# a suite's peak memory grows by about 1.7 KB per sample (tracemalloc:
+# milne:4 peaks at 17.5 MB with 10^4 samples), so this keeps a verify run
+# under about 200 MB
+MAX_SAMPLES = 100_000
 
 
 class UsageError(ValueError):
     """Input that cannot be acted on: wrong flags, bad specs, bad files."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    algebra: Optional[str] = None
-    degree: Union[str, int] = "auto"
-    suite: Optional[str] = None
-    group: Optional[str] = None
-    theta: Optional[str] = None
-    pair: Optional[str] = None
-    all_pairs: bool = False
-    samples: int = 1000
-    seed: int = 0
-    fmt: str = "json"
-    out: Optional[str] = None
-
-    def __post_init__(self):
-        if self.command not in ("classify", "verify", "exponent"):
-            raise UsageError("unknown command %r" % self.command)
-        if self.degree != "auto":
-            if not isinstance(self.degree, int) or self.degree < 0:
-                raise UsageError("degree must be 'auto' or a nonnegative integer")
-        if self.samples < 1:
-            raise UsageError("samples must be at least 1")
 
 
 def _tool_stamp() -> dict:
@@ -85,42 +63,39 @@ def _tool_stamp() -> dict:
     return {"name": "explab", "version": version}
 
 
-def _report(config: RunConfig, input_echo: dict, results: dict,
+def _report(args: argparse.Namespace, input_echo: dict, results: dict,
             timing: Optional[float]) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": _tool_stamp(),
-        "command": config.command,
+        "command": args.command,
         "input": input_echo,
         "results": results,
         "timing": timing,
     }
 
 
-def _parse_indexed(spec: str, family: str, minimum: int) -> int:
-    tail = spec[len(family) + 1:]
-    try:
-        value = int(tail)
-    except ValueError:
-        raise UsageError("bad index in %r: expected %s:<integer>" % (spec, family))
-    if value < minimum:
-        raise UsageError("%s index must be >= %d" % (family, minimum))
-    return value
-
-
 def load_algebra(spec: str) -> LieAlgebra:
     """Resolve a builtin algebra name or load and validate a JSON file."""
     if spec == "galilean":
         return galilean()
-    if spec.startswith("milne:"):
-        return milne(_parse_indexed(spec, "milne", 1))
-    if spec.startswith("phase-space:"):
-        return phase_space(_parse_indexed(spec, "phase-space", 1))
+    try:
+        for family, build in (("milne", milne), ("phase-space", phase_space)):
+            index = family_index(spec, family)
+            if index is not None:
+                return build(index)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if not os.path.exists(spec):
         raise UsageError("unknown algebra %r: not a builtin name and no such file"
                          % spec)
-    with open(spec, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(spec, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UsageError("cannot read %s: %s" % (spec, exc.strerror))
+    except UnicodeDecodeError as exc:
+        raise UsageError("%s is not UTF-8 text: %s" % (spec, exc))
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -140,129 +115,71 @@ def load_theta(spec: str):
                 mass = float(spec[len(prefix):])
             except ValueError:
                 raise UsageError("bad mass in %r" % spec)
-            if not mass > 0:
-                raise UsageError("mass must be positive")
+            if not (mass > 0 and math.isfinite(mass)):
+                raise UsageError("mass must be positive and finite")
             return factory(mass), mass
     raise UsageError("unknown theta spec %r (use galilean-mass:<m> or "
                      "milne-schrodinger:<m>)" % spec)
 
 
-def _group_algebra(spec: str) -> Tuple[str, LieAlgebra]:
-    if spec == "galilean":
-        return "galilean", galilean()
-    if spec.startswith("milne:"):
-        return "milne", milne(_parse_indexed(spec, "milne", 1))
-    raise UsageError("unknown group spec %r (use galilean or milne:<m>)" % spec)
+# -- handlers ---------------------------------------------------------
 
 
-# -- classify ---------------------------------------------------------
+def cmd_classify(args: argparse.Namespace) -> Tuple[dict, bool]:
+    if args.degree != "auto" and args.degree < 0:
+        raise UsageError("degree must be 'auto' or a nonnegative integer")
+    result = classify(load_algebra(args.algebra), degree=args.degree)
+    echo = {"algebra": args.algebra, "degree": args.degree}
+    return _report(args, echo, result.to_jsonable(), timing=None), True
 
 
-def cmd_classify(config: RunConfig) -> Tuple[dict, bool]:
-    result = classify(load_algebra(config.algebra), degree=config.degree)
-    echo = {"algebra": config.algebra,
-            "degree": "auto" if config.degree == "auto" else config.degree}
-    return _report(config, echo, result.to_jsonable(), timing=None), True
-
-
-# -- verify ---------------------------------------------------------
-
-
-def cmd_verify(config: RunConfig) -> Tuple[dict, bool]:
+def cmd_verify(args: argparse.Namespace) -> Tuple[dict, bool]:
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise UsageError("samples must be between 1 and %d" % MAX_SAMPLES)
+    if args.seed < 0:
+        raise UsageError("seed must be nonnegative")
     try:
-        run_suite = suite(config.suite)
+        run_suite = suite(args.suite)
     except ValueError as exc:
         raise UsageError(str(exc))
     started = time.perf_counter()
-    checks = run_suite(config.samples, config.seed)
+    checks = run_suite(args.samples, args.seed)
     elapsed = time.perf_counter() - started
     passed = all(c["passed"] for c in checks)
-    echo = {"suite": config.suite, "samples": config.samples, "seed": config.seed}
-    results = {"suite": config.suite, "checks": checks, "passed": passed}
-    return _report(config, echo, results, timing=elapsed), passed
+    echo = {"suite": args.suite, "samples": args.samples, "seed": args.seed}
+    results = {"suite": args.suite, "checks": checks, "passed": passed}
+    return _report(args, echo, results, timing=elapsed), passed
 
 
-# -- exponent ---------------------------------------------------------
-
-
-def _galilean_reference(mass: float):
-    rep = classify(galilean()).representatives[0]
-
-    def ref(a: str, b: str) -> float:
-        return mass * float(rep.entry_by_labels(a, b)(PROBE_T))
-
-    return ref
-
-
-def cmd_exponent(config: RunConfig) -> Tuple[dict, bool]:
-    theta, mass = load_theta(config.theta)
-    kind, alg = _group_algebra(config.group)
-    labels = alg.labels
-    if theta.group != kind:
+def cmd_exponent(args: argparse.Namespace) -> Tuple[dict, bool]:
+    theta, mass = load_theta(args.theta)
+    if args.group != "galilean" and not args.group.startswith("milne:"):
+        raise UsageError("unknown group spec %r (use galilean or milne:<m>)"
+                         % args.group)
+    alg = load_algebra(args.group)
+    if theta.group != args.group.partition(":")[0]:
         raise UsageError("theta %r does not act on group %r"
-                         % (config.theta, config.group))
-    if config.all_pairs:
-        pairs = list(itertools.combinations(labels, 2))
-    else:
-        if config.pair is None:
-            raise UsageError("provide --pair A,B or --all-pairs")
-        parts = [p.strip() for p in config.pair.split(",")]
+                         % (args.theta, args.group))
+    pair = None
+    if not args.all_pairs:
+        parts = [p.strip() for p in args.pair.split(",")]
         if len(parts) != 2 or parts[0] == parts[1]:
             raise UsageError("--pair expects two distinct labels, e.g. b1,d1")
         for part in parts:
-            if part not in labels:
+            if part not in alg.labels:
                 raise UsageError("unknown generator %r for group %s (choose from %s)"
-                                 % (part, config.group, ", ".join(labels)))
-        pairs = [tuple(parts)]
+                                 % (part, args.group, ", ".join(alg.labels)))
+        pair = tuple(parts)
 
     started = time.perf_counter()
-    point = (np.array(PROBE_X), PROBE_T)
-    reference = _galilean_reference(mass) if kind == "galilean" else None
-    entries = []
-    worst_ref = 0.0
-    for a, b in pairs:
-        res = infinitesimal_from_finite(theta, alg, a, b, point)
-        entry = {"a": a, "b": b, "value": res.value, "error": res.error}
-        if reference is not None:
-            want = reference(a, b)
-            entry["reference"] = want
-            worst_ref = max(worst_ref,
-                            abs(res.value - want) / max(1.0, abs(want)))
-        entries.append(entry)
-
-    checks = []
-    if reference is not None:
-        checks.append(check("matches-classified-representative",
-                            worst_ref <= EXTRACTION_TOL,
-                            max_relative_deviation=worst_ref))
-    if kind == "milne" and config.all_pairs:
-        checks.extend(_milne_table_checks(alg, entries))
+    entries, checks = exponent_table(theta, alg, mass, pair)
     passed = all(c["passed"] for c in checks)
     elapsed = time.perf_counter() - started
-    echo = {"group": config.group, "theta": config.theta,
-            "pair": config.pair, "all_pairs": config.all_pairs,
+    echo = {"group": args.group, "theta": args.theta,
+            "pair": args.pair, "all_pairs": args.all_pairs,
             "point": {"x": list(PROBE_X), "t": PROBE_T}}
     results = {"entries": entries, "checks": checks, "passed": passed}
-    return _report(config, echo, results, timing=elapsed), passed
-
-
-def _milne_table_checks(alg: LieAlgebra, entries: List[dict]) -> List[dict]:
-    """Structural zeros a realizable table must show at t = 0."""
-    worst = {"rotation-time-zero": 0.0, "cross-axis-zero": 0.0,
-             "inner-pairs-zero-at-origin": 0.0}
-    for entry in entries:
-        ra = alg.roles[alg.index(entry["a"])]
-        rb = alg.roles[alg.index(entry["b"])]
-        value = abs(entry["value"])
-        if ra.kind != "acceleration" or rb.kind != "acceleration":
-            worst["rotation-time-zero"] = max(worst["rotation-time-zero"], value)
-        elif ra.axes != rb.axes:
-            worst["cross-axis-zero"] = max(worst["cross-axis-zero"], value)
-        elif ra.level >= 1 and rb.level >= 1:
-            worst["inner-pairs-zero-at-origin"] = max(
-                worst["inner-pairs-zero-at-origin"], value)
-    return [check(name, value <= EXTRACTION_TOL, max_abs_value=value)
-            for name, value in worst.items()]
+    return _report(args, echo, results, timing=elapsed), passed
 
 
 # -- rendering --------------------------------------------------------
@@ -305,11 +222,14 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(report: dict, config: RunConfig) -> None:
-    text = render_json(report) if config.fmt == "json" else render_text(report)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _emit(report: dict, args: argparse.Namespace) -> None:
+    text = render_json(report) if args.fmt == "json" else render_text(report)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (args.out, exc.strerror))
     else:
         print(text)
 
@@ -344,13 +264,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--degree", type=_degree_arg, default="auto",
                             help="polynomial degree bound, or 'auto'")
     add_output_flags(p_classify)
+    p_classify.set_defaults(run=cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run a named check suite")
     p_verify.add_argument("--suite", required=True,
                           help=" | ".join(SUITE_NAMES))
-    p_verify.add_argument("--samples", type=int, default=1000)
+    p_verify.add_argument("--samples", type=int, default=1000,
+                          help="at most %d" % MAX_SAMPLES)
     p_verify.add_argument("--seed", type=int, default=0)
     add_output_flags(p_verify)
+    p_verify.set_defaults(run=cmd_verify)
 
     p_exponent = sub.add_parser("exponent",
                                 help="extract infinitesimal values numerically")
@@ -364,32 +287,15 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--all-pairs", action="store_true",
                        help="extract every unordered generator pair")
     add_output_flags(p_exponent)
+    p_exponent.set_defaults(run=cmd_exponent)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            algebra=getattr(args, "algebra", None),
-            degree=getattr(args, "degree", "auto"),
-            suite=getattr(args, "suite", None),
-            group=getattr(args, "group", None),
-            theta=getattr(args, "theta", None),
-            pair=getattr(args, "pair", None),
-            all_pairs=getattr(args, "all_pairs", False),
-            samples=getattr(args, "samples", 1000),
-            seed=getattr(args, "seed", 0),
-            fmt=args.fmt,
-            out=args.out,
-        )
-        if config.command == "classify":
-            report, passed = cmd_classify(config)
-        elif config.command == "verify":
-            report, passed = cmd_verify(config)
-        else:
-            report, passed = cmd_exponent(config)
+        report, passed = args.run(args)
+        _emit(report, args)
     except (UsageError, ColumnLimitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -399,7 +305,6 @@ def main(argv=None) -> int:
     except ExtrapolationError as exc:
         print("error: extrapolation did not converge: %s" % exc, file=sys.stderr)
         return EXIT_CHECK_FAILED
-    _emit(report, config)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "galilean",
     "milne",
     "phase_space",
+    "family_index",
 ]
 
 Terms = Tuple[Tuple[int, Fraction], ...]
@@ -386,3 +387,21 @@ def phase_space(n: int) -> LieAlgebra:
         raise ValueError("n must be >= 1")
     labels = ["p%d" % i for i in range(1, n + 1)] + ["q%d" % i for i in range(1, n + 1)]
     return LieAlgebra(labels, {}, time_index=None, name="phase-space:%d" % n)
+
+
+def family_index(spec: str, family: str) -> Optional[int]:
+    """The index n of a `<family>:<n>` spec such as `milne:3`.
+
+    None when spec does not start with `<family>:`; ValueError when the
+    index is not an integer or is below 1.
+    """
+    prefix = family + ":"
+    if not spec.startswith(prefix):
+        return None
+    try:
+        value = int(spec[len(prefix):])
+    except ValueError:
+        raise ValueError("bad index in %r: expected %s:<integer>" % (spec, family))
+    if value < 1:
+        raise ValueError("%s index must be >= 1" % family)
+    return value

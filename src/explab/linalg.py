@@ -156,13 +156,9 @@ def solve_augmented(rows: Iterable[Dict[int, object]], ncols: int) -> Optional[F
         lead = min(r)
         if lead == ncols:
             return None
-        rhs = r.get(ncols, Fraction(0))
-        for c, v in r.items():
-            if c != lead and c != ncols and c in sol:
-                rhs -= v * sol[c]
         # reduced rows have unit pivots and no other pivot columns, so any
         # remaining columns are free variables, pinned to zero here
-        sol[lead] = rhs
+        sol[lead] = r.get(ncols, Fraction(0))
     return {c: v for c, v in sol.items() if v}
 
 

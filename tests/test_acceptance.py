@@ -130,7 +130,7 @@ def test_criterion_05_extraction_reproduces_representative():
     rep = classify(galilean()).representatives[0]
     alg = galilean()
     point = (np.array([0.4, -0.3, 0.2]), 0.6)
-    failures = []
+    failures = catalogue_failures([], EXTRACTION_TOL=EXTRACTION_RTOL)
     for mass in (1.0, 2.5):
         theta = theta_galilean(mass)
         for a, b in itertools.combinations(alg.labels, 2):

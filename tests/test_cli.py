@@ -80,6 +80,28 @@ class TestClassifyCommand:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["results"]["quotient_dim"] == 1
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(["classify", "--algebra", "galilean",
+                                  "--out", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err and not target.exists()
+
+    def test_directory_algebra_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(["classify", "--algebra", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
+    def test_non_utf8_algebra_is_a_usage_error(self, capsys, tmp_path):
+        spec = tmp_path / "latin1.json"
+        spec.write_bytes('{"labels": ["\u00e9"], "brackets": []}'.encode("latin-1"))
+        code, out, err = run_cli(["classify", "--algebra", str(spec)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "UTF-8" in err
+
     def test_algebra_file(self, capsys, tmp_path):
         spec = tmp_path / "plane.json"
         spec.write_text(json.dumps({
@@ -220,6 +242,27 @@ class TestVerifyCommand:
                                 "--samples", "0"], capsys)
         assert code == 2 and "samples" in err
 
+    @pytest.mark.parametrize("suite", ["galilean", "milne:2", "bundle",
+                                       "schrodinger", "h-group"])
+    def test_negative_seed_rejected(self, suite, capsys):
+        code, out, err = run_cli(["verify", "--suite", suite, "--seed", "-1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed" in err
+
+    def test_oversized_samples_is_a_usage_error(self, capsys):
+        # refused before any draw: the suites hold about 1.7 KB per sample
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["verify", "--suite", "galilean",
+                                      "--samples", "1000000000"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "%d" % cli.MAX_SAMPLES in err
+        assert peak < 1_000_000
+
     def test_failing_check_exits_one_with_report(self, capsys, monkeypatch):
         # variance is nonnegative, so this tolerance cannot be met
         monkeypatch.setattr(checks, "VARIANCE_TOL", -1.0)
@@ -294,7 +337,7 @@ class TestExponentCommand:
     def test_nonconvergent_extraction_exits_one(self, capsys, monkeypatch):
         def diverge(theta, alg, a, b, p, tau0=0.1, levels=6):
             raise ExtrapolationError("sequence grows without bound")
-        monkeypatch.setattr(cli, "infinitesimal_from_finite", diverge)
+        monkeypatch.setattr(checks, "infinitesimal_from_finite", diverge)
         code, out, err = run_cli(["exponent", "--group", "galilean",
                                   "--theta", "galilean-mass:1",
                                   "--pair", "b1,d1"], capsys)
@@ -308,11 +351,34 @@ class TestExponentCommand:
                                   "--pair", "b1,d1"], capsys)
         assert code == 1 and out == "" and "converge" in err
 
+    def test_infinite_mass_rejected(self, capsys):
+        code, out, err = run_cli(["exponent", "--group", "galilean",
+                                  "--theta", "galilean-mass:inf",
+                                  "--pair", "b1,d1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "mass" in err
+
     def test_bad_theta_spec(self, capsys):
         code, _, err = run_cli(["exponent", "--group", "galilean",
                                 "--theta", "newton-mass:1",
                                 "--pair", "b1,d1"], capsys)
         assert code == 2 and "theta" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("milne:0", "milne index must be >= 1"),
+    ("milne:x", "bad index in 'milne:x': expected milne:<integer>")])
+def test_family_spec_errors_agree_across_commands(spec, message, capsys):
+    # one parser reads milne:<m> for classify, exponent and verify
+    errors = set()
+    for argv in (["classify", "--algebra", spec],
+                 ["exponent", "--group", spec, "--theta", "milne-schrodinger:1",
+                  "--all-pairs"],
+                 ["verify", "--suite", spec]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        errors.add(err)
+    assert errors == {"error: %s\n" % message}
 
 
 @pytest.mark.parametrize("spec", ["galilean", "milne:1", "milne:2", "milne:3",

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from explab.lie import LieAlgebra, Role, galilean, milne, phase_space
+from explab.lie import (LieAlgebra, Role, family_index, galilean, milne,
+                        phase_space)
 
 
 def unit(alg, label):
@@ -269,3 +270,19 @@ class TestSerialization:
         }
         alg = LieAlgebra.from_dict(data)
         assert bracket_labels(alg, "x", "y") == {"z": Fraction(2, 3)}
+
+
+class TestFamilySpecs:
+    def test_index_of_each_family(self):
+        assert family_index("milne:3", "milne") == 3
+        assert family_index("phase-space:2", "phase-space") == 2
+
+    def test_other_specs_are_not_parsed(self):
+        for spec in ("galilean", "phase-space:2", "milne", "my-milne:3.json"):
+            assert family_index(spec, "milne") is None
+
+    def test_bad_indices_rejected(self):
+        with pytest.raises(ValueError, match=r"^phase-space index must be >= 1$"):
+            family_index("phase-space:0", "phase-space")
+        with pytest.raises(ValueError, match=r"expected phase-space:<integer>"):
+            family_index("phase-space:two", "phase-space")
