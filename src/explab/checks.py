@@ -15,11 +15,12 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import bundle as bundlemod
-from .classify import classify, realizable_subspace, verify_milne_structure
+from .classify import (check_family_columns, classify, realizable_subspace,
+                       verify_milne_structure)
 from .groupexp import (HElement, PhaseFunction, check_cocycle_identities,
                        composition_defect, exponent_shift_violation,
-                       exponent_time_variance, finite_exponent, h_inverse,
-                       h_multiply, h_unit, infinitesimal_from_finite,
+                       exponent_time_variance, extraction_table,
+                       finite_exponent, h_inverse, h_multiply, h_unit,
                        random_element, random_event, theta_galilean,
                        theta_milne, worst_abs)
 from .lie import LieAlgebra, family_index, galilean, milne
@@ -69,6 +70,7 @@ def galilean_suite(samples: int, seed: int) -> List[dict]:
 
 
 def milne_suite(m: int, samples: int, seed: int) -> List[dict]:
+    check_family_columns("milne", m)  # an oversized m is refused before milne(m) is built
     checks = []
     result = classify(milne(m))
     want = m * (m + 1) // 2
@@ -257,8 +259,7 @@ def exponent_table(theta: PhaseFunction, alg: LieAlgebra, mass: float,
     reference = _galilean_reference(mass) if theta.group == "galilean" else None
     entries = []
     worst_ref = 0.0
-    for a, b in pairs:
-        res = infinitesimal_from_finite(theta, alg, a, b, point)
+    for (a, b), res in zip(pairs, extraction_table(theta, alg, pairs, point)):
         entry = {"a": a, "b": b, "value": res.value, "error": res.error}
         if reference is not None:
             want = reference(a, b)

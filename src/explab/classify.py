@@ -26,6 +26,7 @@ __all__ = [
     "EquivalenceResult",
     "DegreeCapError",
     "ColumnLimitError",
+    "check_family_columns",
     "MilneStructureReport",
     "classify",
     "are_equivalent",
@@ -51,15 +52,33 @@ class ColumnLimitError(ValueError):
 MAX_COLUMNS = 10_000
 
 
-def _columns(alg: LieAlgebra, degree: int) -> int:
-    """Coefficient columns at `degree`; ColumnLimitError beyond MAX_COLUMNS."""
+def _column_count(dim: int, name: str, degree: int) -> int:
+    """Coefficient columns at `degree` on an algebra of dimension `dim`;
+    ColumnLimitError beyond MAX_COLUMNS."""
     if degree < 0:
         raise ValueError("degree bound must be >= 0")
-    ncols = alg.dim * (alg.dim - 1) // 2 * (degree + 1)
+    ncols = dim * (dim - 1) // 2 * (degree + 1)
     if ncols > MAX_COLUMNS:
         raise ColumnLimitError("degree %d needs %d coefficient columns on %s; the limit is %d"
-                               % (degree, ncols, alg.name, MAX_COLUMNS))
+                               % (degree, ncols, name, MAX_COLUMNS))
     return ncols
+
+
+def _columns(alg: LieAlgebra, degree: int) -> int:
+    return _column_count(alg.dim, alg.name, degree)
+
+
+def _first_degree(timed: bool, degree) -> int:
+    """Degree bound of classify's first solve."""
+    return (1 if timed else 0) if degree == "auto" else int(degree)
+
+
+def check_family_columns(family: str, index: int, degree="auto") -> None:
+    """Raise the ColumnLimitError that classify(<family>:<index>, degree)
+    raises first, without building the algebra: milne:m has 3m+7
+    generators and a time generator, phase-space:n has 2n and none."""
+    dim = {"milne": 3 * index + 7, "phase-space": 2 * index}[family]
+    _column_count(dim, "%s:%d" % (family, index), _first_degree(family == "milne", degree))
 
 
 # -- classification -----------------------------------------------------
@@ -147,7 +166,7 @@ def classify(alg: LieAlgebra, degree="auto", cap: int = 16) -> Classification:
     every higher degree replicates the same classification and escalation
     would never terminate.
     """
-    first = (0 if alg.time_index is None else 1) if degree == "auto" else int(degree)
+    first = _first_degree(alg.time_index is not None, degree)
     _columns(alg, first)  # refuse a negative or oversized first solve before validating
     alg._require_valid()
 

@@ -36,7 +36,8 @@ from typing import Optional, Tuple
 # SWEEP_RATIOS and SWEEP_MARGIN are re-exported for callers that read them here
 from .checks import (PROBE_T, PROBE_X, SUITE_NAMES, SWEEP_MARGIN,  # noqa: F401
                      SWEEP_RATIOS, exponent_table, suite)
-from .classify import ColumnLimitError, DegreeCapError, classify
+from .classify import (ColumnLimitError, DegreeCapError, check_family_columns,
+                       classify)
 from .groupexp import ExtrapolationError, theta_galilean, theta_milne
 from .lie import LieAlgebra, family_index, galilean, milne, phase_space
 
@@ -75,17 +76,24 @@ def _report(args: argparse.Namespace, input_echo: dict, results: dict,
     }
 
 
-def load_algebra(spec: str) -> LieAlgebra:
-    """Resolve a builtin algebra name or load and validate a JSON file."""
+def load_algebra(spec: str, degree=None) -> LieAlgebra:
+    """Resolve a builtin algebra name or load and validate a JSON file.
+
+    Given the `degree` of a classify run, a `milne:<m>` or `phase-space:<n>`
+    spec whose first solve would exceed the column limit raises
+    ColumnLimitError before the algebra is built.
+    """
     if spec == "galilean":
         return galilean()
-    try:
-        for family, build in (("milne", milne), ("phase-space", phase_space)):
+    for family, build in (("milne", milne), ("phase-space", phase_space)):
+        try:
             index = family_index(spec, family)
-            if index is not None:
-                return build(index)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        if index is not None:
+            if degree is not None:
+                check_family_columns(family, index, degree)
+            return build(index)
     if not os.path.exists(spec):
         raise UsageError("unknown algebra %r: not a builtin name and no such file"
                          % spec)
@@ -128,7 +136,7 @@ def load_theta(spec: str):
 def cmd_classify(args: argparse.Namespace) -> Tuple[dict, bool]:
     if args.degree != "auto" and args.degree < 0:
         raise UsageError("degree must be 'auto' or a nonnegative integer")
-    result = classify(load_algebra(args.algebra), degree=args.degree)
+    result = classify(load_algebra(args.algebra, args.degree), degree=args.degree)
     echo = {"algebra": args.algebra, "degree": args.degree}
     return _report(args, echo, result.to_jsonable(), timing=None), True
 

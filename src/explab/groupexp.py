@@ -25,7 +25,9 @@ R has shape (..., 3, 3), A (..., k+1, 3) and b (...); an event's x has
 shape (..., 3) and its t (...).  The sample axes of all fields and events
 broadcast against each other, so `compose`, `inverse`, `act`, the
 built-in phases and `finite_exponent` evaluate a stack of N samples in
-one call, and one element is the case without sample axes.
+one call, and one element is the case without sample axes.  An exponent
+table stacks its generator pairs the same way, with the leading axes
+(pairs, levels), one Milne order per call (`extraction_table`).
 The sampled checks draw all their samples in one call, so a seed maps to
 other samples than it did when they were drawn one at a time; their gates
 and tolerances are unchanged, and a NaN anywhere fails them.
@@ -38,7 +40,7 @@ exact identity tests).
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -544,56 +546,38 @@ class ExtractionResult:
     error: float
 
 
-def infinitesimal_from_finite(theta: PhaseFunction, alg: LieAlgebra, a: str, b: str,
-                              p: Event, tau0: float = 0.1,
-                              levels: int = 6) -> ExtractionResult:
-    """Extract the infinitesimal exponent on the generator pair (a, b) of alg at p.
+# Most generator pairs that one stacked evaluation of an extraction table
+# holds.  Its memory grows as pairs x levels x order^2 (the gram matrices of
+# acceleration_phase_polys); 64 takes every order of the galilean and
+# milne:2 tables in one call.
+MAX_STACKED_PAIRS = 64
 
-    Evaluates the commutator phase combination
 
-        S(tau) = [ xi(uw, u^-1 w^-1, p) + xi(u, w, p)
-                   + xi(u^-1, w^-1, w^-1 u^-1 p)
-                   + xi(u, u, p) + xi(w, w, p) ] / tau^2
+def _stack(elements, batch) -> MilneElement:
+    """One element whose leading axis runs over `elements`, each of them
+    broadcast to the sample axes `batch` first."""
+    return MilneElement(np.stack([np.broadcast_to(e.R, batch + (3, 3)) for e in elements]),
+                        np.stack([np.broadcast_to(e.A, batch + e.A.shape[-2:])
+                                  for e in elements]),
+                        np.stack([np.broadcast_to(e.b, batch) for e in elements]))
 
-    with u = exp(tau a), w = exp(tau b) on the halving schedule tau0*2^-k,
-    all levels in one stacked evaluation, and extrapolates tau -> 0;
-    exp(tau a) is taken from the generator's role in alg, as a Milne
-    element of order max(level(a), level(b), 1) for acceleration groups.
-    The two diagonal terms vanish identically for canonical subgroup
-    exponents and cancel the self-phase defect of non-canonical ones.
 
-    The error estimate is the last diagonal difference of the
-    extrapolation tableau.  The differences must fall geometrically:
-    ExtrapolationError is raised when a difference above the floor of
-    1e-9 times the value's scale exceeds 3/4 of the one before it, or
-    when the last difference is above the floor and not below the first
-    (a NaN fails both).  Every column of the tableau removes one more
-    power of tau, so the differences of a phase smooth at the identity
-    shrink fast (the built-in phases never exceed a ratio of 0.63),
-    while a singular phase such as a1^2 log|a1| keeps them near a
-    constant and its value drifts with tau0.
-    """
-    if levels < 2:
-        raise ValueError("need at least two extrapolation levels")
-    kind = theta.group
-    ra, rb = alg.roles[alg.index(a)], alg.roles[alg.index(b)]
-    order = max([1] + [r.level for r in (ra, rb) if r is not None])
-
-    taus = tau0 * 2.0 ** -np.arange(levels)
-    u = exp_generator(kind, ra, taus, order)
-    w = exp_generator(kind, rb, taus, order)
+def _commutator_phase(theta: PhaseFunction, u, w, p: Event):
+    """tau^2 S(tau): the five finite exponents of the commutator combination."""
     uinv, winv = inverse(u), inverse(w)
     q = _act_event(compose(winv, uinv), p)
-    total = (finite_exponent(theta, compose(u, w), compose(uinv, winv), p)
-             + finite_exponent(theta, u, w, p)
-             + finite_exponent(theta, uinv, winv, q)
-             + finite_exponent(theta, u, u, p)
-             + finite_exponent(theta, w, w, p))
-    S = np.broadcast_to(np.asarray(total, dtype=float), taus.shape) / taus ** 2
+    return (finite_exponent(theta, compose(u, w), compose(uinv, winv), p)
+            + finite_exponent(theta, u, w, p)
+            + finite_exponent(theta, uinv, winv, q)
+            + finite_exponent(theta, u, u, p)
+            + finite_exponent(theta, w, w, p))
 
+
+def _extrapolate(S, a: str, b: str) -> ExtractionResult:
+    """Richardson tableau of S on the halving schedule, and its convergence gate."""
     prev = [float(S[0])]
     diffs = []
-    for k in range(1, levels):
+    for k in range(1, len(S)):
         row = [float(S[k])]
         for j in range(1, k + 1):
             row.append(row[j - 1] + (row[j - 1] - prev[j - 1]) / (2.0 ** j - 1))
@@ -608,3 +592,73 @@ def infinitesimal_from_finite(theta: PhaseFunction, alg: LieAlgebra, a: str, b: 
         raise ExtrapolationError(
             "no convergence on %s,%s: diagonal differences %s" % (a, b, diffs))
     return ExtractionResult(value=value, error=error)
+
+
+def extraction_table(theta: PhaseFunction, alg: LieAlgebra,
+                     pairs: Sequence[Tuple[str, str]], p: Event, tau0: float = 0.1,
+                     levels: int = 6) -> List[ExtractionResult]:
+    """`infinitesimal_from_finite` on every generator pair of `pairs`, in order.
+
+    The pairs are grouped by their Milne order max(level(a), level(b), 1).
+    The pairs of one order, at most MAX_STACKED_PAIRS of them at a time,
+    and all their levels are evaluated in one stacked call, on elements
+    with the leading axes (pairs, levels); each sample's arithmetic is the
+    one a single pair gets.  The tableaux and their gates then run in the
+    order of `pairs`, so the first pair that does not converge raises its
+    ExtrapolationError.
+    """
+    if levels < 2:
+        raise ValueError("need at least two extrapolation levels")
+    kind = theta.group
+    taus = tau0 * 2.0 ** -np.arange(levels)
+    roles = [(alg.roles[alg.index(a)], alg.roles[alg.index(b)]) for a, b in pairs]
+    orders = [max([1] + [r.level for r in both if r is not None]) for both in roles]
+    S = [None] * len(pairs)
+    for order in sorted(set(orders)):
+        members = [k for k, o in enumerate(orders) if o == order]
+        # exp(tau * generator) at this order and every level, per role
+        subgroup = {role: exp_generator(kind, role, taus, order)
+                    for k in members for role in roles[k]}
+        for start in range(0, len(members), MAX_STACKED_PAIRS):
+            chunk = members[start:start + MAX_STACKED_PAIRS]
+            u, w = (_stack([subgroup[roles[k][side]] for k in chunk], taus.shape)
+                    for side in (0, 1))
+            total = np.broadcast_to(np.asarray(_commutator_phase(theta, u, w, p),
+                                               dtype=float), (len(chunk),) + taus.shape)
+            for k, row in zip(chunk, total / taus ** 2):
+                S[k] = row
+    return [_extrapolate(row, a, b) for row, (a, b) in zip(S, pairs)]
+
+
+def infinitesimal_from_finite(theta: PhaseFunction, alg: LieAlgebra, a: str, b: str,
+                              p: Event, tau0: float = 0.1,
+                              levels: int = 6) -> ExtractionResult:
+    """Extract the infinitesimal exponent on the generator pair (a, b) of alg at p.
+
+    Evaluates the commutator phase combination
+
+        S(tau) = [ xi(uw, u^-1 w^-1, p) + xi(u, w, p)
+                   + xi(u^-1, w^-1, w^-1 u^-1 p)
+                   + xi(u, u, p) + xi(w, w, p) ] / tau^2
+
+    with u = exp(tau a), w = exp(tau b) on the halving schedule tau0*2^-k,
+    and extrapolates tau -> 0;
+    exp(tau a) is taken from the generator's role in alg, as a Milne
+    element of order max(level(a), level(b), 1) for acceleration groups.
+    The two diagonal terms vanish identically for canonical subgroup
+    exponents and cancel the self-phase defect of non-canonical ones.
+    This is the one-pair `extraction_table`, which evaluates all pairs of
+    a Milne order and all levels in one stacked call, capped per call.
+
+    The error estimate is the last diagonal difference of the
+    extrapolation tableau.  The differences must fall geometrically:
+    ExtrapolationError is raised when a difference above the floor of
+    1e-9 times the value's scale exceeds 3/4 of the one before it, or
+    when the last difference is above the floor and not below the first
+    (a NaN fails both).  Every column of the tableau removes one more
+    power of tau, so the differences of a phase smooth at the identity
+    shrink fast (the built-in phases never exceed a ratio of 0.63),
+    while a singular phase such as a1^2 log|a1| keeps them near a
+    constant and its value drifts with tau0.
+    """
+    return extraction_table(theta, alg, [(a, b)], p, tau0, levels)[0]

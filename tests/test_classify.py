@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from explab import linalg
 from explab.classify import (MAX_COLUMNS, Classification, ColumnLimitError,
                              DegreeCapError, _columns, _solve_at_degree,
-                             are_equivalent, classify, realizable_subspace,
-                             verify_milne_structure)
+                             are_equivalent, check_family_columns, classify,
+                             realizable_subspace, verify_milne_structure)
 from explab.cochain import (OneCochain, TwoCochain, _complex, coboundary, is_cocycle,
                             jacobi_residual)
 from explab.lie import LieAlgebra, galilean, milne, phase_space
@@ -567,6 +567,25 @@ class TestDegreeBound:
         monkeypatch.setattr(LieAlgebra, "validate", fail)
         with pytest.raises(ColumnLimitError, match="degree 1 needs"):
             classify(alg)
+
+    @pytest.mark.parametrize("family, build, index, degree", [
+        ("milne", milne, 45, "auto"), ("milne", milne, 3, 300),
+        ("phase-space", phase_space, 71, "auto"), ("phase-space", phase_space, 3, 2000)])
+    def test_family_refused_as_classify_refuses_it(self, family, build, index, degree):
+        # the closed-form count gives classify's own first ColumnLimitError
+        with pytest.raises(ColumnLimitError) as built:
+            classify(build(index), degree=degree)
+        with pytest.raises(ColumnLimitError) as unbuilt:
+            check_family_columns(family, index, degree)
+        assert str(unbuilt.value) == str(built.value)
+
+    @pytest.mark.parametrize("family, build", [("milne", milne),
+                                               ("phase-space", phase_space)])
+    def test_family_within_limit_passes(self, family, build):
+        for index in range(1, 8):
+            check_family_columns(family, index)
+            assert build(index).dim == {"milne": 3 * index + 7,
+                                        "phase-space": 2 * index}[family]
 
     def test_limit_admits_the_auto_cap_on_builtins(self):
         algebras = ([galilean()] + [milne(m) for m in range(1, 8)]

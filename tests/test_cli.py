@@ -335,9 +335,9 @@ class TestExponentCommand:
         assert exc.value.code == 2
 
     def test_nonconvergent_extraction_exits_one(self, capsys, monkeypatch):
-        def diverge(theta, alg, a, b, p, tau0=0.1, levels=6):
+        def diverge(theta, alg, pairs, p, tau0=0.1, levels=6):
             raise ExtrapolationError("sequence grows without bound")
-        monkeypatch.setattr(checks, "infinitesimal_from_finite", diverge)
+        monkeypatch.setattr(checks, "extraction_table", diverge)
         code, out, err = run_cli(["exponent", "--group", "galilean",
                                   "--theta", "galilean-mass:1",
                                   "--pair", "b1,d1"], capsys)
@@ -357,6 +357,14 @@ class TestExponentCommand:
                                   "--pair", "b1,d1"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "mass" in err
+
+    def test_overflowing_mass_names_first_failing_pair(self, capsys):
+        # the table's first pair that does not converge is the one reported
+        code, out, err = run_cli(["exponent", "--group", "galilean",
+                                  "--theta", "galilean-mass:1e308",
+                                  "--all-pairs"], capsys)
+        assert code == 1 and out == ""
+        assert "no convergence on a12,d1:" in err
 
     def test_bad_theta_spec(self, capsys):
         code, _, err = run_cli(["exponent", "--group", "galilean",
@@ -379,6 +387,22 @@ def test_family_spec_errors_agree_across_commands(spec, message, capsys):
         assert code == 2 and out == ""
         errors.add(err)
     assert errors == {"error: %s\n" % message}
+
+
+@pytest.mark.parametrize("argv", [["classify", "--algebra", "milne:1000000"],
+                                  ["verify", "--suite", "milne:1000000"]])
+def test_oversized_family_is_refused_before_it_is_built(argv, capsys):
+    # the first solve's column count is a closed form in m, so milne(m),
+    # linear in m, is never built
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error: degree 1 needs") and "limit is %d" % MAX_COLUMNS in err
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("spec", ["galilean", "milne:1", "milne:2", "milne:3",

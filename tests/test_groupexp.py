@@ -6,13 +6,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from explab import checks
+from explab import checks, groupexp
 from explab.groupexp import (ExtrapolationError, HElement, MilneElement,
                              OrderMismatchError, PhaseFunction, _act_inverse, act,
                              check_cocycle_identities, compose,
                              equivalence_transform, exp_generator,
                              exponent_shift_violation, exponent_time_variance,
-                             finite_exponent, h_inverse, h_lift, h_multiply, h_unit,
+                             extraction_table, finite_exponent, h_inverse, h_lift, h_multiply, h_unit,
                              infinitesimal_from_finite, inverse, milne_identity,
                              random_element, random_event, theta_galilean,
                              theta_milne)
@@ -449,6 +449,83 @@ class TestExtraction:
         with pytest.raises(ValueError):
             infinitesimal_from_finite(theta_galilean(1.0), GALILEAN, "b1", "d1",
                                       event([0, 0, 0], 0.0), levels=1)
+
+
+def _shuffled_pairs(alg):
+    """Every pair of alg, reversed and then interleaved, so that the Milne
+    orders of neighbouring pairs alternate."""
+    pairs = list(itertools.combinations(alg.labels, 2))[::-1]
+    return pairs[::2] + pairs[1::2]
+
+
+def _rough_where_v1(r, x, t):
+    """x1 v1 log|v1|: smooth, and zero, wherever the boost component v1 is 0."""
+    v1 = r.A[..., 1, :][0]
+    return x[0] * v1 * math.log(abs(v1)) if v1 else 0.0
+
+
+class TestExtractionTable:
+    P = event([0.4, -0.3, 0.2], 0.6)
+
+    @pytest.mark.parametrize("alg, theta", [(GALILEAN, theta_galilean(2.5)),
+                                            (MILNE2, theta_milne(1.0)),
+                                            (milne(3), theta_milne(1.3))])
+    def test_table_equals_one_pair_results(self, alg, theta):
+        pairs = _shuffled_pairs(alg)
+        table = extraction_table(theta, alg, pairs, self.P)
+        assert len(table) == len(pairs)
+        for (a, b), res in zip(pairs, table):
+            one = infinitesimal_from_finite(theta, alg, a, b, self.P)
+            assert res.value == one.value and res.error == one.error
+
+    def test_stacks_are_capped(self, monkeypatch):
+        alg, theta = milne(8), theta_milne(1.0)
+        pairs = _shuffled_pairs(alg)
+        stacked = []
+        inner = groupexp.finite_exponent
+
+        def counted(theta, r, s, p):
+            stacked.append(r.batch[0])
+            return inner(theta, r, s, p)
+
+        monkeypatch.setattr(groupexp, "finite_exponent", counted)
+        table = extraction_table(theta, alg, pairs, self.P)
+        monkeypatch.undo()
+        assert len(pairs) > groupexp.MAX_STACKED_PAIRS
+        assert max(stacked) == groupexp.MAX_STACKED_PAIRS
+        for k in range(0, len(pairs), 29):
+            one = infinitesimal_from_finite(theta, alg, *pairs[k], self.P)
+            assert table[k] == one
+
+    def test_first_failing_pair_in_table_order_is_named(self):
+        rough = PhaseFunction("rough", "milne", _rough_where_v1)
+        p = event([0.4, 0.1, 0.0], 0.3)
+        # orders 1, 2, 2, 1: the first of the two failing pairs has order 2
+        pairs = [("d0_2", "d0_3"), ("d2_3", "tau"), ("d1_1", "d2_2"), ("d0_2", "d1_1")]
+        first = None
+        for a, b in pairs:
+            try:
+                infinitesimal_from_finite(rough, MILNE2, a, b, p)
+            except ExtrapolationError as exc:
+                first = str(exc)
+                break
+        assert first is not None and first.startswith("no convergence on d1_1,d2_2:")
+        with pytest.raises(ExtrapolationError) as exc:
+            extraction_table(rough, MILNE2, pairs, p)
+        assert str(exc.value) == first
+
+    def test_nan_phase_is_refused(self):
+        broken = PhaseFunction("nan", "galilean", lambda r, x, t: math.nan)
+        with pytest.raises(ExtrapolationError):
+            extraction_table(broken, GALILEAN, [("b2", "b3"), ("b1", "d1")], self.P)
+
+    def test_level_validation(self):
+        with pytest.raises(ValueError):
+            extraction_table(theta_galilean(1.0), GALILEAN, [("b1", "d1")], self.P,
+                             levels=1)
+
+    def test_empty_table(self):
+        assert extraction_table(theta_galilean(1.0), GALILEAN, [], self.P) == []
 
 
 def _signed_permutations():
