@@ -23,10 +23,11 @@ from .groupexp import (HElement, PhaseFunction, check_cocycle_identities,
                        finite_exponent, h_inverse, h_multiply, h_unit,
                        random_element, random_event, theta_galilean,
                        theta_milne, worst_abs)
-from .lie import LieAlgebra, family_index, galilean, milne
+from .lie import LieAlgebra, family_dim, family_index, galilean, milne
 from .ratpoly import RatPoly
-from .schrod import (convergence_slope, gaussian_packet, mass_equality_sweep,
-                     sample_wave, schrodinger_residual, transform_wave)
+from .schrod import (SWEEP_GRID, convergence_slope, gaussian_packet,
+                     mass_equality_sweep, sample_wave, schrodinger_residual,
+                     transform_wave, wave_grid)
 
 IDENTITY_TOL = 1e-12
 VARIANCE_TOL = 1e-24
@@ -157,17 +158,20 @@ def schrodinger_suite(samples: int, seed: int) -> List[dict]:
     addot = profile.differentiate().differentiate()
     g = lambda t: float(addot(t))
     packet = gaussian_packet(mass, x0=0.0, k0=0.3)
+    sweep = mass_equality_sweep(profile, mass, SWEEP_RATIOS)
     hs, norms = [], []
-    for nx, nt in [(161, 41), (321, 81), (641, 161)]:
-        xs = np.linspace(-16.0, 16.0, nx)
-        ts = np.linspace(0.0, 0.8, nt)
-        moved = transform_wave(sample_wave(packet, xs, ts, mass), profile)
+    for nx, nt in [(161, 41), (321, 81)]:
+        moved = transform_wave(sample_wave(packet, *wave_grid(nx, nt), mass), profile)
         hs.append(moved.dx)
         norms.append(schrodinger_residual(moved, mass, mass, g).max_norm)
+    # the finest level is the sweep's ratio-1 entry: the same wave, field
+    # and masses on the sweep's grid
+    xs, _ = wave_grid(*SWEEP_GRID)
+    hs.append(float(xs[1] - xs[0]))
+    norms.append(dict(sweep.table)[1.0])
     slope = convergence_slope(hs, norms)
     checks = [check("residual-convergence-order", slope >= SLOPE_MIN,
                     slope=slope, residuals=norms)]
-    sweep = mass_equality_sweep(profile, mass, SWEEP_RATIOS)
     ok = (not sweep.degenerate and sweep.best_ratio == 1.0
           and sweep.margin is not None and sweep.margin >= SWEEP_MARGIN)
     checks.append(check("mass-ratio-sweep", ok, **sweep.to_jsonable()))
@@ -241,6 +245,27 @@ def _milne_table_checks(alg: LieAlgebra, entries: List[dict]) -> List[dict]:
                 worst["inner-pairs-zero-at-origin"], value)
     return [check(name, value <= EXTRACTION_TOL, max_abs_value=value)
             for name, value in worst.items()]
+
+
+class PairLimitError(ValueError):
+    """A group whose exponent table has more than MAX_TABLE_PAIRS pairs."""
+
+
+# Largest exponent table, in generator pairs, of a group `exponent` accepts.
+# It admits milne:16 (1,485 pairs), whose `--all-pairs` run takes about
+# 1.1 s with a tracemalloc peak of 3.2 MB on a 2-core VM; milne:20 (2,211
+# pairs) took 4.75 s, and milne:m has (3m+7)(3m+6)/2 pairs.
+MAX_TABLE_PAIRS = 1500
+
+
+def check_table_pairs(family: str, index: int) -> None:
+    """Raise PairLimitError when the exponent table of <family>:<index> has
+    more than MAX_TABLE_PAIRS pairs, without building the algebra."""
+    dim = family_dim(family, index)
+    pairs = dim * (dim - 1) // 2
+    if pairs > MAX_TABLE_PAIRS:
+        raise PairLimitError("the exponent table of %s:%d has %d generator pairs; "
+                             "the limit is %d" % (family, index, pairs, MAX_TABLE_PAIRS))
 
 
 def exponent_table(theta: PhaseFunction, alg: LieAlgebra, mass: float,

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .cochain import OneCochain, TwoCochain, _complex, coboundary, is_cocycle
-from .lie import LieAlgebra
+from .lie import LieAlgebra, family_dim
 from .ratpoly import RatPoly
 
 __all__ = [
@@ -75,10 +75,10 @@ def _first_degree(timed: bool, degree) -> int:
 
 def check_family_columns(family: str, index: int, degree="auto") -> None:
     """Raise the ColumnLimitError that classify(<family>:<index>, degree)
-    raises first, without building the algebra: milne:m has 3m+7
-    generators and a time generator, phase-space:n has 2n and none."""
-    dim = {"milne": 3 * index + 7, "phase-space": 2 * index}[family]
-    _column_count(dim, "%s:%d" % (family, index), _first_degree(family == "milne", degree))
+    raises first, without building the algebra (milne:m has a time
+    generator, phase-space:n none)."""
+    _column_count(family_dim(family, index), "%s:%d" % (family, index),
+                  _first_degree(family == "milne", degree))
 
 
 # -- classification -----------------------------------------------------

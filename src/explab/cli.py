@@ -19,12 +19,15 @@ every executed check passed, 1 for check failures and numeric aborts,
 2 for unusable input (bad flags or values, malformed, unreadable or
 inconsistent algebra files, an unwritable --out path), reported as one
 `error:` line on stderr.  `--samples` is bounded by MAX_SAMPLES and
-`--seed` must be nonnegative.  Classify reports carry no timing so
-identical inputs produce byte-identical bytes; the stochastic commands
-echo (seed, samples) and report wall time.
+`--seed` must be nonnegative; a `milne:<m>` too large for classify's
+column limit or for exponent's pair limit is refused before it is built.
+Classify reports carry no timing so identical inputs produce
+byte-identical bytes; the stochastic commands echo (seed, samples) and
+report wall time.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -35,7 +38,8 @@ from typing import Optional, Tuple
 
 # SWEEP_RATIOS and SWEEP_MARGIN are re-exported for callers that read them here
 from .checks import (PROBE_T, PROBE_X, SUITE_NAMES, SWEEP_MARGIN,  # noqa: F401
-                     SWEEP_RATIOS, exponent_table, suite)
+                     SWEEP_RATIOS, PairLimitError, check_table_pairs,
+                     exponent_table, suite)
 from .classify import (ColumnLimitError, DegreeCapError, check_family_columns,
                        classify)
 from .groupexp import ExtrapolationError, theta_galilean, theta_milne
@@ -76,12 +80,11 @@ def _report(args: argparse.Namespace, input_echo: dict, results: dict,
     }
 
 
-def load_algebra(spec: str, degree=None) -> LieAlgebra:
+def load_algebra(spec: str, check=None) -> LieAlgebra:
     """Resolve a builtin algebra name or load and validate a JSON file.
 
-    Given the `degree` of a classify run, a `milne:<m>` or `phase-space:<n>`
-    spec whose first solve would exceed the column limit raises
-    ColumnLimitError before the algebra is built.
+    For a `milne:<m>` or `phase-space:<n>` spec, `check(family, index)`
+    runs before the algebra is built, so an oversized one is refused first.
     """
     if spec == "galilean":
         return galilean()
@@ -91,8 +94,8 @@ def load_algebra(spec: str, degree=None) -> LieAlgebra:
         except ValueError as exc:
             raise UsageError(str(exc))
         if index is not None:
-            if degree is not None:
-                check_family_columns(family, index, degree)
+            if check is not None:
+                check(family, index)
             return build(index)
     if not os.path.exists(spec):
         raise UsageError("unknown algebra %r: not a builtin name and no such file"
@@ -136,7 +139,9 @@ def load_theta(spec: str):
 def cmd_classify(args: argparse.Namespace) -> Tuple[dict, bool]:
     if args.degree != "auto" and args.degree < 0:
         raise UsageError("degree must be 'auto' or a nonnegative integer")
-    result = classify(load_algebra(args.algebra, args.degree), degree=args.degree)
+    alg = load_algebra(args.algebra,
+                       functools.partial(check_family_columns, degree=args.degree))
+    result = classify(alg, degree=args.degree)
     echo = {"algebra": args.algebra, "degree": args.degree}
     return _report(args, echo, result.to_jsonable(), timing=None), True
 
@@ -164,7 +169,7 @@ def cmd_exponent(args: argparse.Namespace) -> Tuple[dict, bool]:
     if args.group != "galilean" and not args.group.startswith("milne:"):
         raise UsageError("unknown group spec %r (use galilean or milne:<m>)"
                          % args.group)
-    alg = load_algebra(args.group)
+    alg = load_algebra(args.group, check_table_pairs)
     if theta.group != args.group.partition(":")[0]:
         raise UsageError("theta %r does not act on group %r"
                          % (args.theta, args.group))
@@ -304,7 +309,7 @@ def main(argv=None) -> int:
     try:
         report, passed = args.run(args)
         _emit(report, args)
-    except (UsageError, ColumnLimitError) as exc:
+    except (UsageError, ColumnLimitError, PairLimitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except DegreeCapError as exc:

@@ -24,6 +24,7 @@ __all__ = [
     "milne",
     "phase_space",
     "family_index",
+    "family_dim",
 ]
 
 Terms = Tuple[Tuple[int, Fraction], ...]
@@ -405,3 +406,9 @@ def family_index(spec: str, family: str) -> Optional[int]:
     if value < 1:
         raise ValueError("%s index must be >= 1" % family)
     return value
+
+
+def family_dim(family: str, index: int) -> int:
+    """Dimension of <family>:<index> without building it: milne:m has 3m+7
+    generators, phase-space:n has 2n."""
+    return {"milne": 3 * index + 7, "phase-space": 2 * index}[family]

@@ -143,12 +143,22 @@ class RatPoly:
     __rmul__ = __mul__
 
     def __call__(self, t0):
-        """Horner evaluation. Exact for int/Fraction arguments, float for float."""
+        """Horner evaluation. Exact for int/Fraction arguments.
+
+        A float, or a float ndarray elementwise, is evaluated in floats on
+        float(c): the same bits as Horner on the Fraction coefficients,
+        whose mixed operators convert both operands to float first.
+        """
+        floats = (isinstance(t0, float)
+                  or getattr(getattr(t0, "dtype", None), "kind", None) == "f")
         if not self._coeffs:
+            if floats and not isinstance(t0, float):
+                import numpy as np  # numpy is loaded: t0 is one of its arrays
+                return np.zeros(t0.shape)
             return 0.0 if isinstance(t0, float) else Fraction(0)
         acc = 0
         for c in reversed(self._coeffs):
-            acc = acc * t0 + c
+            acc = acc * t0 + (float(c) if floats else c)
         return acc
 
     # -- calculus ----------------------------------------------------

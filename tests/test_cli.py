@@ -405,6 +405,29 @@ def test_oversized_family_is_refused_before_it_is_built(argv, capsys):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("m", [17, 1000000])
+def test_oversized_exponent_group_is_refused_before_it_is_built(m, capsys):
+    # milne:16 is the largest group whose table fits the pair limit
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["exponent", "--group", "milne:%d" % m, "--theta",
+                                  "milne-schrodinger:1", "--pair", "tau,d1_1"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = 3 * m + 7
+    assert code == 2 and out == ""
+    assert err == ("error: the exponent table of milne:%d has %d generator pairs; "
+                   "the limit is %d\n" % (m, dim * (dim - 1) // 2, checks.MAX_TABLE_PAIRS))
+    assert peak < 1_000_000
+
+
+def test_pair_limit_admits_milne_16():
+    checks.check_table_pairs("milne", 16)
+    with pytest.raises(checks.PairLimitError):
+        checks.check_table_pairs("milne", 17)
+
+
 @pytest.mark.parametrize("spec", ["galilean", "milne:1", "milne:2", "milne:3",
                                   "milne:4", "milne:5", "phase-space:1",
                                   "phase-space:2", "phase-space:3"])

@@ -1,5 +1,7 @@
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -95,6 +97,49 @@ class TestEvaluation:
     def test_zero_poly(self):
         assert RatPoly.zero()(Fraction(3)) == 0
         assert RatPoly.zero()(1.5) == 0.0
+
+
+def fraction_horner(p, t):
+    """Horner on the Fraction coefficients, mixing them with a float t."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * t + c
+    return acc if p.coeffs else 0.0
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+# negative, zero and negative-zero arguments are where a float path could
+# part from the Fraction one in sign or rounding
+float_args = st.one_of(st.sampled_from([0.0, -0.0, -1.0, -0.8]),
+                       st.floats(min_value=-1e3, max_value=1e3))
+
+
+class TestFloatEvaluation:
+    @given(polys, float_args)
+    def test_float_argument_matches_fraction_horner(self, p, t):
+        value = p(t)
+        assert type(value) is float
+        assert bits(value) == bits(fraction_horner(p, t))
+        assert bits(p(np.float64(t))) == bits(value)
+
+    @given(polys, st.lists(float_args, max_size=9))
+    def test_array_argument_matches_scalar_calls(self, p, ts):
+        arr = np.array(ts, dtype=float)
+        values = p(arr)
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert values.shape == arr.shape
+        assert [bits(v) for v in values] == [bits(p(t)) for t in ts]
+
+    def test_negative_zero(self):
+        assert bits(P(0, 1)(-0.0)) == bits(0.0)
+        assert bits(P(0, 0, 1)(np.array([-0.0]))[0]) == bits(0.0)
+
+    def test_object_array_stays_exact(self):
+        values = P(1, Fraction(1, 3))(np.array([Fraction(3), Fraction(1, 2)], dtype=object))
+        assert list(values) == [Fraction(2), Fraction(7, 6)]
 
 
 class TestCalculus:

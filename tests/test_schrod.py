@@ -5,16 +5,25 @@ residual quoted here is pure discretization error; the frozen bounds
 come from reference runs on the same grids.
 """
 
+import hashlib
+import json
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import explab.schrod as schrod
+from explab import checks
 from explab.groupexp import MilneElement, theta_milne
 from explab.ratpoly import RatPoly
 from explab.schrod import (
+    ROWS_PER_BLOCK,
+    SUPPORT_TOL,
     GridSupportError,
+    ResidualReport,
     SweepResult,
     WaveField,
     convergence_slope,
@@ -40,6 +49,82 @@ def free_wave(k0=0.3, xs=XS, ts=TS, mass=MASS):
 
 def grid_norm(field, k):
     return math.sqrt(field.dx * float(np.sum(np.abs(field.values[k]) ** 2)))
+
+
+# -- per-slice oracle ----------------------------------------------------
+# The one-time-slice-at-a-time transform and residual that the blocked
+# versions replace. The blocked code must give the same bits.
+
+def slice_lagrange_weights(frac, width=8):
+    nodes = np.arange(width) - (width // 2 - 1)
+    w = np.ones(width)
+    for i in range(width):
+        for j in range(width):
+            if i != j:
+                w[i] *= (frac - nodes[j]) / (nodes[i] - nodes[j])
+    return w
+
+
+def slice_transform_wave(psi, A, mass=None, support_tol=SUPPORT_TOL):
+    mass = psi.mass if mass is None else mass
+    phase = milne_phase(mass, A)(psi.xs, psi.ts[:, None])
+    h = psi.dx
+    nx = psi.xs.size
+    out = np.zeros_like(psi.values)
+    for k, t in enumerate(psi.ts):
+        shift = float(A(t))
+        vals = psi.values[k]
+        margin = min(nx, int(math.ceil(abs(shift) / h)) + 4)
+        if margin >= nx:
+            raise GridSupportError("shift %.3g exceeds the grid at t=%g" % (shift, t))
+        if shift != 0.0:
+            edge = vals[:margin] if shift > 0 else vals[-margin:]
+            if np.max(np.abs(edge)) > support_tol * max(np.max(np.abs(vals)), 1e-300):
+                raise GridSupportError(
+                    "wave support escapes the grid at t=%g (shift %.3g)" % (t, shift))
+        offset = -shift / h
+        n0 = math.floor(offset)
+        weights = slice_lagrange_weights(offset - n0)
+        row = np.zeros(nx, dtype=complex)
+        for widx, wval in enumerate(weights):
+            src = n0 + widx - 3
+            lo, hi = max(0, -src), min(nx, nx - src)
+            if lo < hi:
+                row[lo:hi] += wval * vals[lo + src:hi + src]
+        out[k] = np.exp(1j * phase[k]) * row
+    return WaveField(psi.xs, psi.ts, out, psi.mass)
+
+
+def slice_schrodinger_residual(psi, m_inertial=None, m_grav=None, g=0.0):
+    m_i = psi.mass if m_inertial is None else m_inertial
+    m_g = m_i if m_grav is None else m_grav
+    g_of_t = g if callable(g) else (lambda t: g)
+    h, dt = psi.dx, psi.dt
+    v = psi.values
+    norms = []
+    for k in range(1, psi.ts.size - 1):
+        row = v[k]
+        d2 = (-row[:-4] + 16 * row[1:-3] - 30 * row[2:-2]
+              + 16 * row[3:-1] - row[4:]) / (12 * h * h)
+        ddt = (v[k + 1, 2:-2] - v[k - 1, 2:-2]) / (2 * dt)
+        x_in = psi.xs[2:-2]
+        resid = (1j * ddt + d2 / (2 * m_i)
+                 + m_g * g_of_t(float(psi.ts[k])) * x_in * row[2:-2])
+        norms.append(math.sqrt(h * float(np.sum(np.abs(resid) ** 2))))
+    norms = np.asarray(norms)
+    return ResidualReport(times=psi.ts[1:-1], norms=norms,
+                          max_norm=float(np.max(norms)))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def raised_message(fn, *args):
+    with pytest.raises(GridSupportError) as info:
+        fn(*args)
+    return str(info.value)
 
 
 class TestGaussianPacket:
@@ -257,3 +342,143 @@ class TestMassEqualitySweep:
         data = result.to_jsonable()
         assert data["table"] == [[1.0, 0.5]]
         assert data["best_ratio"] == 1.0
+
+
+# profiles whose shifts are positive, negative, both with an exact zero at
+# t = 1/2, and zero throughout
+NEG_QUAD = RatPoly((0, 0, Fraction(-2, 5)))
+MIXED = RatPoly((0, Fraction(-1, 2), 1))
+SHIFT_PROFILES = [QUAD, NEG_QUAD, MIXED, RatPoly.zero()]
+# the suite's three levels and a grid shorter than one block
+BLOCK_GRIDS = [(161, 41), (321, 81), (641, 161), (161, 3)]
+
+
+class TestBlocksMatchSliceOracle:
+    @pytest.mark.parametrize("nx, nt", BLOCK_GRIDS)
+    @pytest.mark.parametrize("profile", SHIFT_PROFILES, ids=str)
+    def test_transform_and_residual_bits(self, nx, nt, profile):
+        w = free_wave(xs=np.linspace(-16, 16, nx), ts=np.linspace(0, 0.8, nt))
+        moved = transform_wave(w, profile)
+        assert same_bits(moved.values, slice_transform_wave(w, profile).values)
+        addot = profile.differentiate().differentiate()
+        for g in (lambda t: float(addot(t)), 0.8):
+            for m_grav in (MASS, 2 * MASS):
+                got = schrodinger_residual(moved, MASS, m_grav, g)
+                want = slice_schrodinger_residual(moved, MASS, m_grav, g)
+                assert same_bits(got.norms, want.norms)
+                assert got.max_norm == want.max_norm
+                assert same_bits(got.times, want.times)
+
+    def test_mixed_profile_crosses_zero_on_a_node(self):
+        assert MIXED(0.5) == 0.0 and MIXED(0.25) < 0 < MIXED(0.75)
+        assert 0.5 in np.linspace(0, 0.8, 161)
+
+    def test_g_is_called_once_per_interior_slice_in_order(self):
+        seen = []
+        schrodinger_residual(free_wave(), MASS, MASS, lambda t: seen.append(t) or 0.8)
+        assert seen == [float(t) for t in TS[1:-1]]
+        assert all(type(t) is float for t in seen)
+        assert len(seen) > 2 * ROWS_PER_BLOCK
+
+    @pytest.mark.parametrize("xs, ts, profile, first", [
+        # support escapes in the second block, for either sign of shift
+        (np.linspace(-16, 16, 161), np.linspace(0, 4, 81), RatPoly((0, 0, 1)), 39),
+        (np.linspace(-16, 16, 161), np.linspace(0, 4, 81), RatPoly((0, 0, -1)), 36),
+        (np.linspace(-5, 5, 101), np.linspace(0, 1, 11), RatPoly((0, 4)), 1),
+        # the shift exceeds the grid on the first row, where the support
+        # escapes too: the margin error comes first
+        (np.linspace(-5, 5, 101), np.linspace(0, 1, 11), RatPoly.constant(40), 0),
+    ])
+    def test_first_failing_slice_raises_the_same_error(self, xs, ts, profile, first):
+        w = free_wave(xs=xs, ts=ts)
+        message = raised_message(transform_wave, w, profile)
+        assert message == raised_message(slice_transform_wave, w, profile)
+        assert message.endswith("t=%g" % ts[first]) or "t=%g " % ts[first] in message
+
+    def test_margin_error_in_a_later_block(self):
+        # an all-zero wave never escapes, so only the margin can fail
+        xs, ts = np.linspace(-5, 5, 101), np.linspace(0, 1, 81)
+        w = WaveField(xs, ts, np.zeros((ts.size, xs.size)), MASS)
+        profile = RatPoly((0, 0, 20))
+        message = raised_message(transform_wave, w, profile)
+        assert message == raised_message(slice_transform_wave, w, profile)
+        assert message.startswith("shift") and "t=0.7" in message
+
+    def test_non_finite_shift_exceeds_the_grid(self):
+        # A(t) overflows to inf on the second slice
+        xs, ts = np.linspace(-5, 5, 101), np.linspace(0, 1e200, 3)
+        w = WaveField(xs, ts, np.zeros((ts.size, xs.size)), MASS)
+        with np.errstate(over="ignore"), pytest.raises(
+                GridSupportError, match="shift inf exceeds the grid at t=5e"):
+            transform_wave(w, RatPoly((0, 0, 1)))
+
+    @pytest.mark.parametrize("run", [
+        lambda: checks.schrodinger_suite(1, 0),
+        lambda: mass_equality_sweep(cubic_profile(1), 1.0, checks.SWEEP_RATIOS)],
+        ids=["suite", "cubic-sweep"])
+    def test_peak_memory_stays_below_the_per_slice_loop(self, run):
+        # 5.83 MB is the largest tracemalloc peak of the per-slice loops,
+        # the suite's; blocks keep whole-grid temporaries out of the peak
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_830_000
+
+
+def cubic_profile(seed):
+    """The benchmark's seeded cubic frame, A(t) = a2 t^2 + a3 t^3."""
+    rng = random.Random(seed)
+    return RatPoly([0, 0, Fraction(rng.randint(2, 4), 10), Fraction(rng.randint(1, 3), 10)])
+
+
+class TestGoldenDigests:
+    # recorded with the per-slice transform and residual, and the suite
+    # computing its finest level itself
+    def test_schrodinger_suite(self):
+        data = json.dumps(checks.schrodinger_suite(1, 0), sort_keys=True)
+        assert hashlib.sha256(data.encode()).hexdigest() == (
+            "53f7dbc8d6b6b7eb448b0d99f4399aa15054daae3aa4e544950f09ee30e56408")
+
+    def test_seeded_cubic_sweeps(self):
+        tables = [mass_equality_sweep(cubic_profile(seed), 1.0,
+                                      checks.SWEEP_RATIOS).to_jsonable()
+                  for seed in range(1, 11)]
+        data = json.dumps(tables, sort_keys=True)
+        assert hashlib.sha256(data.encode()).hexdigest() == (
+            "ca8a8fe4fccde241027b121a5199bc988d829c6e19de3c66acf6cec6492976c4")
+
+    def test_suite_finest_level_is_the_sweep_entry(self):
+        suite = {c["name"]: c for c in checks.schrodinger_suite(1, 0)}
+        finest = suite["residual-convergence-order"]["residuals"][-1]
+        assert finest == dict(suite["mass-ratio-sweep"]["table"])[1.0]
+
+
+class TestSweepNonFinite:
+    @pytest.fixture
+    def nan_at_ratio_two(self, monkeypatch):
+        real = schrod.schrodinger_residual
+
+        def planted(psi, m_inertial=None, m_grav=None, g=0.0):
+            report = real(psi, m_inertial, m_grav, g)
+            if m_grav == 2.0 * m_inertial:
+                return ResidualReport(report.times, report.norms, math.nan)
+            return report
+
+        monkeypatch.setattr(schrod, "schrodinger_residual", planted)
+
+    @pytest.mark.parametrize("ratios", [[2.0, 0.5, 0.9, 1.0, 1.1],
+                                        [0.5, 0.9, 1.0, 1.1, 2.0]],
+                             ids=["nan-first", "nan-last"])
+    def test_nan_entry_leaves_the_sweep_unscored(self, nan_at_ratio_two, ratios):
+        result = mass_equality_sweep(QUAD, MASS, ratios)
+        assert math.isnan(dict(result.table)[2.0])
+        assert not result.degenerate
+        assert result.best_ratio is None and result.margin is None
+
+    def test_nan_entry_fails_the_suite_check(self, nan_at_ratio_two):
+        sweep = {c["name"]: c for c in checks.schrodinger_suite(1, 0)}["mass-ratio-sweep"]
+        assert not sweep["passed"] and sweep["best_ratio"] is None
