@@ -133,14 +133,16 @@ def _kind(alg: LieAlgebra, i: int) -> Optional[str]:
     return None if role is None else role.kind
 
 
-def _coordinate_names(alg: LieAlgebra, solve: _DegreeSolve) -> List[str]:
-    """Name each representative after the generator pair of its pivot:
-    gamma_(l,n) on acceleration levels, gamma on a translation and the
-    boost along the same axis, c(a,b)*t^p for any other pair."""
+def _coordinate_names(alg: LieAlgebra, rep_rows: List[Dict[int, Fraction]],
+                      degree: int) -> List[str]:
+    """Name each representative row at degree bound `degree` after the
+    generator pair of its pivot: gamma_(l,n) on acceleration levels, gamma
+    on a translation and the boost along the same axis, c(a,b)*t^p for any
+    other pair."""
     names = []
-    width = solve.degree + 1
+    width = degree + 1
     pairs = _complex(alg).pairs
-    for row in solve.rep_rows:
+    for row in rep_rows:
         lead = min(row)
         i, j = pairs[lead // width]
         power = lead % width
@@ -181,7 +183,7 @@ def classify(alg: LieAlgebra, degree="auto", cap: int = 16) -> Classification:
             representatives=reps,
             degree_used=used,
         )
-        cls.coordinates = _coordinate_names(alg, solve)
+        cls.coordinates = _coordinate_names(alg, solve.rep_rows, solve.degree)
         return cls
 
     if degree != "auto" or alg.time_index is None:
@@ -222,8 +224,10 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     The witness search runs over one-cochains of component degree
     deg(x2 - x1) + 1; a coboundary of that entry degree cannot need more,
     since both the bracket pairing and the time derivative lower or preserve
-    component degree. The witness is the solution whose free unit
-    coefficients are zero, in the operators' unit order.
+    component degree. It solves over the d1 images of the unit one-cochains,
+    the rows `classify` eliminates: a unit whose image reduces to zero
+    against the images of earlier units gets coefficient zero, so the
+    witness is unique in the operators' unit order.
     """
     if x1.alg.labels != x2.alg.labels:
         raise ValueError("cochains live on different algebras")
@@ -238,26 +242,13 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     lam_degree = max(delta.max_degree() + 1, 1)
     _columns(alg, lam_degree)
     cx = _complex(alg)
-    units = cx.units(lam_degree)
-
-    eq_rows: Dict[int, Dict[int, object]] = {}
-    for ucol, img in enumerate(cx.coboundary_rows(lam_degree)):
-        for ecol, v in img.items():
-            eq_rows.setdefault(ecol, {})[ucol] = v
-    ncols = len(units)
-    rhs = cx.to_row(delta, lam_degree)
-    rows = []
-    for ecol in set(eq_rows) | set(rhs):
-        row = dict(eq_rows.get(ecol, {}))
-        b = rhs.get(ecol)
-        if b:
-            row[ncols] = b
-        rows.append(row)
-    sol = linalg.solve_augmented(rows, ncols)
-    if sol is None:
+    weights = linalg.solve_augmented(cx.coboundary_rows(lam_degree),
+                                     cx.to_row(delta, lam_degree))
+    if weights is None:
         return EquivalenceResult(False, None)
     coeffs = [[Fraction(0)] * (lam_degree + 1) for _ in range(alg.dim)]
-    for ucol, v in sol.items():
+    units = cx.units(lam_degree)
+    for ucol, v in weights.items():
         k, u = units[ucol]
         coeffs[k][u] = v
     witness = OneCochain(alg, [_shared_poly(tuple(c)) for c in coeffs])
@@ -366,22 +357,22 @@ def realizable_subspace(c: Classification, m: int) -> Classification:
     degree = max([r.max_degree() for r in reps] + [0])
     _columns(c.alg, degree)
     cx = _complex(c.alg)
+    rep_rows = [cx.to_row(rep, degree) for rep in reps]
     rows = []
     for combo in combos:
-        acc = TwoCochain.zero(c.alg)
+        row: Dict[int, Fraction] = {}
         for s, coeff in combo.items():
-            acc = acc + coeff * reps[s]
-        rows.append(cx.to_row(acc, degree))
-    rep_rows = linalg.rref(rows)
-    restricted = [cx.to_cochain(c.alg, r, degree) for r in rep_rows]
+            for col, v in rep_rows[s].items():
+                row[col] = row.get(col, 0) + coeff * v
+        rows.append(row)
+    restricted_rows = linalg.rref(rows)
     out = Classification(
         alg=c.alg,
         cocycle_dim=c.cocycle_dim,
         coboundary_dim=c.coboundary_dim,
-        quotient_dim=len(restricted),
-        representatives=restricted,
+        quotient_dim=len(restricted_rows),
+        representatives=[cx.to_cochain(c.alg, r, degree) for r in restricted_rows],
         degree_used=c.degree_used,
     )
-    solve = _DegreeSolve(degree, [], [], rep_rows)
-    out.coordinates = _coordinate_names(c.alg, solve)
+    out.coordinates = _coordinate_names(c.alg, restricted_rows, degree)
     return out

@@ -339,6 +339,17 @@ def acceleration_phase_polys(mass, A_rows):
     return _T(d) * mass, np.stack(uniform, axis=-1)
 
 
+def milne_phase_value(polys, b, x, t):
+    """theta_milne's value at (x, t) from the element's
+    `acceleration_phase_polys` data and its time shift b; a caller that
+    evaluates one element many times derives the polynomials once."""
+    linear, uniform = polys
+    x = np.asarray(x)
+    s = t - b
+    return (_dot(_horner(linear, _col(s)), x)
+            + _horner(uniform, s) - _horner(uniform, -b))
+
+
 def theta_milne(mass) -> PhaseFunction:
     """Multiplier phase of the accelerated-frame wave transform.
 
@@ -348,11 +359,7 @@ def theta_milne(mass) -> PhaseFunction:
     """
 
     def fn(r: MilneElement, x, t):
-        x = np.asarray(x)
-        s = t - r.b
-        linear, uniform = acceleration_phase_polys(mass, r.A)
-        return (_dot(_horner(linear, _col(s)), x)
-                + _horner(uniform, s) - _horner(uniform, -r.b))
+        return milne_phase_value(acceleration_phase_polys(mass, r.A), r.b, x, t)
 
     return PhaseFunction("milne-schrodinger:%s" % _num_tag(mass), "milne", fn,
                          stacked=True)

@@ -1,17 +1,19 @@
 """Sparse exact linear algebra over the rationals.
 
-Rows are dicts mapping column index to a nonzero value. Elimination runs on
-integer-scaled rows (gcd-normalized after every combination) so no Fraction
-arithmetic happens in the hot path; reduced results are converted back to
-Fractions with unit pivots. Reduced row echelon form is canonical for a row
-space, which is what makes every downstream output deterministic.
+Rows are dicts mapping column index to a nonzero int or Fraction. Every row
+enters through `scale_to_int`, so elimination runs on integer-scaled rows
+(gcd-normalized after every combination) and no Fraction arithmetic happens
+in the hot path; reduced results are converted back to Fractions with unit
+pivots. Reduced row echelon form is canonical for a row space, which is what
+makes every downstream output deterministic. `solve_augmented` writes a
+target as a combination of given rows, eliminating them in their own order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 IntRow = Dict[int, int]
 FracRow = Dict[int, Fraction]
@@ -20,19 +22,13 @@ __all__ = ["scale_to_int", "echelon_int", "rref", "nullspace", "solve_augmented"
            "reduce_mod_rows"]
 
 
-def scale_to_int(row: Dict[int, Fraction]) -> IntRow:
-    """Clear denominators and strip the common integer factor."""
-    out: IntRow = {}
+def scale_to_int(row: Dict[int, object]) -> IntRow:
+    """Clear the denominators of int or Fraction values and strip the
+    common integer factor."""
     lcm = 1
     for v in row.values():
-        if v == 0:
-            continue
-        d = v.denominator if isinstance(v, Fraction) else 1
-        lcm = lcm // gcd(lcm, d) * d
-    for c, v in row.items():
-        if v == 0:
-            continue
-        out[c] = int(v * lcm)
+        lcm = lcm // gcd(lcm, v.denominator) * v.denominator
+    out = {c: int(v * lcm) for c, v in row.items() if v}
     _strip(out)
     return out
 
@@ -115,15 +111,7 @@ def _to_unit_fracrow(row: IntRow, pivot_col: int) -> FracRow:
 
 def rref(rows: Iterable[Dict[int, object]]) -> List[FracRow]:
     """Canonical reduced row echelon form, sorted by pivot column, pivots 1."""
-    int_rows = []
-    for r in rows:
-        if any(isinstance(v, Fraction) for v in r.values()):
-            int_rows.append(scale_to_int({c: Fraction(v) for c, v in r.items()}))
-        else:
-            rr = {c: int(v) for c, v in r.items() if v}
-            _strip(rr)
-            int_rows.append(rr)
-    pivots = echelon_int(int_rows)
+    pivots = echelon_int(scale_to_int(r) for r in rows)
     _back_reduce(pivots)
     return [_to_unit_fracrow(pivots[c], c) for c in sorted(pivots)]
 
@@ -144,22 +132,25 @@ def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[FracRow]:
     return list(basis.values())
 
 
-def solve_augmented(rows: Iterable[Dict[int, object]], ncols: int) -> Optional[FracRow]:
-    """Solve Ax = b given rows with the right-hand side stored at column `ncols`.
+def solve_augmented(rows: Sequence[Dict[int, object]],
+                    target: Dict[int, object]) -> Optional[FracRow]:
+    """Weights {row index: w} with sum_i w * rows[i] = target, or None when
+    target lies outside the row space.
 
-    Returns the particular solution with all free variables zero, or None if
-    the system is inconsistent.
-    """
-    reduced = rref(rows)
-    sol: FracRow = {}
-    for r in reduced:
-        lead = min(r)
-        if lead == ncols:
-            return None
-        # reduced rows have unit pivots and no other pivot columns, so any
-        # remaining columns are free variables, pinned to zero here
-        sol[lead] = r.get(ncols, Fraction(0))
-    return {c: v for c, v in sol.items() if v}
+    Row i gets a tag 1 in its own column past a marker column, which sits
+    just past the image columns. The rows are eliminated in order and the
+    target, marked 1, last. It stops at its marker having met only rows
+    independent of earlier ones, so a dependent row gets weight 0."""
+    marker = 1 + max((c for r in (*rows, target) for c in r), default=-1)
+    tagged = [scale_to_int({**r, marker + 1 + i: 1}) for i, r in enumerate(rows)]
+    tagged.append(scale_to_int({**target, marker: 1}))
+    reduced = echelon_int(tagged).get(marker)
+    if reduced is None:
+        return None
+    # reduced = a * (target, marker) - sum_i b_i * (rows[i], tag i) with no
+    # image entry left, so target = sum_i (b_i / a) * rows[i]
+    a = reduced[marker]
+    return {c - marker - 1: Fraction(-v, a) for c, v in reduced.items() if c != marker}
 
 
 def reduce_mod_rows(vec: FracRow, reduced_rows: List[FracRow]) -> FracRow:

@@ -17,10 +17,11 @@ RationalLike = Union[int, str, Fraction]
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int/str/Fraction to Fraction, refusing inexact types."""
+    """Coerce an int/str/Fraction to Fraction, refusing inexact types and
+    bool (a JSON true is not the number 1)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) or isinstance(value, str):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError("exact rational expected, got %r" % (value,))
 
@@ -181,7 +182,11 @@ class RatPoly:
 
     @classmethod
     def from_strings(cls, items: Sequence[str]) -> "RatPoly":
-        return cls(tuple(Fraction(s) for s in items))
+        """Read `to_strings` output; a float (JSON 0.1) or bool is refused,
+        and so is a bare string, which would read digit by digit."""
+        if isinstance(items, str):
+            raise TypeError("a list of coefficient strings expected, got %r" % (items,))
+        return cls(items)
 
     def __repr__(self) -> str:
         return "RatPoly(%r)" % (self.to_strings(),)

@@ -510,6 +510,59 @@ class TestOperators:
             == len(basis)
 
 
+SPLIT_OUTPUT = LieAlgebra.from_dict({
+    "labels": ["x", "y", "z", "w"],
+    "brackets": [{"lhs": "x", "rhs": "y", "out": [["z", "1/2"], ["w", "1"]]}]})
+
+
+def transposed_witness(x1, x2):
+    """The witness of x2 - x1 from the transposed d1 system: one equation
+    per coefficient column, one unknown per unit one-cochain, the free
+    unknowns at zero; None when x2 - x1 is no coboundary."""
+    alg, delta = x1.alg, x2 - x1
+    D = max(delta.max_degree() + 1, 1)
+    cx = _complex(alg)
+    units = cx.units(D)
+    eq_rows = {}
+    for ucol, img in enumerate(cx.coboundary_rows(D)):
+        for ecol, v in img.items():
+            eq_rows.setdefault(ecol, {})[ucol] = v
+    rhs = cx.to_row(delta, D)
+    rows = [{**eq_rows.get(ecol, {}), **({len(units): rhs[ecol]} if ecol in rhs else {})}
+            for ecol in set(eq_rows) | set(rhs)]
+    coeffs = [[Fraction(0)] * (D + 1) for _ in range(alg.dim)]
+    for r in linalg.rref(rows):
+        lead = min(r)
+        if lead == len(units):
+            return None
+        k, u = units[lead]
+        coeffs[k][u] = r.get(len(units), Fraction(0))
+    return OneCochain(alg, [RatPoly(c) for c in coeffs])
+
+
+class TestTransposedOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_witness_matches_the_transposed_solve(self, data):
+        # galilean, milne:2, phase-space:2, a JSON algebra with non-integral
+        # structure constants, and one whose z and w units have proportional
+        # nonzero images, so the free unit must be the later one
+        alg = data.draw(st.sampled_from(CHECK_ALGEBRAS + [SPLIT_OUTPUT]))
+        reps = classify(alg).representatives
+        x1 = data.draw(st.sampled_from(reps + [TwoCochain.zero(alg)]))
+        coeffs = st.lists(st.integers(min_value=-3, max_value=3).map(Fraction), max_size=4)
+        comps = [RatPoly(data.draw(coeffs)) for _ in range(alg.dim)]
+        if alg.time_index is not None:
+            comps[alg.time_index] = RatPoly.constant(comps[alg.time_index].coeff(0))
+        x2 = x1 + coboundary(OneCochain(alg, comps))
+        if reps and data.draw(st.booleans()):
+            x2 = x2 + data.draw(st.sampled_from(reps))
+        result = are_equivalent(x1, x2)
+        want = transposed_witness(x1, x2)
+        assert result.equivalent == (want is not None)
+        assert result.witness == want
+
+
 class TestOperatorCache:
     def test_second_query_returns_the_same_witness(self):
         g = milne(2)

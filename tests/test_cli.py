@@ -152,6 +152,16 @@ class TestClassifyCommand:
         assert code == 2 and out == ""
         assert "(x, y), coefficient of z" in err and "0.1" in err
 
+    def test_bool_coefficient_rejected(self, capsys, tmp_path):
+        spec = tmp_path / "bool.json"
+        spec.write_text(json.dumps({
+            "labels": ["x", "y", "z"],
+            "brackets": [{"lhs": "x", "rhs": "y", "out": [["z", True]]}],
+            "time_generator": None}))
+        code, out, err = run_cli(["classify", "--algebra", str(spec)], capsys)
+        assert code == 2 and out == ""
+        assert "(x, y), coefficient of z" in err and "True" in err
+
     def test_unknown_algebra_name(self, capsys):
         code, _, err = run_cli(["classify", "--algebra", "heisenberg"], capsys)
         assert code == 2 and "unknown algebra" in err

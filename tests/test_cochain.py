@@ -81,6 +81,14 @@ class TestTwoCochainBasics:
         again = TwoCochain.from_jsonable(g, xi.to_jsonable())
         assert again == xi
 
+    def test_from_jsonable_refuses_floats_and_bools(self):
+        g = galilean()
+        for item in (0.1, True):
+            with pytest.raises(TypeError):
+                TwoCochain.from_jsonable(g, [{"i": "b1", "j": "d1", "poly": ["1", item]}])
+        xi = TwoCochain.from_jsonable(g, [{"i": "b1", "j": "d1", "poly": ["0.1"]}])
+        assert xi.entry_by_labels("b1", "d1") == RatPoly.constant(Fraction(1, 10))
+
     def test_jsonable_is_sorted_and_labelled(self):
         g = galilean()
         xi = TwoCochain.from_labels(g, {("b2", "d2"): 1, ("a12", "b1"): RatPoly.t()})

@@ -1,0 +1,156 @@
+"""Properties of the sparse exact elimination in explab.linalg, against a
+dense Fraction oracle that shares no code with it."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from explab import linalg
+
+# one fixed profile: the same examples on every run
+FIXED = settings(max_examples=80, deadline=None, derandomize=True)
+
+entries = st.integers(min_value=-3, max_value=3)
+scales = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+def dense_rank(rows, ncols):
+    """Rank by plain dense Gaussian elimination over Fraction."""
+    mat = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col] / mat[rank][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=7):
+    """(rows, ncols): sparse rows of small ints or Fractions, empty rows
+    included, with repeated and combined rows so that some depend on
+    earlier ones."""
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_rows))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "combo", "empty")))
+        if kind == "combo" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ka, kb = draw(entries), draw(scales)
+            row = {c: ka * a.get(c, 0) + kb * b.get(c, 0) for c in set(a) | set(b)}
+        elif kind == "empty":
+            row = {}
+        else:
+            row = {c: draw(entries) for c in range(ncols)}
+            if draw(st.booleans()):
+                row = {c: Fraction(v, draw(st.integers(min_value=1, max_value=3)))
+                       for c, v in row.items()}
+        rows.append({c: v for c, v in row.items() if v})
+    return rows, ncols
+
+
+def combine(rows, weights):
+    out = {}
+    for i, w in weights.items():
+        for c, v in rows[i].items():
+            out[c] = out.get(c, 0) + w * v
+    return {c: v for c, v in out.items() if v}
+
+
+class TestRref:
+    @FIXED
+    @given(matrices(), st.data())
+    def test_canonical_under_permutation_and_scaling(self, mat, data):
+        rows, _ = mat
+        order = data.draw(st.permutations(range(len(rows))))
+        factors = [data.draw(scales) for _ in rows]
+        moved = [{c: factors[i] * v for c, v in rows[i].items()} for i in order]
+        assert linalg.rref(moved) == linalg.rref(rows)
+
+    @FIXED
+    @given(matrices())
+    def test_unit_pivots_and_rank(self, mat):
+        rows, ncols = mat
+        reduced = linalg.rref(rows)
+        leads = [min(r) for r in reduced]
+        assert leads == sorted(set(leads))
+        for r, p in zip(reduced, leads):
+            assert r[p] == 1
+            assert all(isinstance(v, Fraction) and v for v in r.values())
+            assert not any(c in r for c in leads if c != p)
+        assert len(reduced) == dense_rank(rows, ncols)
+
+    def test_int_and_fraction_rows_agree(self):
+        rows = [{0: 2, 2: -4}, {1: 3, 2: 6}]
+        as_fractions = [{c: Fraction(v) for c, v in r.items()} for r in rows]
+        assert linalg.rref(rows) == linalg.rref(as_fractions) \
+            == [{0: 1, 2: -2}, {1: 1, 2: 2}]
+
+
+class TestNullspace:
+    @FIXED
+    @given(matrices())
+    def test_annihilates_rows_and_counts_free_columns(self, mat):
+        rows, ncols = mat
+        basis = linalg.nullspace(rows, ncols)
+        assert len(basis) == ncols - dense_rank(rows, ncols)
+        for vec in basis:
+            assert all(sum(r.get(c, 0) * v for c, v in vec.items()) == 0 for r in rows)
+        assert dense_rank(basis, ncols) == len(basis)
+
+
+class TestSolveAugmented:
+    @FIXED
+    @given(matrices(), st.data())
+    def test_weights_reproduce_a_target_in_the_row_space(self, mat, data):
+        rows, _ = mat
+        planted = {i: data.draw(scales) for i in range(len(rows)) if data.draw(st.booleans())}
+        target = combine(rows, planted)
+        weights = linalg.solve_augmented(rows, target)
+        assert weights is not None
+        assert combine(rows, weights) == target
+
+    @FIXED
+    @given(matrices(), st.data())
+    def test_dependent_rows_get_weight_zero(self, mat, data):
+        rows, ncols = mat
+        target = combine(rows, {i: data.draw(entries) for i in range(len(rows))})
+        weights = linalg.solve_augmented(rows, target)
+        for i in range(len(rows)):
+            if dense_rank(rows[:i + 1], ncols) == dense_rank(rows[:i], ncols):
+                assert i not in weights
+        assert all(weights.values())
+
+    @FIXED
+    @given(matrices(), st.data())
+    def test_none_outside_the_row_space(self, mat, data):
+        rows, ncols = mat
+        col = data.draw(st.integers(min_value=0, max_value=ncols))
+        target = combine(rows, {i: data.draw(entries) for i in range(len(rows))})
+        target[col] = target.get(col, 0) + data.draw(scales)
+        target = {c: v for c, v in target.items() if v}
+        inside = dense_rank(rows + [target], ncols + 1) == dense_rank(rows, ncols + 1)
+        weights = linalg.solve_augmented(rows, target)
+        if inside:
+            assert combine(rows, weights) == target
+        else:
+            assert weights is None
+
+    def test_all_empty_rows(self):
+        # an abelian algebra's unit images are all zero, as on phase space
+        rows = [{}, {}, {}]
+        assert linalg.solve_augmented(rows, {}) == {}
+        assert linalg.solve_augmented(rows, {4: Fraction(1, 2)}) is None
+        assert linalg.solve_augmented([], {}) == {}
+        assert linalg.solve_augmented([], {0: 1}) is None
+
+    def test_first_of_two_equal_rows_carries_the_weight(self):
+        rows = [{}, {0: 2, 1: 1}, {0: 4, 1: 2}, {2: Fraction(1, 3)}]
+        assert linalg.solve_augmented(rows, {0: 1, 1: Fraction(1, 2), 2: 1}) \
+            == {1: Fraction(1, 2), 3: Fraction(3)}

@@ -31,6 +31,14 @@ class TestConstruction:
         with pytest.raises(TypeError):
             as_fraction(0.5)
 
+    def test_bools_rejected(self):
+        # bool is an int subclass; a JSON true is not the number 1
+        for value in (True, False):
+            with pytest.raises(TypeError):
+                as_fraction(value)
+            with pytest.raises(TypeError):
+                RatPoly((1, value))
+
     def test_monomial(self):
         assert RatPoly.monomial(3, Fraction(1, 2)) == P(0, 0, 0, Fraction(1, 2))
         with pytest.raises(ValueError):
@@ -191,6 +199,16 @@ class TestSerialization:
         p = P(Fraction(1, 2), -3, 0, Fraction(2, 7))
         assert p.to_strings() == ["1/2", "-3", "0", "2/7"]
         assert RatPoly.from_strings(p.to_strings()) == p
+
+    def test_from_strings_refuses_inexact_items(self):
+        # JSON 0.1 is a float; read through Fraction it would become
+        # 3602879701896397/36028797018963968
+        for item in (0.1, True):
+            with pytest.raises(TypeError):
+                RatPoly.from_strings(["1", item])
+        assert RatPoly.from_strings(["0.1"]) == P(Fraction(1, 10))
+        with pytest.raises(TypeError):
+            RatPoly.from_strings("12")  # not 1 + 2t
 
     def test_no_denominator_one(self):
         assert P(4).to_strings() == ["4"]
