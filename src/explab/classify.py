@@ -5,6 +5,9 @@ polynomial coefficients of a two-cochain. The rows of the constraints and of
 d1 expand from the algebra's complex templates (`explab.cochain`), whose
 column order, entry-first (pairs (i, j) lexicographic) then by ascending
 power of t, fixes pivots, echelon forms and therefore every canonical output.
+The degree escalation only counts: it grows echelons in the power-major
+numbering, whose rows stay the same as the bound rises, and the one
+canonical solve runs entry-first at the bound it reports.
 
 All arithmetic in this module is exact; no floats anywhere.
 """
@@ -114,18 +117,77 @@ class _DegreeSolve:
     rep_rows: List[Dict[int, Fraction]]
 
 
+class _Ladder:
+    """Quotient dimensions at degree bounds 0, 1, 2, ... from two integer
+    echelons that grow with the bound, in the complex's power-major
+    numbering, where the full cocycle rows of a power below D and the unit
+    images of a power up to D are the same rows at every bound D.
+
+    At bound D, `cocycle` holds the echelon of the full rows of powers below
+    D, `coboundary` that of the unit images of powers up to D, and
+    `constraints` a shallow copy of `cocycle` grown by the rows of power D
+    without their derivative term: the whole constraint system at D. Each
+    unit image is checked against the cocycle templates, so the coboundaries
+    lie in the cocycle space and the quotient dimension is the number of
+    columns minus both ranks.
+    """
+
+    def __init__(self, alg: LieAlgebra) -> None:
+        self.alg = alg
+        self.cx = _complex(alg)
+        self.degree = -1
+        self.quotient: Optional[int] = None
+        self.cocycle: Dict[int, Dict[int, int]] = {}
+        self.coboundary: Dict[int, Dict[int, int]] = {}
+        self.constraints: Dict[int, Dict[int, int]] = {}
+
+    def climb_to(self, D: int) -> int:
+        """Raise the bound to D, one degree at a time; the quotient dimension at D."""
+        while self.degree < D:
+            self._climb()
+        return self.quotient
+
+    def _climb(self) -> None:
+        D = self.degree + 1
+        ncols = _columns(self.alg, D)
+        cx = self.cx
+        if D:
+            linalg.echelon_int(cx.cocycle_rows(D - 1, full=True), self.cocycle)
+        images = cx.unit_images(D)
+        if not all(cx.annihilates(cx.row_coefficients(r)) for r in images):
+            raise AssertionError("coboundary basis escapes the cocycle space")
+        linalg.echelon_int(images, self.coboundary)
+        self.constraints = linalg.echelon_int(cx.cocycle_rows(D, full=False),
+                                              dict(self.cocycle))
+        self.degree = D
+        self.quotient = ncols - len(self.constraints) - len(self.coboundary)
+
+    def solve(self) -> _DegreeSolve:
+        """Cocycle basis, coboundary echelon basis and quotient representatives
+        at the current bound, as entry-first rows; frees the echelons first.
+        Reduced row echelon form is canonical for a row space, so the rank
+        many constraint rows give the basis that the whole system would."""
+        D, cx = self.degree, self.cx
+        constraints = self.constraints
+        self.cocycle = self.coboundary = self.constraints = None
+        rows = []
+        while constraints:
+            rows.append(cx.entry_first(constraints.popitem()[1], D))
+        z_vecs = linalg.nullspace(rows, len(cx.pairs) * (D + 1))
+        del rows
+        b_rows = linalg.rref(cx.coboundary_rows(D))
+        reduced = [linalg.reduce_mod_rows(v, b_rows) for v in z_vecs]
+        rep_rows = linalg.rref([r for r in reduced if r])
+        if len(rep_rows) != len(z_vecs) - len(b_rows):
+            raise AssertionError("coboundary basis escapes the cocycle space")
+        return _DegreeSolve(D, z_vecs, b_rows, rep_rows)
+
+
 def _solve_at_degree(alg: LieAlgebra, D: int) -> _DegreeSolve:
-    """Cocycle basis, coboundary echelon basis and quotient representatives
-    at entry-degree bound D, all as rows in the complex's column numbering."""
-    ncols = _columns(alg, D)
-    cx = _complex(alg)
-    z_vecs = linalg.nullspace(cx.cocycle_rows(D), ncols)
-    b_rows = linalg.rref(cx.coboundary_rows(D))
-    reduced = [linalg.reduce_mod_rows(v, b_rows) for v in z_vecs]
-    rep_rows = linalg.rref([r for r in reduced if r])
-    if len(rep_rows) != len(z_vecs) - len(b_rows):
-        raise AssertionError("coboundary basis escapes the cocycle space")
-    return _DegreeSolve(D, z_vecs, b_rows, rep_rows)
+    """The canonical solve at entry-degree bound D, after the ladder up to D."""
+    ladder = _Ladder(alg)
+    ladder.climb_to(D)
+    return ladder.solve()
 
 
 def _kind(alg: LieAlgebra, i: int) -> Optional[str]:
@@ -158,42 +220,43 @@ def _coordinate_names(alg: LieAlgebra, rep_rows: List[Dict[int, Fraction]],
     return names
 
 
+def _classification(alg: LieAlgebra, solve: _DegreeSolve) -> Classification:
+    cx = _complex(alg)
+    return Classification(
+        alg=alg,
+        cocycle_dim=len(solve.cocycle_rows),
+        coboundary_dim=len(solve.coboundary_rows),
+        quotient_dim=len(solve.rep_rows),
+        representatives=[cx.to_cochain(alg, r, solve.degree) for r in solve.rep_rows],
+        degree_used=solve.degree,
+        coordinates=_coordinate_names(alg, solve.rep_rows, solve.degree),
+    )
+
+
 def classify(alg: LieAlgebra, degree="auto", cap: int = 16) -> Classification:
     """Cocycle space, coboundary space, quotient and canonical representatives.
 
     With degree="auto" the entry-degree bound escalates from 1 until the
     quotient dimension agrees at two consecutive bounds; degree_used records
-    the confirming bound. Algebras without a time generator are classified at
-    degree 0: nothing in the constraint system couples powers of t there, so
-    every higher degree replicates the same classification and escalation
-    would never terminate.
+    the confirming bound. Each bound's quotient dimension is counted from
+    echelons that grow with the bound (`_Ladder`), and the canonical solve
+    runs once, at the confirming bound. Algebras without a time generator
+    are classified at degree 0: nothing in the constraint system couples
+    powers of t there, so every higher degree replicates the same
+    classification and escalation would never terminate.
     """
     first = _first_degree(alg.time_index is not None, degree)
     _columns(alg, first)  # refuse a negative or oversized first solve before validating
     alg._require_valid()
-
-    def finish(solve: _DegreeSolve, used: int) -> Classification:
-        cx = _complex(alg)
-        reps = [cx.to_cochain(alg, r, solve.degree) for r in solve.rep_rows]
-        cls = Classification(
-            alg=alg,
-            cocycle_dim=len(solve.cocycle_rows),
-            coboundary_dim=len(solve.coboundary_rows),
-            quotient_dim=len(solve.rep_rows),
-            representatives=reps,
-            degree_used=used,
-        )
-        cls.coordinates = _coordinate_names(alg, solve.rep_rows, solve.degree)
-        return cls
-
     if degree != "auto" or alg.time_index is None:
-        return finish(_solve_at_degree(alg, first), first)
+        return _classification(alg, _solve_at_degree(alg, first))
 
-    prev = _solve_at_degree(alg, 1)
+    ladder = _Ladder(alg)
+    prev = ladder.climb_to(1)
     for D in range(2, cap + 1):
-        cur = _solve_at_degree(alg, D)
-        if len(cur.rep_rows) == len(prev.rep_rows):
-            return finish(cur, D)
+        cur = ladder.climb_to(D)
+        if cur == prev:
+            return _classification(alg, ladder.solve())
         prev = cur
     raise DegreeCapError(
         "quotient dimension of %s did not stabilize by degree %d" % (alg.name, cap))

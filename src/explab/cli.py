@@ -33,7 +33,6 @@ import math
 import os
 import sys
 import time
-from importlib import metadata
 from typing import Optional, Tuple
 
 # SWEEP_RATIOS and SWEEP_MARGIN are re-exported for callers that read them here
@@ -61,6 +60,8 @@ class UsageError(ValueError):
 
 
 def _tool_stamp() -> dict:
+    # imported here: importlib.metadata costs every run ~20 ms at start-up
+    from importlib import metadata
     try:
         version = metadata.version("explab")
     except metadata.PackageNotFoundError:

@@ -28,6 +28,7 @@ from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .lie import LieAlgebra
+from .linalg import scale_to_int
 from .ratpoly import RatPoly, as_fraction
 
 __all__ = ["TwoCochain", "OneCochain", "coboundary", "jacobi_residual", "is_cocycle"]
@@ -218,9 +219,13 @@ class OneCochain:
 class _Complex:
     """Degree-free templates of one algebra's cochain complex.
 
-    Pair numbers are ranks in the lexicographic pair order, so the column
-    of (pair, power) at degree bound D is pair * (D + 1) + power. Rows at
-    any D expand from the templates in time linear in their size:
+    Pair numbers are ranks in the lexicographic pair order. Rows come in
+    two column numberings: entry-first, where (pair, power) at degree bound
+    D is column pair * (D + 1) + power, and power-major, where it is
+    power * npairs + pair whatever D. Entry-first fixes the pivots of every
+    canonical output; power-major makes the rows of each power of t the
+    same at every bound that holds them, so an echelon can grow with D.
+    Rows expand from the templates in time linear in their size:
 
     * the cocycle condition, one row per basis triple i < j < k and power
       of t: the cyclic sum of bracket entries, plus -bold(tau) = +d/dt on
@@ -298,22 +303,34 @@ class _Complex:
         return terms
 
     def coboundary_rows(self, D: int) -> List[Dict[int, object]]:
-        """d1 of each unit of `units(D)`, in that order, as rows at bound D."""
+        """d1 of each unit of `units(D)`, in that order, as entry-first rows
+        at bound D."""
         width = D + 1
         return [{pidx * width + power: c for pidx, power, c in self.d1_unit(k, u)}
                 for k, u in self.units(D)]
 
-    def cocycle_rows(self, D: int) -> List[Dict[int, int]]:
-        """Integer rows at degree bound D; xi is a cocycle iff each row . xi = 0."""
-        width = D + 1
+    def unit_images(self, u: int) -> List[Dict[int, int]]:
+        """d1 of each unit one-cochain t^u e_k of power u, as power-major
+        rows scaled to integers."""
+        n = len(self.pairs)
+        return [scale_to_int({power * n + pidx: c
+                              for pidx, power, c in self.d1_unit(k, u)})
+                for k in range(self.dim) if u == 0 or k != self.time_index]
+
+    def cocycle_rows(self, u: int, full: bool) -> List[Dict[int, int]]:
+        """The cocycle condition's integer rows at power u of t, power-major.
+        A full row adds the derivative term, which reads power u + 1; at
+        degree bound D the constraints are the full rows of powers below D
+        and the rows of power D without it. xi is a cocycle at bound D iff
+        each of them . xi = 0."""
+        n = len(self.pairs)
         rows: List[Dict[int, int]] = []
         for bracket, deriv, _ in self.triples.values():
-            for u in range(width):
-                row = {pidx * width + u: c for pidx, c in bracket}
-                if deriv is not None and u < D:
-                    row[deriv[0] * width + u + 1] = deriv[1] * (u + 1)
-                if row:
-                    rows.append(row)
+            row = {u * n + pidx: c for pidx, c in bracket}
+            if full and deriv is not None:
+                row[(u + 1) * n + deriv[0]] = deriv[1] * (u + 1)
+            if row:
+                rows.append(row)
         return rows
 
     def residual(self, triple, coeffs: Dict[int, tuple]) -> Dict[int, object]:
@@ -328,6 +345,30 @@ class _Complex:
             pidx, c = deriv
             for u, v in enumerate(coeffs.get(pidx, ())[1:], 1):
                 out[u - 1] = out.get(u - 1, 0) + c * u * v
+        return out
+
+    def entry_first(self, row: Dict[int, object], D: int) -> Dict[int, object]:
+        """A power-major row renumbered entry-first at degree bound D."""
+        n, width = len(self.pairs), D + 1
+        return {col % n * width + col // n: v for col, v in row.items()}
+
+    def annihilates(self, coeffs: Dict[int, Sequence]) -> bool:
+        """True iff every triple's template annihilates the cochain whose
+        coefficients are {pair: coefficients by power}."""
+        touched = set()
+        for pidx in coeffs:
+            touched.update(self.triples_at.get(pidx, ()))
+        return not any(any(self.residual(t, coeffs).values()) for t in touched)
+
+    def row_coefficients(self, row: Dict[int, object]) -> Dict[int, list]:
+        """{pair: coefficients by power} of a power-major row."""
+        n = len(self.pairs)
+        out: Dict[int, list] = {}
+        for col, v in row.items():
+            power, pidx = divmod(col, n)
+            coeffs = out.setdefault(pidx, [])
+            coeffs.extend([0] * (power + 1 - len(coeffs)))
+            coeffs[power] = v
         return out
 
     def coefficients(self, xi: TwoCochain) -> Dict[int, tuple]:
@@ -393,8 +434,4 @@ def jacobi_residual(xi: TwoCochain, i: int, j: int, k: int) -> RatPoly:
 def is_cocycle(xi: TwoCochain) -> bool:
     """True iff every triple's template annihilates xi, whatever its degree."""
     cx = _complex(xi.alg)
-    coeffs = cx.coefficients(xi)
-    touched = set()
-    for pidx in coeffs:
-        touched.update(cx.triples_at.get(pidx, ()))
-    return not any(any(cx.residual(t, coeffs).values()) for t in touched)
+    return cx.annihilates(cx.coefficients(xi))

@@ -69,9 +69,13 @@ def _combine(row: IntRow, pivot_row: IntRow, col: int) -> None:
     _strip(row)
 
 
-def echelon_int(rows: Iterable[IntRow]) -> Dict[int, IntRow]:
-    """Forward elimination; returns {pivot column: row}."""
-    pivots: Dict[int, IntRow] = {}
+def echelon_int(rows: Iterable[IntRow],
+                pivots: Optional[Dict[int, IntRow]] = None) -> Dict[int, IntRow]:
+    """Forward elimination; returns {pivot column: row}. Given `pivots`, an
+    echelon from an earlier call, it grows that dict in place; its rows are
+    read, never changed, so a shallow copy can be grown apart."""
+    if pivots is None:
+        pivots = {}
     for row in rows:
         row = dict(row)
         while row:
@@ -119,16 +123,17 @@ def rref(rows: Iterable[Dict[int, object]]) -> List[FracRow]:
 def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[FracRow]:
     """Canonical basis of {x : Ax = 0}, one vector per free column f in
     ascending order (x_f = 1, other free columns 0); not in echelon form."""
-    reduced = rref(rows)
-    leads = [min(r) for r in reduced]
-    pivots = set(leads)
+    pivots = echelon_int(scale_to_int(r) for r in rows)
+    _back_reduce(pivots)
     basis: Dict[int, FracRow] = {f: {f: Fraction(1)} for f in range(ncols)
                                  if f not in pivots}
     # each reduced row holds one pivot and otherwise only free columns
-    for r, p in zip(reduced, leads):
-        for f, coef in r.items():
+    for p in sorted(pivots):
+        row = pivots.pop(p)
+        lead = row[p]
+        for f, v in row.items():
             if f != p:
-                basis[f][p] = -coef
+                basis[f][p] = Fraction(-v, lead)
     return list(basis.values())
 
 

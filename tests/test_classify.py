@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -9,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from explab import linalg
 from explab.classify import (MAX_COLUMNS, Classification, ColumnLimitError,
-                             DegreeCapError, _columns, _solve_at_degree,
+                             DegreeCapError, _classification, _columns,
+                             _DegreeSolve, _Ladder, _solve_at_degree,
                              are_equivalent, check_family_columns, classify,
                              realizable_subspace, verify_milne_structure)
-from explab.cochain import (OneCochain, TwoCochain, _complex, coboundary, is_cocycle,
-                            jacobi_residual)
+from explab.cochain import (OneCochain, TwoCochain, _complex, _Complex, coboundary,
+                            is_cocycle, jacobi_residual)
 from explab.lie import LieAlgebra, galilean, milne, phase_space
 from explab.ratpoly import RatPoly
 
@@ -645,3 +647,147 @@ class TestDegreeBound:
                     + [phase_space(n) for n in (1, 2, 3)])
         for alg in algebras:
             assert _columns(alg, 16) <= MAX_COLUMNS
+
+
+# -- the degree ladder against the per-degree full solves it replaced -------
+
+def full_solve(alg, D):
+    """Reference solve at bound D from the whole entry-first constraint list,
+    with no ladder: the cocycle nullspace, the coboundary RREF, the
+    reduction and its RREF."""
+    cx = _complex(alg)
+    width = D + 1
+    rows = []
+    for bracket, deriv, _ in cx.triples.values():
+        for u in range(width):
+            row = {pidx * width + u: c for pidx, c in bracket}
+            if deriv is not None and u < D:
+                row[deriv[0] * width + u + 1] = deriv[1] * (u + 1)
+            if row:
+                rows.append(row)
+    z_vecs = linalg.nullspace(rows, _columns(alg, D))
+    b_rows = linalg.rref(cx.coboundary_rows(D))
+    reduced = [linalg.reduce_mod_rows(v, b_rows) for v in z_vecs]
+    return _DegreeSolve(D, z_vecs, b_rows, linalg.rref([r for r in reduced if r]))
+
+
+def escalation_oracle(alg, cap=16):
+    """Reference escalation, one full solve per bound: the quotient
+    dimensions at bounds 0, 1, ... up to the first repeat from bound 1 on,
+    and the report of the last solve, or None when none repeats by `cap`."""
+    solve = full_solve(alg, 0)
+    dims = [len(solve.rep_rows)]
+    if alg.time_index is None:
+        return dims, _classification(alg, solve)
+    for D in range(1, cap + 1):
+        solve = full_solve(alg, D)
+        dims.append(len(solve.rep_rows))
+        if D >= 2 and dims[-1] == dims[-2]:
+            return dims, _classification(alg, solve)
+    return dims, None
+
+
+def report_bytes(c):
+    return json.dumps(c.to_jsonable(), sort_keys=True)
+
+
+def assert_ladder_matches_oracle(alg):
+    dims, want = escalation_oracle(alg)
+    ladder = _Ladder(alg)
+    assert [ladder.climb_to(D) for D in range(len(dims))] == dims
+    if want is None:
+        with pytest.raises(DegreeCapError):
+            classify(alg)
+        return
+    got = classify(alg)
+    assert got.degree_used == want.degree_used
+    assert report_bytes(got) == report_bytes(want)
+
+
+def abelian_extension(matrix):
+    """h = R^n abelian, extended by tau acting on it as `matrix`
+    ([tau, x_i] = sum_j matrix[j][i] x_j); Jacobi holds for any matrix."""
+    n = len(matrix)
+    labels = ["x%d" % (i + 1) for i in range(n)]
+    brackets = []
+    for i in range(n):
+        out = [[labels[j], str(matrix[j][i])] for j in range(n) if matrix[j][i]]
+        if out:
+            brackets.append({"lhs": "tau", "rhs": labels[i], "out": out})
+    return LieAlgebra.from_dict({"labels": ["tau"] + labels, "brackets": brackets,
+                                 "time_generator": "tau"})
+
+
+class TestDegreeLadder:
+    @pytest.mark.parametrize("build", [
+        galilean, *[functools.partial(milne, m) for m in range(1, 7)],
+        *[functools.partial(phase_space, n) for n in (1, 2, 3)]],
+        ids=["galilean", *["milne:%d" % m for m in range(1, 7)],
+             *["phase-space:%d" % n for n in (1, 2, 3)]])
+    def test_builtin_matches_the_escalation(self, build):
+        assert_ladder_matches_oracle(build())
+
+    def test_relabelled_rational_algebras_match_the_escalation(self):
+        for base in (galilean(), milne(1), milne(2), milne(3)):
+            assert_ladder_matches_oracle(rescaled_copy(base))
+
+    def test_central_time_algebra_matches_the_escalation(self):
+        alg = LieAlgebra.from_dict(TestCentralTimeTruncation.SPEC)
+        assert_ladder_matches_oracle(alg)
+        c = classify(alg)
+        assert (c.quotient_dim, c.degree_used) == (4, 2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_abelian_ideal_with_rational_derivation(self, data):
+        # a nilpotent ad tau keeps the quotient growing for more degrees
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        shape = data.draw(st.sampled_from(["any", "triangular", "nilpotent"]))
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+        matrix = [[data.draw(entry) if shape == "any" or j > i
+                   or (shape == "triangular" and i == j) else 0
+                   for j in range(n)] for i in range(n)]
+        assert_ladder_matches_oracle(abelian_extension(matrix))
+
+    def test_explicit_degree_matches_the_full_solve(self):
+        for alg in (galilean(), milne(2), rescaled_copy(milne(2)), phase_space(2)):
+            for D in (0, 1, 3, 5):
+                assert _solve_at_degree(alg, D) == full_solve(alg, D)
+
+    def test_flipped_time_term_escapes_the_cocycle_space(self, monkeypatch):
+        # with the sign of the time-grading term of d1 flipped, the unit
+        # images of power >= 1 are no cocycles: every bound that holds one
+        # must refuse, auto mode and the ladder's own check included
+        d1_unit = _Complex.d1_unit
+
+        def flipped(self, k, u):
+            return [(pidx, power, -c if power < u else c)
+                    for pidx, power, c in d1_unit(self, k, u)]
+        monkeypatch.setattr(_Complex, "d1_unit", flipped)
+        for run in (lambda: classify(galilean()), lambda: classify(milne(2), degree=3),
+                    lambda: _Ladder(galilean()).climb_to(1)):
+            with pytest.raises(AssertionError,
+                               match="coboundary basis escapes the cocycle space"):
+                run()
+        assert classify(galilean(), degree=0).quotient_dim == 1
+
+    def test_counts_need_no_canonical_solve(self, monkeypatch):
+        # the escalation only counts: one nullspace, at the confirming bound
+        calls = []
+        nullspace = linalg.nullspace
+        monkeypatch.setattr(linalg, "nullspace",
+                            lambda rows, ncols: calls.append(len(rows)) or nullspace(rows, ncols))
+        c = classify(milne(2))
+        assert c.degree_used == 3 and len(calls) == 1
+
+    def test_classify_peak_memory(self):
+        # the ladder holds echelons of rank-many rows and never the whole
+        # constraint list of a bound, which alone peaks at about 3.6 MB here
+        alg = milne(5)
+        tracemalloc.start()
+        try:
+            classify(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_500_000
