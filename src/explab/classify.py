@@ -15,6 +15,7 @@ All arithmetic in this module is exact; no floats anywhere.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -176,7 +177,8 @@ class _Ladder:
         z_vecs = linalg.nullspace(rows, len(cx.pairs) * (D + 1))
         del rows
         b_rows = linalg.rref(cx.coboundary_rows(D))
-        reduced = [linalg.reduce_mod_rows(v, b_rows) for v in z_vecs]
+        b_pivots = {min(r): linalg.scale_to_int(r) for r in b_rows}
+        reduced = [linalg.reduce_mod_rows(v, b_pivots) for v in z_vecs]
         rep_rows = linalg.rref([r for r in reduced if r])
         if len(rep_rows) != len(z_vecs) - len(b_rows):
             raise AssertionError("coboundary basis escapes the cocycle space")
@@ -272,13 +274,44 @@ def classify(alg: LieAlgebra, degree="auto", cap: int = 16) -> Classification:
 _shared_poly = functools.lru_cache(maxsize=4096)(RatPoly)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivalenceResult:
+    __slots__ = ("equivalent", "witness", "__weakref__")
     equivalent: bool
-    witness: Optional[OneCochain] = None
+    witness: Optional[OneCochain]
 
     def __bool__(self) -> bool:
         return self.equivalent
+
+
+_INEQUIVALENT = EquivalenceResult(False, None)
+
+
+class _D1Solver:
+    """The tagged d1 echelon of one algebra at one degree bound, built on
+    its first query, and the positive results from it that callers hold."""
+
+    __slots__ = ("echelon", "results")
+
+    def __init__(self, alg: LieAlgebra, D: int) -> None:
+        self.echelon = linalg.augment(_complex(alg).coboundary_rows(D))
+        # weak: a result keeps its witness's algebra, and so this, alive
+        self.results = weakref.WeakValueDictionary()
+
+    def shared(self, alg: LieAlgebra, comps: Tuple[RatPoly, ...]) -> EquivalenceResult:
+        """The result for these witness components that a caller still
+        holds, or a new one."""
+        result = self.results.get(comps)
+        if result is None:
+            witness = OneCochain(alg, comps)
+            result = self.results[witness.components] = EquivalenceResult(True, witness)
+        return result
+
+
+def _d1_solver(alg: LieAlgebra, D: int) -> _D1Solver:
+    """The algebra's d1 solver at degree bound D, made on first use and
+    kept with the algebra instance."""
+    return alg.memo(("d1", D), lambda: _D1Solver(alg, D))
 
 
 def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
@@ -291,6 +324,13 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     the rows `classify` eliminates: a unit whose image reduces to zero
     against the images of earlier units gets coefficient zero, so the
     witness is unique in the operators' unit order.
+
+    The images are eliminated once per algebra instance and degree bound,
+    on the first query, and kept with the algebra (`LieAlgebra.memo`); each
+    query reduces only its own target. Results are immutable and shared:
+    every negative verdict is one object, and a positive result equal to
+    one a caller still holds, on the same algebra and bound, is that
+    object. The echelon keeps no result alive.
     """
     if x1.alg.labels != x2.alg.labels:
         raise ValueError("cochains live on different algebras")
@@ -305,19 +345,19 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     lam_degree = max(delta.max_degree() + 1, 1)
     _columns(alg, lam_degree)
     cx = _complex(alg)
-    weights = linalg.solve_augmented(cx.coboundary_rows(lam_degree),
-                                     cx.to_row(delta, lam_degree))
+    solver = _d1_solver(alg, lam_degree)
+    weights = linalg.solve_augmented(solver.echelon, cx.to_row(delta, lam_degree))
     if weights is None:
-        return EquivalenceResult(False, None)
+        return _INEQUIVALENT
     coeffs = [[Fraction(0)] * (lam_degree + 1) for _ in range(alg.dim)]
     units = cx.units(lam_degree)
     for ucol, v in weights.items():
         k, u = units[ucol]
         coeffs[k][u] = v
-    witness = OneCochain(alg, [_shared_poly(tuple(c)) for c in coeffs])
-    if coboundary(witness) != delta:
+    result = solver.shared(alg, tuple(_shared_poly(tuple(c)) for c in coeffs))
+    if coboundary(result.witness) != delta:
         raise AssertionError("witness verification failed")
-    return EquivalenceResult(True, witness)
+    return result
 
 
 # -- acceleration-algebra structure reports ------------------------------

@@ -22,6 +22,7 @@ Algebras without a time generator carry no constraint at all.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import lcm
@@ -190,8 +191,11 @@ class OneCochain:
             raise ValueError(
                 "the time-generator component must be constant in t, got %s"
                 % (comps[ti],))
-        self.alg = alg
-        self.components = comps
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "components", comps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OneCochain is immutable")
 
     @classmethod
     def zero(cls, alg: LieAlgebra) -> "OneCochain":
@@ -432,6 +436,11 @@ def jacobi_residual(xi: TwoCochain, i: int, j: int, k: int) -> RatPoly:
 
 
 def is_cocycle(xi: TwoCochain) -> bool:
-    """True iff every triple's template annihilates xi, whatever its degree."""
+    """True iff every triple's template annihilates xi, whatever its degree.
+    The templates are integral, so they run on xi's coefficients scaled to
+    integers by the lcm of their denominators."""
     cx = _complex(xi.alg)
-    return cx.annihilates(cx.coefficients(xi))
+    coeffs = cx.coefficients(xi)
+    den = functools.reduce(lcm, (c.denominator for cs in coeffs.values() for c in cs), 1)
+    return cx.annihilates({pidx: [c.numerator * (den // c.denominator) for c in cs]
+                           for pidx, cs in coeffs.items()})

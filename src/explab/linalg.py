@@ -4,13 +4,21 @@ Rows are dicts mapping column index to a nonzero int or Fraction. Every row
 enters through `scale_to_int`, so elimination runs on integer-scaled rows
 (gcd-normalized after every combination) and no Fraction arithmetic happens
 in the hot path; reduced results are converted back to Fractions with unit
-pivots. Reduced row echelon form is canonical for a row space, which is what
-makes every downstream output deterministic. `solve_augmented` writes a
-target as a combination of given rows, eliminating them in their own order.
+pivots, except `reduce_mod_rows`, whose integer rows are only ever reduced
+again. Reduced row echelon form is canonical for a row space, which is what
+makes every downstream output deterministic.
+
+`solve_augmented` writes a target as a combination of given rows in two
+steps: `augment` eliminates the rows once, in their own order, each tagged
+in a column of its own, and every target is then reduced against that
+echelon, which it reads and never changes. A caller that solves many
+targets over the same rows keeps the echelon; a one-off solve is
+`solve_augmented(augment(rows), target)`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -18,8 +26,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 IntRow = Dict[int, int]
 FracRow = Dict[int, Fraction]
 
-__all__ = ["scale_to_int", "echelon_int", "rref", "nullspace", "solve_augmented",
-           "reduce_mod_rows"]
+__all__ = ["scale_to_int", "echelon_int", "rref", "nullspace", "Augmented", "augment",
+           "solve_augmented", "reduce_mod_rows"]
 
 
 def scale_to_int(row: Dict[int, object]) -> IntRow:
@@ -28,7 +36,7 @@ def scale_to_int(row: Dict[int, object]) -> IntRow:
     lcm = 1
     for v in row.values():
         lcm = lcm // gcd(lcm, v.denominator) * v.denominator
-    out = {c: int(v * lcm) for c, v in row.items() if v}
+    out = {c: v.numerator * (lcm // v.denominator) for c, v in row.items() if v}
     _strip(out)
     return out
 
@@ -69,6 +77,19 @@ def _combine(row: IntRow, pivot_row: IntRow, col: int) -> None:
     _strip(row)
 
 
+def _reduce(row: IntRow, pivots: Dict[int, IntRow]) -> Optional[int]:
+    """Eliminate row's leading entries in place against the echelon's rows,
+    which are read, never changed; the first lead without a pivot, or None
+    when row reduces to zero."""
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            return lead
+        _combine(row, piv, lead)
+    return None
+
+
 def echelon_int(rows: Iterable[IntRow],
                 pivots: Optional[Dict[int, IntRow]] = None) -> Dict[int, IntRow]:
     """Forward elimination; returns {pivot column: row}. Given `pivots`, an
@@ -78,14 +99,10 @@ def echelon_int(rows: Iterable[IntRow],
         pivots = {}
     for row in rows:
         row = dict(row)
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                _strip(row)
-                pivots[lead] = row
-                break
-            _combine(row, piv, lead)
+        lead = _reduce(row, pivots)
+        if lead is not None:
+            _strip(row)
+            pivots[lead] = row
     return pivots
 
 
@@ -137,20 +154,35 @@ def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[FracRow]:
     return list(basis.values())
 
 
-def solve_augmented(rows: Sequence[Dict[int, object]],
-                    target: Dict[int, object]) -> Optional[FracRow]:
-    """Weights {row index: w} with sum_i w * rows[i] = target, or None when
-    target lies outside the row space.
+@dataclass(frozen=True)
+class Augmented:
+    """The integer echelon of rows tagged past a marker column, just past
+    their largest column: row i gets a tag 1 in column marker + 1 + i."""
+    marker: int
+    pivots: Dict[int, IntRow]
 
-    Row i gets a tag 1 in its own column past a marker column, which sits
-    just past the image columns. The rows are eliminated in order and the
-    target, marked 1, last. It stops at its marker having met only rows
-    independent of earlier ones, so a dependent row gets weight 0."""
-    marker = 1 + max((c for r in (*rows, target) for c in r), default=-1)
-    tagged = [scale_to_int({**r, marker + 1 + i: 1}) for i, r in enumerate(rows)]
-    tagged.append(scale_to_int({**target, marker: 1}))
-    reduced = echelon_int(tagged).get(marker)
-    if reduced is None:
+
+def augment(rows: Sequence[Dict[int, object]]) -> Augmented:
+    """Eliminate the tagged rows in order."""
+    marker = 1 + max((c for r in rows for c in r), default=-1)
+    return Augmented(marker, echelon_int(
+        scale_to_int({**r, marker + 1 + i: 1}) for i, r in enumerate(rows)))
+
+
+def solve_augmented(aug: Augmented, target: Dict[int, object]) -> Optional[FracRow]:
+    """Weights {row index: w} with sum_i w * rows[i] = target over the rows
+    of `aug`, or None when target lies outside their row space.
+
+    The target, marked 1 in the marker column, is reduced against the rows'
+    echelon as a row eliminated after them would be. It stops at its marker
+    having met only rows independent of earlier ones, so a dependent row
+    gets weight 0. A target column at or past the marker is one that no row
+    touches."""
+    marker = aug.marker
+    if any(c >= marker for c in target):
+        return None
+    reduced = scale_to_int({**target, marker: 1})
+    if _reduce(reduced, aug.pivots) != marker:
         return None
     # reduced = a * (target, marker) - sum_i b_i * (rows[i], tag i) with no
     # image entry left, so target = sum_i (b_i / a) * rows[i]
@@ -158,18 +190,13 @@ def solve_augmented(rows: Sequence[Dict[int, object]],
     return {c - marker - 1: Fraction(-v, a) for c, v in reduced.items() if c != marker}
 
 
-def reduce_mod_rows(vec: FracRow, reduced_rows: List[FracRow]) -> FracRow:
-    """Subtract multiples of RREF rows to zero vec at their pivot columns."""
-    out = dict(vec)
-    for r in reduced_rows:
-        p = min(r)
-        coef = out.get(p)
-        if not coef:
-            continue
-        for c, v in r.items():
-            nv = out.get(c, Fraction(0)) - coef * v
-            if nv:
-                out[c] = nv
-            else:
-                out.pop(c, None)
+def reduce_mod_rows(vec: Dict[int, object], pivots: Dict[int, IntRow]) -> IntRow:
+    """vec scaled to integers less a combination of an integer echelon's
+    rows {pivot column: row}, zero at every pivot column. Pivots are taken
+    in ascending order, so none is refilled once cleared; the result is the
+    unique such vector modulo the row space, up to a scalar."""
+    out = scale_to_int(vec)
+    for col in sorted(pivots):
+        if col in out:
+            _combine(out, pivots[col], col)
     return out

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from explab import linalg
 from explab.classify import (MAX_COLUMNS, Classification, ColumnLimitError,
-                             DegreeCapError, _classification, _columns,
+                             DegreeCapError, EquivalenceResult, _classification,
+                             _columns, _d1_solver,
                              _DegreeSolve, _Ladder, _solve_at_degree,
                              are_equivalent, check_family_columns, classify,
                              realizable_subspace, verify_milne_structure)
@@ -573,7 +574,7 @@ class TestOperatorCache:
                                          "a12": RatPoly((0, 0, 5)), "tau": 3})
         target = xi + coboundary(lam)
         first, second = are_equivalent(xi, target), are_equivalent(xi, target)
-        assert first.equivalent and second.witness == first.witness
+        assert first.equivalent and second.witness is first.witness
         assert coboundary(second.witness) == coboundary(lam)
 
     def test_equal_algebras_do_not_share_operators(self):
@@ -585,6 +586,10 @@ class TestOperatorCache:
         lam = OneCochain.from_labels(a, {"d1_2": RatPoly((2, -1))})
         wa = are_equivalent(xa, xa + coboundary(lam)).witness
         wb = are_equivalent(xb, xb + coboundary(OneCochain(b, lam.components))).witness
+        assert ("d1", 2) in a._memo and ("d1", 2) in b._memo
+        assert _d1_solver(a, 2) is not _d1_solver(b, 2)
+        assert _d1_solver(a, 2).echelon is not _d1_solver(b, 2).echelon
+        assert wa is not wb
         assert wa.alg is a and wb.alg is b
         assert wa.components == wb.components
 
@@ -594,6 +599,87 @@ class TestOperatorCache:
         ref = weakref.ref(_complex(alg))
         del alg
         assert ref() is None
+
+    def test_cached_echelons_and_witnesses_are_freed_with_the_algebra(self):
+        alg = milne(2)
+        xi = classify(alg).representatives[0]
+        lam = OneCochain.from_labels(alg, {"d1_2": RatPoly((2, -1))})
+        result = are_equivalent(xi, xi + coboundary(lam))
+        assert not are_equivalent(xi, 2 * xi)
+        echelons = [weakref.ref(_d1_solver(alg, D).echelon) for D in (1, 2)]
+        algebra = weakref.ref(alg)
+        shared = weakref.ref(result)
+        del alg, xi, lam, result
+        # a live witness would hold its algebra
+        assert algebra() is None and shared() is None
+        assert all(ref() is None for ref in echelons)
+
+    @pytest.mark.parametrize("build", [galilean, functools.partial(milne, 2)],
+                             ids=["galilean", "milne:2"])
+    def test_interleaved_degrees_match_a_fresh_instance_in_reverse(self, build):
+        # a cached echelon row changed by one query would change a later one
+        def queries(alg):
+            reps = classify(alg).representatives
+            out = []
+            for n, degree in enumerate((0, 2, 1, 2, 0, 1, 2, 0)):
+                comps = [RatPoly([(n + k + u) % 5 - 2 for u in range(degree + 1)])
+                         for k in range(alg.dim)]
+                comps[alg.time_index] = RatPoly.constant(n - 3)
+                x1 = reps[n % len(reps)]
+                x2 = x1 + coboundary(OneCochain(alg, comps))
+                out.append((x1, x2))
+                out.append((x1, x2 + reps[(n + 1) % len(reps)]))
+            return out
+
+        def answers(alg, order):
+            pairs = queries(alg)
+            got = {i: are_equivalent(*pairs[i]) for i in order}
+            assert {("d1", D) for D in (1, 2, 3)} <= set(alg._memo)
+            return [(got[i].equivalent, got[i].witness and got[i].witness.components)
+                    for i in range(len(pairs))]
+
+        n = len(queries(build()))
+        forward = answers(build(), range(n))
+        assert forward == answers(build(), reversed(range(n)))
+        assert {verdict for verdict, _ in forward} == {True, False}
+
+    def test_negative_results_are_one_falsy_value(self):
+        reps = classify(milne(2)).representatives
+        results = [are_equivalent(a, b) for a, b in itertools.combinations(reps, 2)]
+        results.append(are_equivalent(reps[0], 2 * reps[0]))
+        assert all(r == results[0] and not r and r.witness is None for r in results)
+        assert results[0] == EquivalenceResult(False, None)
+
+    def test_shared_results_are_held_only_by_callers(self):
+        g = galilean()
+        xi = classify(g).representatives[0]
+        targets = [xi + coboundary(OneCochain.from_labels(g, {"b1": RatPoly((n, 1)), "tau": n}))
+                   for n in range(3)]
+        results = [are_equivalent(xi, t) for t in targets]
+        solver = _d1_solver(g, 2)
+        assert len(solver.results) == 3
+        assert are_equivalent(xi, targets[1]) is results[1]
+        del results[1]
+        assert len(solver.results) == 2
+        again = are_equivalent(xi, targets[1])
+        assert coboundary(again.witness) == targets[1] - xi
+        del results, again
+        assert len(solver.results) == 0
+
+    def test_a_shared_witness_cannot_be_changed(self):
+        g = galilean()
+        xi = classify(g).representatives[0]
+        lam = OneCochain.from_labels(g, {"b1": RatPoly((1, 2))})
+        result = are_equivalent(xi, xi + coboundary(lam))
+        witness = result.witness
+        with pytest.raises(AttributeError):
+            witness.components = OneCochain.zero(g).components
+        with pytest.raises(AttributeError):
+            witness.alg = galilean()
+        with pytest.raises(AttributeError):
+            result.witness = None
+        assert are_equivalent(xi, xi + coboundary(lam)).witness is witness
+        assert coboundary(witness) == coboundary(lam)
 
     def test_validate_runs_once_per_instance(self, monkeypatch):
         calls = []
@@ -651,10 +737,28 @@ class TestDegreeBound:
 
 # -- the degree ladder against the per-degree full solves it replaced -------
 
+def fraction_reduce(vec, reduced_rows):
+    """vec less multiples of RREF rows, zero at their pivot columns, in
+    Fraction arithmetic."""
+    out = dict(vec)
+    for r in reduced_rows:
+        p = min(r)
+        coef = out.get(p)
+        if not coef:
+            continue
+        for c, v in r.items():
+            nv = out.get(c, Fraction(0)) - coef * v
+            if nv:
+                out[c] = nv
+            else:
+                out.pop(c, None)
+    return out
+
+
 def full_solve(alg, D):
     """Reference solve at bound D from the whole entry-first constraint list,
     with no ladder: the cocycle nullspace, the coboundary RREF, the
-    reduction and its RREF."""
+    reduction in Fractions and its RREF."""
     cx = _complex(alg)
     width = D + 1
     rows = []
@@ -667,7 +771,7 @@ def full_solve(alg, D):
                 rows.append(row)
     z_vecs = linalg.nullspace(rows, _columns(alg, D))
     b_rows = linalg.rref(cx.coboundary_rows(D))
-    reduced = [linalg.reduce_mod_rows(v, b_rows) for v in z_vecs]
+    reduced = [fraction_reduce(v, b_rows) for v in z_vecs]
     return _DegreeSolve(D, z_vecs, b_rows, linalg.rref([r for r in reduced if r]))
 
 

@@ -112,7 +112,7 @@ class TestSolveAugmented:
         rows, _ = mat
         planted = {i: data.draw(scales) for i in range(len(rows)) if data.draw(st.booleans())}
         target = combine(rows, planted)
-        weights = linalg.solve_augmented(rows, target)
+        weights = linalg.solve_augmented(linalg.augment(rows), target)
         assert weights is not None
         assert combine(rows, weights) == target
 
@@ -121,7 +121,7 @@ class TestSolveAugmented:
     def test_dependent_rows_get_weight_zero(self, mat, data):
         rows, ncols = mat
         target = combine(rows, {i: data.draw(entries) for i in range(len(rows))})
-        weights = linalg.solve_augmented(rows, target)
+        weights = linalg.solve_augmented(linalg.augment(rows), target)
         for i in range(len(rows)):
             if dense_rank(rows[:i + 1], ncols) == dense_rank(rows[:i], ncols):
                 assert i not in weights
@@ -136,7 +136,7 @@ class TestSolveAugmented:
         target[col] = target.get(col, 0) + data.draw(scales)
         target = {c: v for c, v in target.items() if v}
         inside = dense_rank(rows + [target], ncols + 1) == dense_rank(rows, ncols + 1)
-        weights = linalg.solve_augmented(rows, target)
+        weights = linalg.solve_augmented(linalg.augment(rows), target)
         if inside:
             assert combine(rows, weights) == target
         else:
@@ -145,12 +145,70 @@ class TestSolveAugmented:
     def test_all_empty_rows(self):
         # an abelian algebra's unit images are all zero, as on phase space
         rows = [{}, {}, {}]
-        assert linalg.solve_augmented(rows, {}) == {}
-        assert linalg.solve_augmented(rows, {4: Fraction(1, 2)}) is None
-        assert linalg.solve_augmented([], {}) == {}
-        assert linalg.solve_augmented([], {0: 1}) is None
+        assert linalg.solve_augmented(linalg.augment(rows), {}) == {}
+        assert linalg.solve_augmented(linalg.augment(rows), {4: Fraction(1, 2)}) is None
+        assert linalg.solve_augmented(linalg.augment([]), {}) == {}
+        assert linalg.solve_augmented(linalg.augment([]), {0: 1}) is None
 
     def test_first_of_two_equal_rows_carries_the_weight(self):
         rows = [{}, {0: 2, 1: 1}, {0: 4, 1: 2}, {2: Fraction(1, 3)}]
-        assert linalg.solve_augmented(rows, {0: 1, 1: Fraction(1, 2), 2: 1}) \
+        assert linalg.solve_augmented(linalg.augment(rows), {0: 1, 1: Fraction(1, 2), 2: 1}) \
             == {1: Fraction(1, 2), 3: Fraction(3)}
+
+    @FIXED
+    @given(matrices(), st.data())
+    def test_one_echelon_serves_many_targets(self, mat, data):
+        rows, ncols = mat
+        aug = linalg.augment(rows)
+        before = {col: dict(row) for col, row in aug.pivots.items()}
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            target = combine(rows, {i: data.draw(entries) for i in range(len(rows))})
+            if data.draw(st.booleans()):
+                col = data.draw(st.integers(min_value=0, max_value=ncols))
+                target[col] = target.get(col, 0) + data.draw(scales)
+            target = {c: v for c, v in target.items() if v}
+            weights = linalg.solve_augmented(aug, target)
+            assert weights == linalg.solve_augmented(linalg.augment(rows), target)
+            inside = dense_rank(rows + [target], ncols + 1) == dense_rank(rows, ncols + 1)
+            assert (weights is not None) == inside
+            if inside:
+                assert combine(rows, weights) == target
+        assert aug.pivots == before
+
+    def test_target_at_or_past_the_marker_is_outside(self):
+        rows = [{0: 1}, {1: 2}]
+        aug = linalg.augment(rows)
+        assert aug.marker == 2
+        assert linalg.solve_augmented(aug, {0: 2, 1: 1}) == {0: 2, 1: Fraction(1, 2)}
+        assert linalg.solve_augmented(aug, {0: 1, 2: 1}) is None
+        assert linalg.solve_augmented(aug, {5: Fraction(1, 2)}) is None
+
+
+class TestReduceModRows:
+    @FIXED
+    @given(matrices(), st.data())
+    def test_reduction_is_the_rref_remainder_up_to_scale(self, mat, data):
+        rows, ncols = mat
+        vec = combine(rows, {i: data.draw(entries) for i in range(len(rows))})
+        for c in range(ncols):
+            if data.draw(st.booleans()):
+                vec[c] = vec.get(c, 0) + data.draw(scales)
+        vec = {c: v for c, v in vec.items() if v}
+        reduced = linalg.rref(rows)
+        want = dict(vec)
+        for r in reduced:  # Fraction reduction against the RREF rows
+            coef = want.get(min(r), 0)
+            for c, v in r.items():
+                want[c] = want.get(c, 0) - coef * v
+        want = {c: v for c, v in want.items() if v}
+        pivots = linalg.echelon_int(linalg.scale_to_int(r) for r in rows)
+        before = {col: dict(row) for col, row in pivots.items()}
+        got = linalg.reduce_mod_rows(vec, pivots)
+        assert pivots == before
+        assert all(isinstance(v, int) for v in got.values())
+        assert not set(got) & set(pivots)
+        assert set(got) == set(want)
+        if want:
+            lead = min(want)
+            assert {c: Fraction(v, got[lead]) for c, v in got.items()} \
+                == {c: v / want[lead] for c, v in want.items()}
