@@ -3,25 +3,25 @@
 The cocycle condition per basis triple is a linear constraint on the
 polynomial coefficients of a two-cochain. The rows of the constraints and of
 d1 expand from the algebra's complex templates (`explab.cochain`), whose
-column order, entry-first (pairs (i, j) lexicographic) then by ascending
-power of t, fixes pivots, echelon forms and therefore every canonical output.
-The degree escalation only counts: it grows echelons in the power-major
-numbering, whose rows stay the same as the bound rises, and the one
-canonical solve runs entry-first at the bound it reports.
+one column numbering, entry-first (pairs (i, j) lexicographic) then by
+ascending power of t, fixes pivots, echelon forms and therefore every
+canonical output. It does not depend on the degree bound, so the degree
+escalation grows two echelons as the bound rises, and the one canonical
+solve at the bound it reports starts from them.
 
 All arithmetic in this module is exact; no floats anywhere.
 """
 
 from __future__ import annotations
 
-import functools
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .cochain import OneCochain, TwoCochain, _complex, coboundary, is_cocycle
+from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _complex, coboundary, is_cocycle,
+                      pair_power)
 from .lie import LieAlgebra, family_dim
 from .ratpoly import RatPoly
 
@@ -49,16 +49,10 @@ class ColumnLimitError(ValueError):
 
 # -- degree bound -------------------------------------------------------
 
-# Largest number of coefficient columns a solve may have. It admits auto
-# mode's default cap (degree 16) on every built-in algebra up to milne:7
-# (378 pairs x 17 powers = 6426 columns) and refuses an oversized explicit
-# degree before any row is built.
-MAX_COLUMNS = 10_000
-
-
 def _column_count(dim: int, name: str, degree: int) -> int:
     """Coefficient columns at `degree` on an algebra of dimension `dim`;
-    ColumnLimitError beyond MAX_COLUMNS."""
+    ColumnLimitError beyond MAX_COLUMNS. An admitted degree on an algebra
+    with a pair is below MAX_COLUMNS, the width of the column numbering."""
     if degree < 0:
         raise ValueError("degree bound must be >= 0")
     ncols = dim * (dim - 1) // 2 * (degree + 1)
@@ -114,15 +108,15 @@ class Classification:
 class _DegreeSolve:
     degree: int
     cocycle_rows: List[Dict[int, Fraction]]
-    coboundary_rows: List[Dict[int, Fraction]]
+    coboundary_dim: int
     rep_rows: List[Dict[int, Fraction]]
 
 
 class _Ladder:
     """Quotient dimensions at degree bounds 0, 1, 2, ... from two integer
-    echelons that grow with the bound, in the complex's power-major
-    numbering, where the full cocycle rows of a power below D and the unit
-    images of a power up to D are the same rows at every bound D.
+    echelons that grow with the bound; in the complex's column numbering the
+    full cocycle rows of a power below D and the unit images of a power up
+    to D are the same rows at every bound D.
 
     At bound D, `cocycle` holds the echelon of the full rows of powers below
     D, `coboundary` that of the unit images of powers up to D, and
@@ -154,7 +148,7 @@ class _Ladder:
         cx = self.cx
         if D:
             linalg.echelon_int(cx.cocycle_rows(D - 1, full=True), self.cocycle)
-        images = cx.unit_images(D)
+        images = [linalg.scale_to_int(cx.unit_row(k, u)) for k, u in cx.units(D) if u == D]
         if not all(cx.annihilates(cx.row_coefficients(r)) for r in images):
             raise AssertionError("coboundary basis escapes the cocycle space")
         linalg.echelon_int(images, self.coboundary)
@@ -164,25 +158,22 @@ class _Ladder:
         self.quotient = ncols - len(self.constraints) - len(self.coboundary)
 
     def solve(self) -> _DegreeSolve:
-        """Cocycle basis, coboundary echelon basis and quotient representatives
-        at the current bound, as entry-first rows; frees the echelons first.
-        Reduced row echelon form is canonical for a row space, so the rank
-        many constraint rows give the basis that the whole system would."""
-        D, cx = self.degree, self.cx
-        constraints = self.constraints
+        """Cocycle basis, coboundary rank and quotient representatives at the
+        current bound, from the echelons, which it takes over. Reduced row
+        echelon form is canonical for a row space, so the rank many
+        constraint rows give the cocycle basis that the whole system would,
+        and each cocycle reduces against the coboundary echelon as against
+        its RREF."""
+        D = self.degree
+        constraints, coboundary = self.constraints, self.coboundary
         self.cocycle = self.coboundary = self.constraints = None
-        rows = []
-        while constraints:
-            rows.append(cx.entry_first(constraints.popitem()[1], D))
-        z_vecs = linalg.nullspace(rows, len(cx.pairs) * (D + 1))
-        del rows
-        b_rows = linalg.rref(cx.coboundary_rows(D))
-        b_pivots = {min(r): linalg.scale_to_int(r) for r in b_rows}
-        reduced = [linalg.reduce_mod_rows(v, b_pivots) for v in z_vecs]
+        z_vecs = linalg.nullspace(list(constraints.values()), self.cx.columns(D))
+        del constraints
+        reduced = [linalg.reduce_mod_rows(v, coboundary) for v in z_vecs]
         rep_rows = linalg.rref([r for r in reduced if r])
-        if len(rep_rows) != len(z_vecs) - len(b_rows):
+        if len(rep_rows) != len(z_vecs) - len(coboundary):
             raise AssertionError("coboundary basis escapes the cocycle space")
-        return _DegreeSolve(D, z_vecs, b_rows, rep_rows)
+        return _DegreeSolve(D, z_vecs, len(coboundary), rep_rows)
 
 
 def _solve_at_degree(alg: LieAlgebra, D: int) -> _DegreeSolve:
@@ -197,19 +188,15 @@ def _kind(alg: LieAlgebra, i: int) -> Optional[str]:
     return None if role is None else role.kind
 
 
-def _coordinate_names(alg: LieAlgebra, rep_rows: List[Dict[int, Fraction]],
-                      degree: int) -> List[str]:
-    """Name each representative row at degree bound `degree` after the
-    generator pair of its pivot: gamma_(l,n) on acceleration levels, gamma
-    on a translation and the boost along the same axis, c(a,b)*t^p for any
-    other pair."""
+def _coordinate_names(alg: LieAlgebra, rep_rows: List[Dict[int, Fraction]]) -> List[str]:
+    """Name each representative row after the generator pair of its pivot:
+    gamma_(l,n) on acceleration levels, gamma on a translation and the
+    boost along the same axis, c(a,b)*t^p for any other pair."""
     names = []
-    width = degree + 1
     pairs = _complex(alg).pairs
     for row in rep_rows:
-        lead = min(row)
-        i, j = pairs[lead // width]
-        power = lead % width
+        pidx, power = pair_power(min(row))
+        i, j = pairs[pidx]
         ri, rj = alg.roles[i], alg.roles[j]
         kinds = (_kind(alg, i), _kind(alg, j))
         if kinds == ("acceleration", "acceleration"):
@@ -227,11 +214,11 @@ def _classification(alg: LieAlgebra, solve: _DegreeSolve) -> Classification:
     return Classification(
         alg=alg,
         cocycle_dim=len(solve.cocycle_rows),
-        coboundary_dim=len(solve.coboundary_rows),
+        coboundary_dim=solve.coboundary_dim,
         quotient_dim=len(solve.rep_rows),
-        representatives=[cx.to_cochain(alg, r, solve.degree) for r in solve.rep_rows],
+        representatives=[cx.to_cochain(alg, r) for r in solve.rep_rows],
         degree_used=solve.degree,
-        coordinates=_coordinate_names(alg, solve.rep_rows, solve.degree),
+        coordinates=_coordinate_names(alg, solve.rep_rows),
     )
 
 
@@ -265,14 +252,6 @@ def classify(alg: LieAlgebra, degree="auto", cap: int = 16) -> Classification:
 
 
 # -- equivalence --------------------------------------------------------
-
-# Witness components are mostly small polynomials that recur from query to
-# query (in 126 seeded queries on galilean and milne:2, 1600 witness
-# coefficients took 7 distinct values). RatPoly is immutable, so results
-# share one object per recurring value, and a caller that keeps many
-# results holds each value once.
-_shared_poly = functools.lru_cache(maxsize=4096)(RatPoly)
-
 
 @dataclass(frozen=True)
 class EquivalenceResult:
@@ -346,7 +325,7 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     _columns(alg, lam_degree)
     cx = _complex(alg)
     solver = _d1_solver(alg, lam_degree)
-    weights = linalg.solve_augmented(solver.echelon, cx.to_row(delta, lam_degree))
+    weights = linalg.solve_augmented(solver.echelon, cx.to_row(delta))
     if weights is None:
         return _INEQUIVALENT
     coeffs = [[Fraction(0)] * (lam_degree + 1) for _ in range(alg.dim)]
@@ -354,7 +333,7 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     for ucol, v in weights.items():
         k, u = units[ucol]
         coeffs[k][u] = v
-    result = solver.shared(alg, tuple(_shared_poly(tuple(c)) for c in coeffs))
+    result = solver.shared(alg, tuple(RatPoly(c) for c in coeffs))
     if coboundary(result.witness) != delta:
         raise AssertionError("witness verification failed")
     return result
@@ -456,11 +435,11 @@ def realizable_subspace(c: Classification, m: int) -> Classification:
                     row[s] = v
             if row:
                 constraints.append(row)
-    combos = linalg.nullspace(constraints, len(reps))
+    combos = linalg.nullspace(constraints, range(len(reps)))
     degree = max([r.max_degree() for r in reps] + [0])
     _columns(c.alg, degree)
     cx = _complex(c.alg)
-    rep_rows = [cx.to_row(rep, degree) for rep in reps]
+    rep_rows = [cx.to_row(rep) for rep in reps]
     rows = []
     for combo in combos:
         row: Dict[int, Fraction] = {}
@@ -474,8 +453,8 @@ def realizable_subspace(c: Classification, m: int) -> Classification:
         cocycle_dim=c.cocycle_dim,
         coboundary_dim=c.coboundary_dim,
         quotient_dim=len(restricted_rows),
-        representatives=[cx.to_cochain(c.alg, r, degree) for r in restricted_rows],
+        representatives=[cx.to_cochain(c.alg, r) for r in restricted_rows],
         degree_used=c.degree_used,
     )
-    out.coordinates = _coordinate_names(c.alg, restricted_rows, degree)
+    out.coordinates = _coordinate_names(c.alg, restricted_rows)
     return out

@@ -29,7 +29,6 @@ from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .lie import LieAlgebra
-from .linalg import scale_to_int
 from .ratpoly import RatPoly, as_fraction
 
 __all__ = ["TwoCochain", "OneCochain", "coboundary", "jacobi_residual", "is_cocycle"]
@@ -220,22 +219,39 @@ class OneCochain:
 
 # -- the cochain complex as sparse integer operators ----------------------
 
+# Largest number of coefficient columns a solve may have. It admits auto
+# mode's default cap (degree 16) on every built-in algebra up to milne:7
+# (378 pairs x 17 powers = 6426 columns) and refuses an oversized explicit
+# degree before any row is built (`explab.classify`). It is also the width
+# of the column numbering: no admissible bound puts a power of t at it.
+MAX_COLUMNS = 10_000
+
+
+def column(pair: int, power: int) -> int:
+    """The column of coefficient (pair, power of t) in every row of the
+    complex, whatever the degree bound: entry-first, by pair and then by
+    ascending power, which fixes the pivots of every canonical output."""
+    return pair * MAX_COLUMNS + power
+
+
+def pair_power(col: int) -> Tuple[int, int]:
+    """(pair, power of t) of a column; the inverse of `column`."""
+    return divmod(col, MAX_COLUMNS)
+
+
 class _Complex:
     """Degree-free templates of one algebra's cochain complex.
 
-    Pair numbers are ranks in the lexicographic pair order. Rows come in
-    two column numberings: entry-first, where (pair, power) at degree bound
-    D is column pair * (D + 1) + power, and power-major, where it is
-    power * npairs + pair whatever D. Entry-first fixes the pivots of every
-    canonical output; power-major makes the rows of each power of t the
-    same at every bound that holds them, so an echelon can grow with D.
-    Rows expand from the templates in time linear in their size:
+    Pair numbers are ranks in the lexicographic pair order, and every row
+    is numbered by `column`, so a row is the same at every degree bound that
+    holds it and an echelon can grow with the bound. Rows expand from the
+    templates in time linear in their size:
 
     * the cocycle condition, one row per basis triple i < j < k and power
-      of t: the cyclic sum of bracket entries, plus -bold(tau) = +d/dt on
-      the pair opposite the time generator. Each triple's template is
-      scaled to integers once, which changes neither the kernel nor the
-      test row . xi = 0;
+      of t: the triple's cyclic bracket sum (`LieAlgebra.cyclic_sums`), plus
+      -bold(tau) = +d/dt on the pair opposite the time generator. Each
+      triple's template is scaled to integers once, which changes neither
+      the kernel nor the test row . xi = 0;
     * d1 of each unit one-cochain t^u e_k: -c_k^{ij} t^u on every pair,
       plus bold(tau) t^u = -u t^(u-1) on the pair of e_k with the time
       generator, signed by the time generator's slot.
@@ -261,18 +277,12 @@ class _Complex:
         # scale; triples_at lists the triples reading a pair
         self.triples: Dict[Tuple[int, int, int], tuple] = {}
         self.triples_at: Dict[int, List[Tuple[int, int, int]]] = {}
+        sums = alg.cyclic_sums()
         for triple in itertools.combinations(range(alg.dim), 3):
             i, j, k = triple
-            bracket: Dict[int, Fraction] = {}
-            deriv = None
-            for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, c in alg.bracket_basis(p, q):
-                    if m != r:
-                        pidx, s = signed(m, r, c)
-                        bracket[pidx] = bracket.get(pidx, 0) + s
-                if p == ti:
-                    deriv = signed(q, r, 1)
-            bracket = {pidx: c for pidx, c in bracket.items() if c}
+            bracket = {rank[a, b]: c for a, b, c in sums.get(triple, ())}
+            deriv = next((signed(q, r, 1) for p, q, r in ((i, j, k), (j, k, i), (k, i, j))
+                          if p == ti), None)
             if not bracket and deriv is None:
                 continue
             scale = lcm(*(c.denominator for c in bracket.values()))
@@ -306,33 +316,29 @@ class _Complex:
             terms.append((pidx, u - 1, sign * u))
         return terms
 
-    def coboundary_rows(self, D: int) -> List[Dict[int, object]]:
-        """d1 of each unit of `units(D)`, in that order, as entry-first rows
-        at bound D."""
-        width = D + 1
-        return [{pidx * width + power: c for pidx, power, c in self.d1_unit(k, u)}
-                for k, u in self.units(D)]
+    def columns(self, D: int) -> List[int]:
+        """Every column at degree bound D, in ascending order."""
+        return [column(pidx, u) for pidx in range(len(self.pairs)) for u in range(D + 1)]
 
-    def unit_images(self, u: int) -> List[Dict[int, int]]:
-        """d1 of each unit one-cochain t^u e_k of power u, as power-major
-        rows scaled to integers."""
-        n = len(self.pairs)
-        return [scale_to_int({power * n + pidx: c
-                              for pidx, power, c in self.d1_unit(k, u)})
-                for k in range(self.dim) if u == 0 or k != self.time_index]
+    def unit_row(self, k: int, u: int) -> Dict[int, object]:
+        """d1 of the unit one-cochain t^u e_k as a row, unscaled."""
+        return {column(pidx, power): c for pidx, power, c in self.d1_unit(k, u)}
+
+    def coboundary_rows(self, D: int) -> List[Dict[int, object]]:
+        """d1 of each unit of `units(D)`, in that order, unscaled."""
+        return [self.unit_row(k, u) for k, u in self.units(D)]
 
     def cocycle_rows(self, u: int, full: bool) -> List[Dict[int, int]]:
-        """The cocycle condition's integer rows at power u of t, power-major.
-        A full row adds the derivative term, which reads power u + 1; at
-        degree bound D the constraints are the full rows of powers below D
-        and the rows of power D without it. xi is a cocycle at bound D iff
-        each of them . xi = 0."""
-        n = len(self.pairs)
+        """The cocycle condition's integer rows at power u of t. A full row
+        adds the derivative term, which reads power u + 1; at degree bound D
+        the constraints are the full rows of powers below D and the rows of
+        power D without it. xi is a cocycle at bound D iff each of them
+        . xi = 0."""
         rows: List[Dict[int, int]] = []
         for bracket, deriv, _ in self.triples.values():
-            row = {u * n + pidx: c for pidx, c in bracket}
+            row = {column(pidx, u): c for pidx, c in bracket}
             if full and deriv is not None:
-                row[(u + 1) * n + deriv[0]] = deriv[1] * (u + 1)
+                row[column(deriv[0], u + 1)] = deriv[1] * (u + 1)
             if row:
                 rows.append(row)
         return rows
@@ -351,11 +357,6 @@ class _Complex:
                 out[u - 1] = out.get(u - 1, 0) + c * u * v
         return out
 
-    def entry_first(self, row: Dict[int, object], D: int) -> Dict[int, object]:
-        """A power-major row renumbered entry-first at degree bound D."""
-        n, width = len(self.pairs), D + 1
-        return {col % n * width + col // n: v for col, v in row.items()}
-
     def annihilates(self, coeffs: Dict[int, Sequence]) -> bool:
         """True iff every triple's template annihilates the cochain whose
         coefficients are {pair: coefficients by power}."""
@@ -365,11 +366,10 @@ class _Complex:
         return not any(any(self.residual(t, coeffs).values()) for t in touched)
 
     def row_coefficients(self, row: Dict[int, object]) -> Dict[int, list]:
-        """{pair: coefficients by power} of a power-major row."""
-        n = len(self.pairs)
+        """{pair: coefficients by power} of a row."""
         out: Dict[int, list] = {}
         for col, v in row.items():
-            power, pidx = divmod(col, n)
+            pidx, power = pair_power(col)
             coeffs = out.setdefault(pidx, [])
             coeffs.extend([0] * (power + 1 - len(coeffs)))
             coeffs[power] = v
@@ -378,22 +378,16 @@ class _Complex:
     def coefficients(self, xi: TwoCochain) -> Dict[int, tuple]:
         return {self.rank[p]: poly.coeffs for p, poly in xi._entries.items()}
 
-    def to_row(self, xi: TwoCochain, D: int) -> Dict[int, Fraction]:
-        """xi's coefficients as a row at degree bound D."""
-        row: Dict[int, Fraction] = {}
-        for pidx, coeffs in self.coefficients(xi).items():
-            if len(coeffs) > D + 1:
-                raise ValueError("entry degree %d exceeds bound %d" % (len(coeffs) - 1, D))
-            row.update((pidx * (D + 1) + u, c) for u, c in enumerate(coeffs) if c)
-        return row
+    def to_row(self, xi: TwoCochain) -> Dict[int, Fraction]:
+        """xi's coefficients as a row; the caller keeps xi's degree at a
+        bound that `explab.classify` admits, so no power reaches the width."""
+        return {column(pidx, u): c for pidx, coeffs in self.coefficients(xi).items()
+                for u, c in enumerate(coeffs) if c}
 
-    def to_cochain(self, alg: LieAlgebra, row: Dict[int, Fraction], D: int) -> TwoCochain:
-        """The two-cochain on `alg` whose coefficients at degree bound D are `row`."""
-        width = D + 1
-        polys: Dict[int, List[Fraction]] = {}
-        for col, v in row.items():
-            polys.setdefault(col // width, [Fraction(0)] * width)[col % width] = v
-        return TwoCochain(alg, {self.pairs[k]: RatPoly(cs) for k, cs in polys.items()})
+    def to_cochain(self, alg: LieAlgebra, row: Dict[int, Fraction]) -> TwoCochain:
+        """The two-cochain on `alg` whose coefficients are `row`."""
+        return TwoCochain(alg, {self.pairs[pidx]: RatPoly(cs)
+                                for pidx, cs in self.row_coefficients(row).items()})
 
 
 def _complex(alg: LieAlgebra) -> _Complex:

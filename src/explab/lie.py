@@ -9,6 +9,7 @@ algebras of order m, and the abelian phase-space translation algebras.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
@@ -167,9 +168,10 @@ class LieAlgebra:
     def memo(self, key, build: Callable[[], object]):
         """build() once per key for this instance.
 
-        Data derived from the structure constants (the Jacobi check, the
-        solver's operator templates) is kept here, so it lives and dies
-        with the algebra and is never shared with an equal one.
+        Data derived from the structure constants (the cyclic bracket sums,
+        the Jacobi check, the solver's operator templates) is kept here, so
+        it lives and dies with the algebra and is never shared with an
+        equal one.
         """
         try:
             return self._memo[key]
@@ -199,20 +201,40 @@ class LieAlgebra:
                     "so polynomials in t are not a module of the algebra"
                     % (lb[i], lb[j], lb[ti]))
 
+    def cyclic_sums(self) -> Dict[Tuple[int, int, int], Tuple[Tuple[int, int, object], ...]]:
+        """Per basis triple i < j < k, in lexicographic order, the cyclic sum
+        of c_pq^m (a_m, a_r) over (p, q, r) in (i, j, k), (j, k, i), (k, i, j),
+        as terms (a, b, coefficient) on pairs a < b, (a_r, a_m) counted as
+        -(a_m, a_r) and (a_r, a_r) as zero, integral coefficients as ints; a
+        triple whose sum vanishes is left out. Contracted with c_ab^l it is
+        the Jacobi residual at l; on a two-cochain it is the bracket part of
+        the cocycle condition. Computed once per instance."""
+        return self.memo("cyclic sums", self._cyclic_sums)
+
+    def _cyclic_sums(self) -> Dict[Tuple[int, int, int], Tuple[Tuple[int, int, object], ...]]:
+        out = {}
+        for triple in itertools.combinations(range(self.dim), 3):
+            i, j, k = triple
+            acc: Dict[Tuple[int, int], Fraction] = {}
+            for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, c in self.bracket_basis(p, q):
+                    if m != r:
+                        pair, s = ((m, r), c) if m < r else ((r, m), -c)
+                        acc[pair] = acc.get(pair, 0) + s
+            terms = tuple((a, b, c.numerator if c.denominator == 1 else c)
+                          for (a, b), c in acc.items() if c)
+            if terms:
+                out[triple] = terms
+        return out
+
     def _jacobi_violations(self) -> List[JacobiViolation]:
         out: List[JacobiViolation] = []
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    acc = [Fraction(0)] * n
-                    for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, c in self.bracket_basis(p, q):
-                            for l, c2 in self.bracket_basis(m, r):
-                                acc[l] += c * c2
-                    for l, v in enumerate(acc):
-                        if v != 0:
-                            out.append(JacobiViolation(i, j, k, l, v))
+        for (i, j, k), terms in self.cyclic_sums().items():
+            acc: Dict[int, Fraction] = {}
+            for a, b, c in terms:
+                for l, c2 in self._table.get((a, b), ()):
+                    acc[l] = acc.get(l, 0) + c * c2
+            out.extend(JacobiViolation(i, j, k, l, v) for l, v in sorted(acc.items()) if v)
         return out
 
     # -- serialization -----------------------------------------------

@@ -137,12 +137,13 @@ def rref(rows: Iterable[Dict[int, object]]) -> List[FracRow]:
     return [_to_unit_fracrow(pivots[c], c) for c in sorted(pivots)]
 
 
-def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[FracRow]:
-    """Canonical basis of {x : Ax = 0}, one vector per free column f in
-    ascending order (x_f = 1, other free columns 0); not in echelon form."""
+def nullspace(rows: Iterable[Dict[int, object]], columns: Iterable[int]) -> List[FracRow]:
+    """Canonical basis of {x : Ax = 0} for rows on the given columns, listed
+    in ascending order: one vector per free column f, in that order (x_f = 1,
+    other free columns 0); not in echelon form."""
     pivots = echelon_int(scale_to_int(r) for r in rows)
     _back_reduce(pivots)
-    basis: Dict[int, FracRow] = {f: {f: Fraction(1)} for f in range(ncols)
+    basis: Dict[int, FracRow] = {f: {f: Fraction(1)} for f in columns
                                  if f not in pivots}
     # each reduced row holds one pivot and otherwise only free columns
     for p in sorted(pivots):

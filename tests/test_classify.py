@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from explab import linalg
 from explab.classify import (MAX_COLUMNS, Classification, ColumnLimitError,
                              DegreeCapError, EquivalenceResult, _classification,
-                             _columns, _d1_solver,
+                             _column_count, _columns, _d1_solver,
                              _DegreeSolve, _Ladder, _solve_at_degree,
                              are_equivalent, check_family_columns, classify,
                              realizable_subspace, verify_milne_structure)
-from explab.cochain import (OneCochain, TwoCochain, _complex, _Complex, coboundary,
+from explab.cochain import (OneCochain, TwoCochain, _complex, _Complex, coboundary, column,
                             is_cocycle, jacobi_residual)
 from explab.lie import LieAlgebra, galilean, milne, phase_space
 from explab.ratpoly import RatPoly
@@ -114,11 +114,14 @@ def oracle_is_cocycle(xi):
 
 
 def bases(alg, D):
-    """Cocycle basis and coboundary echelon basis at degree bound D."""
-    solve = _solve_at_degree(alg, D)
+    """Cocycle basis and the ladder's coboundary echelon basis at degree bound D."""
+    ladder = _Ladder(alg)
+    ladder.climb_to(D)
+    b_rows = list(ladder.coboundary.values())
+    solve = ladder.solve()
     cx = _complex(alg)
-    return ([cx.to_cochain(alg, r, D) for r in solve.cocycle_rows],
-            [cx.to_cochain(alg, r, D) for r in solve.coboundary_rows])
+    return ([cx.to_cochain(alg, r) for r in solve.cocycle_rows],
+            [cx.to_cochain(alg, r) for r in b_rows])
 
 
 class TestGalilean:
@@ -142,13 +145,13 @@ class TestGalilean:
         for D in (0, 1, 2, 3):
             solve = _solve_at_degree(g, D)
             assert len(solve.cocycle_rows) == 9 * (D + 1) + 1
-            assert len(solve.coboundary_rows) == 9 * (D + 1)
+            assert solve.coboundary_dim == 9 * (D + 1)
 
     def test_constant_coboundary_rank_oracle(self):
         # derived subalgebra of the spatial part is 9-dimensional
         g = galilean()
         assert dense_rank(constant_coboundary_rows(g)) == 9
-        assert len(_solve_at_degree(g, 0).coboundary_rows) == 9
+        assert _solve_at_degree(g, 0).coboundary_dim == 9
 
     def test_coordinates(self):
         assert classify(galilean()).coordinates == ["gamma"]
@@ -452,7 +455,16 @@ class TestOperators:
                     comps = [RatPoly.zero()] * alg.dim
                     comps[k] = RatPoly.monomial(u)
                     want = oracle_coboundary(OneCochain(alg, comps))
-                    assert row == cx.to_row(want, D), (alg.name, D, k, u)
+                    assert row == cx.to_row(want), (alg.name, D, k, u)
+
+    def test_unit_image_row_is_the_same_at_every_bound(self):
+        # one column numbering whatever the bound: a unit t^u e_k has one row
+        for alg in oracle_algebras():
+            cx = _complex(alg)
+            by_bound = [dict(zip(cx.units(D), cx.coboundary_rows(D))) for D in range(5)]
+            for D, rows in enumerate(by_bound):
+                for unit, row in rows.items():
+                    assert all(later[unit] == row for later in by_bound[D:]), (alg.name, unit)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -461,7 +473,7 @@ class TestOperators:
         # coefficients that mostly break the cocycle condition
         alg = data.draw(st.sampled_from(CHECK_ALGEBRAS))
         D = data.draw(st.integers(min_value=0, max_value=3))
-        ncols = _columns(alg, D)
+        columns = _complex(alg).columns(D)
         basis = cocycle_basis(alg, D)
         small = st.integers(min_value=-3, max_value=3)
         row = {}
@@ -470,9 +482,9 @@ class TestOperators:
             for c, v in vec.items():
                 row[c] = row.get(c, 0) + coeff * v
         for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
-            col = data.draw(st.integers(min_value=0, max_value=ncols - 1))
+            col = data.draw(st.sampled_from(columns))
             row[col] = row.get(col, 0) + data.draw(small)
-        xi = _complex(alg).to_cochain(alg, {c: Fraction(v) for c, v in row.items() if v}, D)
+        xi = _complex(alg).to_cochain(alg, {c: Fraction(v) for c, v in row.items() if v})
         assert is_cocycle(xi) == oracle_is_cocycle(xi)
 
 
@@ -504,7 +516,7 @@ class TestOperators:
         dense = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                                    max_size=6))
         rows = [{c: Fraction(v) for c, v in enumerate(r) if v} for r in dense]
-        basis = linalg.nullspace(rows, ncols)
+        basis = linalg.nullspace(rows, range(ncols))
         assert len(basis) == ncols - dense_rank(dense)
         for vec in basis:
             assert all(sum(r.get(c, 0) * v for c, v in vec.items()) == 0 for r in rows)
@@ -530,7 +542,7 @@ def transposed_witness(x1, x2):
     for ucol, img in enumerate(cx.coboundary_rows(D)):
         for ecol, v in img.items():
             eq_rows.setdefault(ecol, {})[ucol] = v
-    rhs = cx.to_row(delta, D)
+    rhs = cx.to_row(delta)
     rows = [{**eq_rows.get(ecol, {}), **({len(units): rhs[ecol]} if ecol in rhs else {})}
             for ecol in set(eq_rows) | set(rhs)]
     coeffs = [[Fraction(0)] * (D + 1) for _ in range(alg.dim)]
@@ -728,6 +740,15 @@ class TestDegreeBound:
             assert build(index).dim == {"milne": 3 * index + 7,
                                         "phase-space": 2 * index}[family]
 
+    def test_no_admitted_degree_reaches_the_numbering_width(self):
+        # column(pair, power) stays in its pair's block only for powers
+        # below MAX_COLUMNS; a single pair admits exactly those
+        _column_count(2, "x", MAX_COLUMNS - 1)
+        for dim in range(2, 200):
+            for degree in (MAX_COLUMNS, MAX_COLUMNS + 1, 2 * MAX_COLUMNS, 10 ** 9):
+                with pytest.raises(ColumnLimitError):
+                    _column_count(dim, "x", degree)
+
     def test_limit_admits_the_auto_cap_on_builtins(self):
         algebras = ([galilean()] + [milne(m) for m in range(1, 8)]
                     + [phase_space(n) for n in (1, 2, 3)])
@@ -756,23 +777,23 @@ def fraction_reduce(vec, reduced_rows):
 
 
 def full_solve(alg, D):
-    """Reference solve at bound D from the whole entry-first constraint list,
-    with no ladder: the cocycle nullspace, the coboundary RREF, the
-    reduction in Fractions and its RREF."""
+    """Reference solve at bound D from the whole constraint list, with no
+    ladder: the cocycle nullspace, the coboundary RREF, the reduction in
+    Fractions and its RREF."""
     cx = _complex(alg)
-    width = D + 1
+    _columns(alg, D)
     rows = []
     for bracket, deriv, _ in cx.triples.values():
-        for u in range(width):
-            row = {pidx * width + u: c for pidx, c in bracket}
+        for u in range(D + 1):
+            row = {column(pidx, u): c for pidx, c in bracket}
             if deriv is not None and u < D:
-                row[deriv[0] * width + u + 1] = deriv[1] * (u + 1)
+                row[column(deriv[0], u + 1)] = deriv[1] * (u + 1)
             if row:
                 rows.append(row)
-    z_vecs = linalg.nullspace(rows, _columns(alg, D))
+    z_vecs = linalg.nullspace(rows, cx.columns(D))
     b_rows = linalg.rref(cx.coboundary_rows(D))
     reduced = [fraction_reduce(v, b_rows) for v in z_vecs]
-    return _DegreeSolve(D, z_vecs, b_rows, linalg.rref([r for r in reduced if r]))
+    return _DegreeSolve(D, z_vecs, len(b_rows), linalg.rref([r for r in reduced if r]))
 
 
 def escalation_oracle(alg, cap=16):
@@ -853,6 +874,19 @@ class TestDegreeLadder:
                    for j in range(n)] for i in range(n)]
         assert_ladder_matches_oracle(abelian_extension(matrix))
 
+    def test_coboundary_echelon_spans_the_unit_images(self):
+        # the solve reduces against the ladder's echelon where the full
+        # solve uses the RREF of every unit image: same pivots, same span
+        for alg in oracle_algebras() + [phase_space(1)]:
+            cx = _complex(alg)
+            ladder = _Ladder(alg)
+            for D in range(5):
+                ladder.climb_to(D)
+                want = linalg.rref(cx.coboundary_rows(D))
+                assert sorted(ladder.coboundary) == [min(r) for r in want], (alg.name, D)
+                for lead, row in ladder.coboundary.items():
+                    assert min(row) == lead and not fraction_reduce(row, want)
+
     def test_explicit_degree_matches_the_full_solve(self):
         for alg in (galilean(), milne(2), rescaled_copy(milne(2)), phase_space(2)):
             for D in (0, 1, 3, 5):
@@ -880,7 +914,8 @@ class TestDegreeLadder:
         calls = []
         nullspace = linalg.nullspace
         monkeypatch.setattr(linalg, "nullspace",
-                            lambda rows, ncols: calls.append(len(rows)) or nullspace(rows, ncols))
+                            lambda rows, columns: calls.append(len(rows))
+                            or nullspace(rows, columns))
         c = classify(milne(2))
         assert c.degree_used == 3 and len(calls) == 1
 

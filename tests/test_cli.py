@@ -450,6 +450,38 @@ def test_classify_report_bytes_are_golden(spec, capsys, monkeypatch):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXPECTED[spec]["sha256"]
 
 
+# sha256 of `classify --format json` reports outside the benchmark's set:
+# larger auto-degree runs, explicit degrees, and Bug B's algebra (ROADMAP
+# item 2) as auto mode reports it today, truncation artifacts included
+CENTRAL_TIME = {"labels": ["tau", "x", "y", "z"], "time_generator": "tau",
+                "brackets": [{"lhs": "x", "rhs": "y", "out": [["z", "1"]]}]}
+GOLDEN = {
+    ("milne:6",): "16bd57b8ed8a0e6936189e6e100b21a1fa0afdadc9565b47847a88aa337f1c03",
+    ("milne:7",): "69c91d7ff67640bfa3630a5553534abd60740090d92b491f307793cb6c11802d",
+    ("galilean", "--degree", "0"):
+        "6eb03345e93696a06b2278cdc1643f7f7ccc774f2440dda35bff4012418320f7",
+    ("galilean", "--degree", "3"):
+        "d8fee61497b6b6dcdd28f9092d9b00b26dea603abc589fbc27b5ed4016ebdc27",
+    ("milne:2", "--degree", "0"):
+        "09c12b43bccf4beac5ee60a06f6117790d16997dd3e7e4936f7c44e898195544",
+    ("milne:2", "--degree", "3"):
+        "029c3136593bf687c5ec6d80279228e47609bb7f91a32f77bd365649be752af6",
+    ("central-time.json",): "838508c33ec33abbfdebbc3862f6b2338bdccbe44a9b2e1d85d0ed2f599fb171",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN), ids=" ".join)
+def test_more_classify_report_bytes_are_golden(args, capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_tool_stamp",
+                        lambda: {"name": "explab", "version": "unknown"})
+    # the report echoes the algebra path, so the JSON algebra is read by name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "central-time.json").write_text(json.dumps(CENTRAL_TIME))
+    code, out, _ = run_cli(["classify", "--algebra", *args, "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[args]
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "explab.cli", "classify",

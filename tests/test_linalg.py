@@ -98,11 +98,18 @@ class TestNullspace:
     @given(matrices())
     def test_annihilates_rows_and_counts_free_columns(self, mat):
         rows, ncols = mat
-        basis = linalg.nullspace(rows, ncols)
+        basis = linalg.nullspace(rows, range(ncols))
         assert len(basis) == ncols - dense_rank(rows, ncols)
         for vec in basis:
             assert all(sum(r.get(c, 0) * v for c, v in vec.items()) == 0 for r in rows)
         assert dense_rank(basis, ncols) == len(basis)
+
+    def test_free_columns_follow_the_column_list(self):
+        # the columns need not be contiguous: one vector per free column,
+        # in the listed order
+        rows = [{10_000: 2, 20_000: -2}]
+        basis = linalg.nullspace(rows, [5, 10_000, 10_001, 20_000])
+        assert basis == [{5: 1}, {10_001: 1}, {20_000: 1, 10_000: 1}]
 
 
 class TestSolveAugmented:
