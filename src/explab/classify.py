@@ -30,6 +30,7 @@ __all__ = [
     "EquivalenceResult",
     "DegreeCapError",
     "ColumnLimitError",
+    "check_columns",
     "check_family_columns",
     "MilneStructureReport",
     "classify",
@@ -71,12 +72,18 @@ def _first_degree(timed: bool, degree) -> int:
     return (1 if timed else 0) if degree == "auto" else int(degree)
 
 
+def check_columns(name: str, dim: int, timed: bool, degree="auto") -> None:
+    """Raise the ColumnLimitError that classify(alg, degree) raises first on
+    an algebra `name` of dimension `dim`, with a time generator if `timed`,
+    without building or validating it."""
+    _column_count(dim, name, _first_degree(timed, degree))
+
+
 def check_family_columns(family: str, index: int, degree="auto") -> None:
-    """Raise the ColumnLimitError that classify(<family>:<index>, degree)
-    raises first, without building the algebra (milne:m has a time
-    generator, phase-space:n none)."""
-    _column_count(family_dim(family, index), "%s:%d" % (family, index),
-                  _first_degree(family == "milne", degree))
+    """check_columns for <family>:<index>: milne:m has a time generator,
+    phase-space:n none."""
+    check_columns("%s:%d" % (family, index), family_dim(family, index),
+                  family == "milne", degree)
 
 
 # -- classification -----------------------------------------------------
@@ -297,12 +304,14 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     """Decide whether x2 - x1 is a coboundary; return a witness when it is.
 
     The witness search runs over one-cochains of component degree
-    deg(x2 - x1) + 1; a coboundary of that entry degree cannot need more,
-    since both the bracket pairing and the time derivative lower or preserve
-    component degree. It solves over the d1 images of the unit one-cochains,
-    the rows `classify` eliminates: a unit whose image reduces to zero
-    against the images of earlier units gets coefficient zero, so the
-    witness is unique in the operators' unit order.
+    deg(x2 - x1) + 1. That bound is known to fall short: when ad tau has a
+    nilpotent block on the other generators, the top degrees of lambda can
+    cancel in d lambda, so a coboundary of entry degree k - 1 may need a
+    witness of degree k + 1, and is then reported inequivalent to zero
+    (Bug C in ROADMAP). The search solves over the d1 images of the unit
+    one-cochains, the rows `classify` eliminates: a unit whose image
+    reduces to zero against the images of earlier units gets coefficient
+    zero, so the witness is unique in the operators' unit order.
 
     The images are eliminated once per algebra instance and degree bound,
     on the first query, and kept with the algebra (`LieAlgebra.memo`); each

@@ -19,15 +19,15 @@ every executed check passed, 1 for check failures and numeric aborts,
 2 for unusable input (bad flags or values, malformed, unreadable or
 inconsistent algebra files, an unwritable --out path), reported as one
 `error:` line on stderr.  `--samples` is bounded by MAX_SAMPLES and
-`--seed` must be nonnegative; a `milne:<m>` too large for classify's
-column limit or for exponent's pair limit is refused before it is built.
+`--seed` must be nonnegative; an algebra too large for classify's column
+limit (a family or a JSON file) or for exponent's pair limit is refused
+before it is built or validated.
 Classify reports carry no timing so identical inputs produce
 byte-identical bytes; the stochastic commands echo (seed, samples) and
 report wall time.
 """
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -39,8 +39,8 @@ from typing import Optional, Tuple
 from .checks import (PROBE_T, PROBE_X, SUITE_NAMES, SWEEP_MARGIN,  # noqa: F401
                      SWEEP_RATIOS, PairLimitError, check_table_pairs,
                      exponent_table, suite)
-from .classify import (ColumnLimitError, DegreeCapError, check_family_columns,
-                       classify)
+from .classify import (ColumnLimitError, DegreeCapError, check_columns,
+                       check_family_columns, classify)
 from .groupexp import ExtrapolationError, theta_galilean, theta_milne
 from .lie import LieAlgebra, family_index, galilean, milne, phase_space
 
@@ -81,11 +81,15 @@ def _report(args: argparse.Namespace, input_echo: dict, results: dict,
     }
 
 
-def load_algebra(spec: str, check=None) -> LieAlgebra:
+def load_algebra(spec: str, check=None, degree="auto") -> LieAlgebra:
     """Resolve a builtin algebra name or load and validate a JSON file.
 
-    For a `milne:<m>` or `phase-space:<n>` spec, `check(family, index)`
-    runs before the algebra is built, so an oversized one is refused first.
+    A `milne:<m>` or `phase-space:<n>` spec, or a JSON file, that classify
+    at `degree` would refuse for its column count raises that
+    ColumnLimitError before the algebra is built or validated; a file is
+    sized from its label count and time generator, since validation
+    visits every triple of labels.  For a family, `check(family, index)`
+    runs first.
     """
     if spec == "galilean":
         return galilean()
@@ -97,6 +101,7 @@ def load_algebra(spec: str, check=None) -> LieAlgebra:
         if index is not None:
             if check is not None:
                 check(family, index)
+            check_family_columns(family, index, degree)
             return build(index)
     if not os.path.exists(spec):
         raise UsageError("unknown algebra %r: not a builtin name and no such file"
@@ -113,6 +118,10 @@ def load_algebra(spec: str, check=None) -> LieAlgebra:
     except json.JSONDecodeError as exc:
         raise UsageError("parse error in %s, line %d column %d: %s"
                          % (spec, exc.lineno, exc.colno, exc.msg))
+    labels = data.get("labels") if isinstance(data, dict) else None
+    if isinstance(labels, list):  # a malformed file is left to from_dict
+        check_columns(os.path.basename(spec), len(labels),
+                      data.get("time_generator") is not None, degree)
     try:
         return LieAlgebra.from_dict(data, name=os.path.basename(spec))
     except (ValueError, TypeError, KeyError) as exc:
@@ -140,8 +149,7 @@ def load_theta(spec: str):
 def cmd_classify(args: argparse.Namespace) -> Tuple[dict, bool]:
     if args.degree != "auto" and args.degree < 0:
         raise UsageError("degree must be 'auto' or a nonnegative integer")
-    alg = load_algebra(args.algebra,
-                       functools.partial(check_family_columns, degree=args.degree))
+    alg = load_algebra(args.algebra, degree=args.degree)
     result = classify(alg, degree=args.degree)
     echo = {"algebra": args.algebra, "degree": args.degree}
     return _report(args, echo, result.to_jsonable(), timing=None), True

@@ -23,11 +23,13 @@ Galilean group is the order-1 case, A(t) = a + v t stored as the rows
 Sample axes.  Every field of an element may carry leading sample axes:
 R has shape (..., 3, 3), A (..., k+1, 3) and b (...); an event's x has
 shape (..., 3) and its t (...).  The sample axes of all fields and events
-broadcast against each other, so `compose`, `inverse`, `act`, the
-built-in phases and `finite_exponent` evaluate a stack of N samples in
-one call, and one element is the case without sample axes.  An exponent
-table stacks its generator pairs the same way, with the leading axes
-(pairs, levels), one Milne order per call (`extraction_table`).
+broadcast against each other, so `compose`, `inverse`, `act`, every
+phase and gauge, and `finite_exponent` evaluate a stack of N samples in
+one call, and one element is the case without sample axes.  A phase or a
+gauge is written once, for whole stacks: array operations, with
+`np.where` in place of a per-sample branch.  An exponent table stacks
+its generator pairs the same way, with the leading axes (pairs, levels),
+one Milne order per call (`extraction_table`).
 The sampled checks draw all their samples in one call, so a seed maps to
 other samples than it did when they were drawn one at a time; their gates
 and tolerances are unchanged, and a NaN anywhere fails them.
@@ -143,19 +145,12 @@ class MilneElement:
             return shapes[0]
         return np.broadcast_shapes(*shapes)
 
-    def _samples(self, shape):
-        """sample(index): the sample at `index`, with the sample axes
-        broadcast to `shape` once for all the samples taken."""
-        shape = tuple(shape)
-        R = np.broadcast_to(self.R, shape + (3, 3))
-        A = np.broadcast_to(self.A, shape + self.A.shape[-2:])
-        b = np.broadcast_to(self.b, shape)
-        return lambda index: MilneElement(R[index], A[index], b[index])
-
-    def take(self, index, shape=None):
-        """The sample at `index`, with the sample axes first broadcast to
-        `shape` (default: `batch`)."""
-        return self._samples(self.batch if shape is None else shape)(index)
+    def take(self, index) -> "MilneElement":
+        """The sample at `index` of the sample axes `batch`."""
+        batch = self.batch
+        return MilneElement(np.broadcast_to(self.R, batch + (3, 3))[index],
+                            np.broadcast_to(self.A, batch + self.A.shape[-2:])[index],
+                            np.broadcast_to(self.b, batch)[index])
 
 
 def _order(kind: str, order: int) -> int:
@@ -259,49 +254,20 @@ def exp_generator(kind: str, role: Optional[Role], tau, order: int = 1):
 class PhaseFunction:
     """Tagged multiplier phase theta(r, x, t) over one of the built-in groups.
 
-    A `stacked` fn takes elements and events with sample axes and returns
-    one value per sample.  Any other fn sees one sample per call: a call
-    with sample axes evaluates it sample by sample.
+    fn takes elements and events with their sample axes and returns one
+    value per sample; a constant broadcasts over the samples.
     """
 
     tag: str
     group: str  # "galilean" or "milne"
     fn: Callable
-    stacked: bool = False
 
     def __call__(self, r, x, t):
-        if self.stacked:
-            return self.fn(r, x, t)
-        x = np.asarray(x)
-        shape = np.broadcast_shapes(r.batch, x.shape[:-1], np.shape(t))
-        if shape == ():
-            return self.fn(r, x, t)
-        xs = np.broadcast_to(x, shape + (3,))
-        ts = np.broadcast_to(t, shape)
-        sample = r._samples(shape)
-        return np.array([self.fn(sample(i), xs[i], ts[i])
-                         for i in np.ndindex(shape)]).reshape(shape)
+        return self.fn(r, x, t)
 
 
 def _num_tag(value) -> str:
     return repr(float(value))
-
-
-def theta_galilean(mass) -> PhaseFunction:
-    """Mass multiplier: theta = -m v.x + (m/2)|v|^2 t on the boost v = A[..., 1, :].
-
-    On order-1 elements theta_galilean(m) = theta_milne(-m); the closed
-    form stays because it skips theta_milne's polynomial phase data, which
-    makes one finite exponent several times slower.
-    """
-
-    def fn(r: MilneElement, x, t):
-        x = np.asarray(x)
-        v = r.A[..., 1, :]
-        return -mass * _dot(v, x) + mass * _dot(v, v) * t / 2
-
-    return PhaseFunction("galilean-mass:%s" % _num_tag(mass), "galilean", fn,
-                         stacked=True)
 
 
 def _horner(c, t):
@@ -361,8 +327,15 @@ def theta_milne(mass) -> PhaseFunction:
     def fn(r: MilneElement, x, t):
         return milne_phase_value(acceleration_phase_polys(mass, r.A), r.b, x, t)
 
-    return PhaseFunction("milne-schrodinger:%s" % _num_tag(mass), "milne", fn,
-                         stacked=True)
+    return PhaseFunction("milne-schrodinger:%s" % _num_tag(mass), "milne", fn)
+
+
+def theta_galilean(mass) -> PhaseFunction:
+    """Mass multiplier theta = -m v.x + (m/2)|v|^2 t on the boost v = A[..., 1, :].
+
+    It is theta_milne(-m) on the order-1 elements of the Galilean group.
+    """
+    return PhaseFunction("galilean-mass:%s" % _num_tag(mass), "galilean", theta_milne(-mass).fn)
 
 
 def finite_exponent(theta: PhaseFunction, r, s, p: Event):
@@ -464,7 +437,7 @@ def exponent_time_variance(theta: PhaseFunction, samples: int = 100, seed: int =
 
 
 def _gauge_phase(group: str, zeta: Callable) -> PhaseFunction:
-    """A gauge zeta(r, p) as a phase, called once per sample."""
+    """A gauge zeta(r, p) as a phase; like a phase, zeta takes whole sample stacks."""
     return PhaseFunction("gauge", group, lambda r, x, t: zeta(r, (x, t)))
 
 
@@ -472,11 +445,11 @@ def equivalence_transform(theta: PhaseFunction, zeta: Callable,
                           tag: Optional[str] = None) -> PhaseFunction:
     """theta' = theta + zeta for a gauge zeta(r, p) with zeta(e, p) = 0.
 
-    theta is evaluated stacked and zeta once per sample.
+    zeta receives elements and events with their sample axes and returns
+    one value per sample, or a constant.
     """
-    gauge = _gauge_phase(theta.group, zeta)
     return PhaseFunction(tag or theta.tag + "+gauge", theta.group,
-                         lambda r, x, t: theta(r, x, t) + gauge(r, x, t), stacked=True)
+                         lambda r, x, t: theta(r, x, t) + zeta(r, (x, t)))
 
 
 def exponent_shift_violation(theta: PhaseFunction, zeta: Callable,
@@ -484,7 +457,9 @@ def exponent_shift_violation(theta: PhaseFunction, zeta: Callable,
                              order: int = 2) -> float:
     """Max violation of xi' = xi + zeta(r,p) + zeta(s,r^-1 p) - zeta(rs,p).
 
-    The gauge term is the finite exponent of zeta as a phase.
+    The gauge term is the finite exponent of zeta as a phase.  Each of the
+    three finite exponents evaluates all `samples` draws in one call, so
+    zeta is called six times in all, each time on the whole stack.
     """
     rng = np.random.default_rng(seed)
     r = random_element(rng, theta.group, order, samples)

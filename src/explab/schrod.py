@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groupexp import MilneElement, acceleration_phase_polys, milne_phase_value
+from .groupexp import acceleration_phase_polys, milne_phase_value
 from .ratpoly import RatPoly
 
 SUPPORT_TOL = 1e-10
@@ -124,10 +124,8 @@ def milne_phase(mass: float, A: RatPoly) -> Callable:
     """theta(x, t) for the 1D profile A: theta_milne of the frame change
     x -> x + A(t), with x on the first spatial axis.  x and t broadcast.
     The phase polynomials are derived once here, not once per call."""
-    frame = MilneElement(np.eye(3), _profile_rows(A), 0.0)
-    polys = acceleration_phase_polys(mass, frame.A)
-    return lambda x, t: milne_phase_value(polys, frame.b,
-                                          np.multiply.outer(x, [1.0, 0.0, 0.0]), t)
+    polys = acceleration_phase_polys(mass, _profile_rows(A))
+    return lambda x, t: milne_phase_value(polys, 0.0, np.multiply.outer(x, [1.0, 0.0, 0.0]), t)
 
 
 def _lagrange_weights(frac: np.ndarray, width: int = 8) -> np.ndarray:

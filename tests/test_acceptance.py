@@ -5,7 +5,6 @@ lines; every criterion states its tolerance and runtime budget inline.
 """
 
 import itertools
-import math
 import time
 from fractions import Fraction
 
@@ -195,7 +194,7 @@ def test_criterion_08_equivalence_transport():
     worst_group = 0.0
     for k in range(100):
         c0, c1 = rng.uniform(-2.0, 2.0, size=2)
-        zeta = lambda r, p, a=c0, b=c1: a * r.b + b * r.b * math.sin(p[1])
+        zeta = lambda r, p, a=c0, b=c1: a * r.b + b * r.b * np.sin(p[1])
         worst_group = max(worst_group, exponent_shift_violation(
             theta, zeta, samples=20, seed=k))
     if worst_group > IDENTITY_TOL:

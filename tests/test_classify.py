@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import random
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -399,6 +400,36 @@ class TestCentralTimeTruncation:
         assert c.quotient_dim == 2
         zero = TwoCochain.zero(alg)
         assert not any(are_equivalent(zero, rep) for rep in c.representatives)
+
+
+class TestNilpotentWitnessDegree:
+    # ad tau is one nilpotent Jordan block on the abelian ideal (x0, x1), so
+    # the top degrees of lambda cancel in d lambda: lambda = (x0: t^k,
+    # x1: -t^(k+1)/(k+1)) has d lambda = -k t^(k-1) on (tau, x0) alone, and
+    # a witness for it needs degree k + 1 = deg + 2 (ROADMAP item 2, Bug C)
+    SPEC = {"labels": ["tau", "x0", "x1"], "time_generator": "tau",
+            "brackets": [{"lhs": "tau", "rhs": "x1", "out": [["x0", "1"]]}]}
+
+    @staticmethod
+    def delta(k):
+        alg = LieAlgebra.from_dict(TestNilpotentWitnessDegree.SPEC)
+        lam = OneCochain(alg, (RatPoly.zero(), RatPoly.monomial(k),
+                               RatPoly.monomial(k + 1, Fraction(-1, k + 1))))
+        return coboundary(lam)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_the_coboundary_is_a_cocycle_of_degree_k_minus_1(self, k):
+        delta = self.delta(k)
+        assert is_cocycle(delta)
+        want = {("tau", "x0"): RatPoly.monomial(k - 1, -k)}
+        assert delta == TwoCochain.from_labels(delta.alg, want)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2 (Bug C): are_equivalent "
+                       "searches witnesses of degree deg(delta) + 1 only")
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_the_coboundary_is_equivalent_to_zero(self, k):
+        delta = self.delta(k)
+        assert are_equivalent(TwoCochain.zero(delta.alg), delta)
 
 
 class TestDeterminism:
@@ -930,3 +961,55 @@ class TestDegreeLadder:
         finally:
             tracemalloc.stop()
         assert peak <= 2_500_000
+
+
+# -- invariance under a change of basis of h --------------------------------
+
+def sheared_copy(alg, seed, entries=3):
+    """alg in the basis e'_b = sum_a P[a][b] e_a, where P is the identity
+    plus `entries` seeded rational entries above the diagonal among the
+    generators other than tau: a sparse shear of h with tau fixed."""
+    rng = random.Random(seed)
+    n = alg.dim
+    h = [k for k in range(n) if k != alg.time_index]
+    P = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+    for _ in range(entries):
+        a, b = sorted(rng.sample(h, 2))
+        P[a][b] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+    # P is unitriangular: solve P x = y for e_k in the new basis, bottom up
+    inverse = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        for a in reversed(range(n)):
+            inverse[a][k] = int(a == k) - sum(P[a][c] * inverse[c][k] for c in range(a + 1, n))
+    brackets = []
+    for a, b in alg.pairs():
+        old = [Fraction(0)] * n  # [e'_a, e'_b] in the old basis
+        for i in range(n):
+            for j in range(n):
+                if P[i][a] and P[j][b]:
+                    for k, c in alg.bracket_basis(i, j):
+                        old[k] += P[i][a] * P[j][b] * c
+        out = [[alg.labels[l], str(sum(inverse[l][k] * old[k] for k in range(n)))]
+               for l in range(n)]
+        out = [term for term in out if term[1] != "0"]
+        if out:
+            brackets.append({"lhs": alg.labels[a], "rhs": alg.labels[b], "out": out})
+    spec = alg.to_dict()
+    spec["brackets"] = brackets
+    return LieAlgebra.from_dict(spec)
+
+
+class TestChangeOfBasis:
+    @pytest.mark.parametrize("build", [galilean, functools.partial(milne, 1),
+                                       functools.partial(milne, 2)],
+                             ids=["galilean", "milne:1", "milne:2"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sparse_shear_keeps_dims_and_nontrivial_classes(self, build, seed):
+        alg = build()
+        sheared = sheared_copy(alg, seed)
+        assert sheared.to_dict() != alg.to_dict()
+        want, got = classify(alg), classify(sheared)
+        for field in ("cocycle_dim", "coboundary_dim", "quotient_dim", "degree_used"):
+            assert getattr(got, field) == getattr(want, field), field
+        zero = TwoCochain.zero(sheared)
+        assert not any(are_equivalent(zero, rep) for rep in got.representatives)

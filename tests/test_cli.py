@@ -2,18 +2,20 @@
 
 import hashlib
 import json
-import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import explab.checks as checks
 import explab.cli as cli
-from explab.classify import MAX_COLUMNS, DegreeCapError
+from explab.classify import MAX_COLUMNS, ColumnLimitError, DegreeCapError, classify
 from explab.groupexp import ExtrapolationError, PhaseFunction
+from explab.lie import LieAlgebra
 
 # sha256 of each built-in `classify --format json` report, recorded with
 # the benchmark; read here, never rewritten by the tests
@@ -29,8 +31,8 @@ def run_cli(argv, capsys):
 
 def rough_phase(r, x, t):
     """x1 v1 log|v1|: not smooth at the identity, so extraction cannot converge."""
-    v = r.A[..., 1, :][0]
-    return x[0] * v * math.log(abs(v)) if v else 0.0
+    v = r.A[..., 1, 0]
+    return x[..., 0] * v * np.log(np.where(v == 0, 1.0, np.abs(v)))
 
 
 def run_json(argv, capsys):
@@ -184,6 +186,44 @@ class TestClassifyCommand:
         assert code == 2 and out == ""
         assert "limit is %d" % MAX_COLUMNS in err
         assert peak < 1_000_000
+
+    def test_oversized_json_algebra_is_refused_before_validation(self, capsys, tmp_path):
+        # refused from the label count: validation would visit all 10.7
+        # million triples of labels
+        spec = tmp_path / "wide.json"
+        spec.write_text(json.dumps({"labels": ["x%03d" % k for k in range(401)],
+                                    "brackets": []}))
+        started = time.perf_counter()
+        code, out, err = run_cli(["classify", "--algebra", str(spec)], capsys)
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and out == ""
+        assert err == ("error: degree 0 needs 80200 coefficient columns on wide.json; "
+                       "the limit is %d\n" % MAX_COLUMNS)
+
+    @pytest.mark.parametrize("n, timed, degree", [(101, True, "auto"), (101, False, "1"),
+                                                  (60, True, "5"), (142, False, "auto")])
+    def test_json_algebra_refused_as_classify_refuses_it(self, n, timed, degree,
+                                                         capsys, tmp_path, monkeypatch):
+        labels = ["x%03d" % k for k in range(n)]
+        spec = tmp_path / "wide.json"
+        spec.write_text(json.dumps({"labels": labels, "brackets": [],
+                                    "time_generator": labels[0] if timed else None}))
+        alg = LieAlgebra(labels, {}, time_index=0 if timed else None, name="wide.json")
+        with pytest.raises(ColumnLimitError) as built:
+            classify(alg, degree=degree if degree == "auto" else int(degree))
+        monkeypatch.setattr(LieAlgebra, "validate", lambda self: pytest.fail("validated"))
+        code, out, err = run_cli(["classify", "--algebra", str(spec), "--degree", degree],
+                                 capsys)
+        assert code == 2 and out == "" and err == "error: %s\n" % built.value
+
+    @pytest.mark.parametrize("data", [[1, 2], {"labels": 5, "brackets": []},
+                                      {"brackets": []}])
+    def test_malformed_algebra_is_not_sized(self, data, capsys, tmp_path):
+        spec = tmp_path / "malformed.json"
+        spec.write_text(json.dumps(data))
+        code, out, err = run_cli(["classify", "--algebra", str(spec)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid algebra in %s: " % spec)
 
     def test_degree_cap_abort_exits_one(self, capsys, monkeypatch):
         def blow_up(alg, degree="auto"):

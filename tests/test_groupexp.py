@@ -271,19 +271,18 @@ class TestEquivalenceTransform:
 
     def test_event_time_gauge(self):
         th = theta_milne(0.8)
-        zeta = lambda r, p: r.b * math.sin(p[1])
+        zeta = lambda r, p: r.b * np.sin(p[1])
         assert exponent_shift_violation(th, zeta, samples=200, seed=6) <= 1e-12
 
     def test_nan_gauge_fails(self):
-        zeta = lambda r, p: math.nan if r.b > 0.9 else 0.7 * r.b
+        zeta = lambda r, p: np.where(r.b > 0.9, math.nan, 0.7 * r.b)
         assert not exponent_shift_violation(theta_galilean(1.0), zeta,
                                             samples=200, seed=5) <= 1e-12
 
     def test_nan_time_variance_fails(self):
         th = theta_galilean(1.0)
         flaky = PhaseFunction("flaky", "galilean", lambda r, x, t:
-                              th(r, x, t) + np.where(r.b > 0.9, math.nan, 0.0),
-                              stacked=True)
+                              th(r, x, t) + np.where(r.b > 0.9, math.nan, 0.0))
         assert not exponent_time_variance(flaky, samples=100, seed=3) <= 1e-24
 
     def test_transform_returns_shifted_phase(self):
@@ -339,7 +338,7 @@ class TestHGroup:
 
     def test_nan_phase_fails_the_suite(self, monkeypatch):
         flaky = PhaseFunction("flaky", "galilean",
-                              lambda r, x, t: math.nan if r.b > 0.9 else 0.0)
+                              lambda r, x, t: np.where(r.b > 0.9, math.nan, 0.0))
         monkeypatch.setattr(checks, "theta_galilean", lambda mass: flaky)
         results = {c["name"]: c for c in checks.h_group_suite(samples=100, seed=23)}
         assert not results["associativity-matches-composition"]["passed"]
@@ -406,7 +405,7 @@ class TestExtraction:
 
     def test_non_convergent_diagnostic(self):
         rough = PhaseFunction("user", "galilean", lambda r, x, t:
-                              abs(np.dot(r.A[..., 1, :], r.A[..., 1, :])) ** 0.25 * x[0])
+                              np.abs((r.A[..., 1, :] ** 2).sum(-1)) ** 0.25 * x[..., 0])
         with pytest.raises(ExtrapolationError):
             infinitesimal_from_finite(rough, GALILEAN, "b1", "d1",
                                       event([0.4, 0.1, 0.0], 0.3))
@@ -415,9 +414,7 @@ class TestExtraction:
         # x1 v1 log|v1| is not smooth at the identity. With two levels the
         # tableau's one difference is both its first and its last, so it
         # passes only when it is within the floor.
-        rough = PhaseFunction("rough", "galilean", lambda r, x, t:
-                              x[0] * r.A[..., 1, :][0] * math.log(abs(r.A[..., 1, :][0]))
-                              if r.A[..., 1, :][0] else 0.0)
+        rough = PhaseFunction("rough", "galilean", _rough_where_v1)
         p = event([0.4, 0.1, 0.0], 0.3)
         for levels in (2, 6):
             with pytest.raises(ExtrapolationError):
@@ -431,8 +428,8 @@ class TestExtraction:
         # sign(a1) a1^2 log|a1|: the diagonal differences level off instead of
         # falling, the last stays below the first, and the value drifts with tau0
         def planted(r, x, t):
-            a1 = r.A[..., 0, :][0]
-            return math.copysign(a1 ** 2 * math.log(abs(a1)), a1) if a1 else 0.0
+            a1 = r.A[..., 0, 0]
+            return np.copysign(a1 ** 2 * np.log(np.where(a1 == 0, 1.0, np.abs(a1))), a1)
 
         with pytest.raises(ExtrapolationError):
             infinitesimal_from_finite(PhaseFunction("log", "galilean", planted),
@@ -460,8 +457,8 @@ def _shuffled_pairs(alg):
 
 def _rough_where_v1(r, x, t):
     """x1 v1 log|v1|: smooth, and zero, wherever the boost component v1 is 0."""
-    v1 = r.A[..., 1, :][0]
-    return x[0] * v1 * math.log(abs(v1)) if v1 else 0.0
+    v1 = r.A[..., 1, 0]
+    return x[..., 0] * v1 * np.log(np.where(v1 == 0, 1.0, np.abs(v1)))
 
 
 class TestExtractionTable:
@@ -632,18 +629,26 @@ class TestStackedSamples:
         assert np.array_equal(theta_galilean(m)(r, x, t), theta_milne(-m)(r, x, t))
         assert np.array_equal(galilean_xi, -milne_xi)
 
-    def test_per_sample_phase_on_a_stack(self):
-        # a phase without `stacked` sees one sample per call
+    def test_phase_and_gauge_see_whole_stacks(self):
+        # each of the three terms of a finite exponent calls the phase and
+        # the gauge once, on all 8 samples
         th = theta_galilean(1.1)
         seen = []
 
-        def one_at_a_time(r, x, t):
-            seen.append(np.shape(r.b))
+        def phase(r, x, t):
+            seen.append(("phase", r.batch, np.shape(t)))
             return th(r, x, t)
 
-        scalar = PhaseFunction("scalar", "galilean", one_at_a_time)
+        def gauge(r, p):
+            seen.append(("gauge", r.batch, np.shape(p[1])))
+            return 0.7 * r.b
+
+        shifted = equivalence_transform(PhaseFunction("counted", "galilean", phase), gauge)
         rng = np.random.default_rng(6)
         r, s = (random_element(rng, "galilean", size=8) for _ in range(2))
         p = random_event(rng, size=8)
-        assert np.array_equal(finite_exponent(scalar, r, s, p), finite_exponent(th, r, s, p))
-        assert set(seen) == {()} and len(seen) == 3 * 8
+        xi = finite_exponent(shifted, r, s, p)
+        assert seen == [("phase", (8,), (8,)), ("gauge", (8,), (8,))] * 3
+        # a time-shift gauge has a zero exponent
+        assert xi.shape == (8,)
+        assert np.max(np.abs(xi - finite_exponent(th, r, s, p))) <= 1e-12
