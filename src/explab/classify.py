@@ -5,9 +5,67 @@ polynomial coefficients of a two-cochain. The rows of the constraints and of
 d1 expand from the algebra's complex templates (`explab.cochain`), whose
 one column numbering, entry-first (pairs (i, j) lexicographic) then by
 ascending power of t, fixes pivots, echelon forms and therefore every
-canonical output. It does not depend on the degree bound, so the degree
-escalation grows two echelons as the bound rises, and the one canonical
-solve at the bound it reports starts from them.
+canonical output.
+
+An explicit degree bound D computes H^2(g; V_D), where V_D holds the
+polynomials in t of degree <= D, the time generator tau acts as -d/dt and
+every other generator as zero: cocycles with entries in V_D modulo the
+coboundaries of one-cochains with components in V_D. Auto mode computes
+H^2(g; R[t]) instead, certified by Hochschild-Serre (Ann. Math. 57 (1953)
+591-603), and solves once, at a bound the certificate gives.
+
+The certificate. No bracket has a tau component (refused before any
+solve), so the other generators span an ideal h and g = h x| R tau. A
+two-cochain xi is a pair: its entries xi_h on pairs of h, and
+eta(x) = xi(tau, x). A one-cochain lambda enters d lambda only through its
+restriction lambda_h to h, and
+
+    d lambda = (d_h lambda_h, Delta lambda_h),   Delta = -d/dt + L,
+
+where d_h is the differential of h with trivial coefficients and L the
+action of ad tau on cochains of h, which commutes with d_h. xi is a cocycle
+iff d_h xi_h = 0 and Delta xi_h = d_h eta.
+
+Lemma. On W[t], for a finite-dimensional W with an endomorphism L, Delta
+is onto, and f of degree <= D has a preimage of degree <= D + k, where k is
+the nilpotency index of L on its generalized kernel (0 when that is zero).
+Fitting splits W = W_0 + W_1, both L-invariant, with L nilpotent on W_0 and
+invertible on W_1. On W_1, g = sum_j L^-(j+1) f^(j) is a finite sum of
+degree <= deg f; on W_0, g = -sum_(j<k) (I L)^j I f, with I the integral
+from 0, has degree <= deg f + k; each solves Delta g = f.
+
+Part 1: H^2(g; R[t]) is isomorphic to the kernel of Delta on
+H^2(h) (x) R[t]. The map
+xi -> [xi_h] sends cocycles into that kernel (Delta xi_h is exact) and
+onto it (for a representative xi_h of a class in the kernel, Delta xi_h =
+d_h eta solves for eta), and coboundaries to zero. A cocycle in its kernel
+is, less d lambda for some lambda_h, a cocycle (0, eta) with d_h eta = 0:
+eta lies in H^1(h) (x) R[t], where H^1(h) = Z^1(h) = ann [h, h] is
+L-invariant, so by the Lemma eta = Delta alpha there, and (0, eta) = d alpha.
+This is Hochschild-Serre's H^2(g; R[t]) = H^0(R tau; H^2(h) (x) R[t]):
+its H^1 term vanishes because Delta maps W[t] onto itself. The kernel is
+omega(t) = exp(t L) omega_0, a polynomial iff omega_0 lies in the
+generalized kernel of L on H^2(h). So the dimension is q*, that kernel's
+dimension, and every class has a representative whose h-entries, cocycles
+representing omega(t), have degree <= N - 1, N the nilpotency index of L
+there; its tau-pair entries, eta = d_h^-1 Delta xi_h on a complement of
+ker d_h, have no higher degree.
+
+Part 2: a coboundary d lambda whose entries have degree <= D is d lambda'
+for a lambda' of degree <= D + k1, k1 the nilpotency index of L on the
+generalized kernel in H^1(h) = ann [h, h]. Split lambda_h = alpha + beta,
+alpha along ann [h, h] and beta along a complement, on which d_h is
+injective and keeps degrees: d_h beta = d_h lambda_h has degree <= D, so
+beta does, and Delta alpha = (Delta lambda_h) - Delta beta has degree <= D.
+The Lemma on W = ann [h, h] gives alpha' of degree <= D + k1 with
+Delta alpha' = Delta alpha, and lambda' = alpha' + beta.
+
+So at every bound D >= N - 1, the cocycles with entries in V_D modulo the
+coboundaries of witnesses of degree D + k1 that land in V_D are H^2(g; R[t]):
+the map into it is one-to-one by Part 2 and onto by Part 1. Auto mode reads
+q* and N from g's own templates (`_certificate`), solves at D = max(2, N),
+asserts that the quotient dimension is q*, and reports D as degree_used.
+k1 is 0 on every built-in algebra, where this is the explicit solve at D.
 
 All arithmetic in this module is exact; no floats anywhere.
 """
@@ -17,18 +75,17 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import linalg
-from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _complex, coboundary, is_cocycle,
-                      pair_power)
+from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _complex, _Complex, coboundary,
+                      is_cocycle, pair_power)
 from .lie import LieAlgebra, family_dim
 from .ratpoly import RatPoly
 
 __all__ = [
     "Classification",
     "EquivalenceResult",
-    "DegreeCapError",
     "ColumnLimitError",
     "check_columns",
     "check_family_columns",
@@ -38,10 +95,6 @@ __all__ = [
     "verify_milne_structure",
     "realizable_subspace",
 ]
-
-
-class DegreeCapError(RuntimeError):
-    """Auto-degree escalation hit the cap without the quotient stabilizing."""
 
 
 class ColumnLimitError(ValueError):
@@ -68,7 +121,9 @@ def _columns(alg: LieAlgebra, degree: int) -> int:
 
 
 def _first_degree(timed: bool, degree) -> int:
-    """Degree bound of classify's first solve."""
+    """Degree bound that classify checks before it validates: an explicit
+    degree, 0 without a time generator, and 1 in auto mode with one, below
+    the certified bound (at least 2) that it checks once it has it."""
     return (1 if timed else 0) if degree == "auto" else int(degree)
 
 
@@ -84,6 +139,91 @@ def check_family_columns(family: str, index: int, degree="auto") -> None:
     phase-space:n none."""
     check_columns("%s:%d" % (family, index), family_dim(family, index),
                   family == "milne", degree)
+
+
+# -- the certificate ------------------------------------------------------
+
+def _generalized_kernel(rows: Iterable[Dict[int, object]], act: Callable,
+                        modulo: Dict[int, Dict[int, int]]) -> Tuple[int, int]:
+    """(dimension, nilpotency index) of the generalized kernel of a linear
+    map `act` on the span of `rows` modulo the integer echelon `modulo`,
+    which it only reads. The rank of the k-th power is that of the k-th image,
+    which falls strictly until the generalized kernel is used up."""
+    def image(vectors):
+        return list(linalg.echelon_int(linalg.reduce_mod_rows(v, modulo)
+                                       for v in vectors).values())
+
+    space = image(rows)
+    dim, index = len(space), 0
+    while space:
+        nxt = image(act(v) for v in space)
+        if len(nxt) == len(space):
+            break
+        space, index = nxt, index + 1
+    return dim - len(space), index
+
+
+def _k1(alg: LieAlgebra) -> int:
+    """Nilpotency index of L on its generalized kernel in H^1(h) =
+    ann [h, h], that of ad tau on h / [h, h], whose dual it is; kept with
+    the algebra, and 0 without a time generator."""
+    def build() -> int:
+        ti = alg.time_index
+        if ti is None:
+            return 0
+        h = [k for k in range(alg.dim) if k != ti]
+        derived = linalg.echelon_int(linalg.scale_to_int(dict(alg.bracket_basis(i, j)))
+                                     for i, j in alg.pairs() if ti not in (i, j))
+
+        def act(x):  # [tau, x]
+            out: Dict[int, Fraction] = {}
+            for a, w in x.items():
+                for i, c in alg.bracket_basis(ti, a):
+                    out[i] = out.get(i, 0) + c * w
+            return out
+
+        return _generalized_kernel(({a: 1} for a in h), act, derived)[1]
+    return alg.memo("k1", build)
+
+
+def _certificate(alg: LieAlgebra) -> Tuple[int, int]:
+    """(q*, N): the dimension and nilpotency index of the generalized kernel
+    of L on H^2(h), from the power-0 rows of g's templates. Z^2(h) is the
+    kernel of the cocycle rows of the triples of h, B^2(h) the span of the
+    d1 images of h's units restricted to pairs of h; columns are pair
+    numbers."""
+    cx = _complex(alg)
+    ti = alg.time_index
+    h_pairs = [p for p, pair in enumerate(cx.pairs) if ti not in pair]
+    in_h = set(h_pairs)
+    z2 = linalg.nullspace([dict(bracket) for triple, (bracket, _, _) in cx.triples.items()
+                           if ti not in triple], h_pairs)
+    b2 = linalg.echelon_int(linalg.scale_to_int({p: v for p, v in cx.lowered.get(k, ())
+                                                 if p in in_h})
+                            for k in range(alg.dim) if k != ti)
+    ad: Dict[int, List[Tuple[int, Fraction]]] = {}  # i: (a, e_i-component of [tau, e_a])
+    for a in range(alg.dim):
+        for i, c in alg.bracket_basis(ti, a):
+            ad.setdefault(i, []).append((a, c))
+    rank = cx.rank
+
+    def act(omega):  # (L omega)(a, b) = -omega([tau, a], b) - omega(a, [tau, b])
+        out: Dict[int, Fraction] = {}
+
+        def add(a, b, v):
+            if a != b:
+                p, v = (rank[a, b], v) if a < b else (rank[b, a], -v)
+                out[p] = out.get(p, 0) + v
+
+        for p, w in omega.items():
+            i, j = cx.pairs[p]
+            for a, c in ad.get(i, ()):
+                add(a, j, -c * w)
+            for b, c in ad.get(j, ()):
+                add(i, b, -c * w)
+        return out
+
+    return _generalized_kernel(z2, act, b2)
 
 
 # -- classification -----------------------------------------------------
@@ -119,75 +259,45 @@ class _DegreeSolve:
     rep_rows: List[Dict[int, Fraction]]
 
 
-class _Ladder:
-    """Quotient dimensions at degree bounds 0, 1, 2, ... from two integer
-    echelons that grow with the bound; in the complex's column numbering the
-    full cocycle rows of a power below D and the unit images of a power up
-    to D are the same rows at every bound D.
+def _coboundary_echelon(cx: _Complex, D: int, witness: int) -> Dict[int, Dict[int, int]]:
+    """Integer echelon of the coboundaries with entries of degree <= D among
+    the d1 images of the units of degree <= witness (>= D), each image
+    checked against the cocycle templates. The images are eliminated one
+    power of t at a time with every column of a power above D ordered first,
+    so the rows that lead at a power up to D span exactly those
+    coboundaries, and hold no higher power."""
+    shift = len(cx.pairs) * MAX_COLUMNS
 
-    At bound D, `cocycle` holds the echelon of the full rows of powers below
-    D, `coboundary` that of the unit images of powers up to D, and
-    `constraints` a shallow copy of `cocycle` grown by the rows of power D
-    without their derivative term: the whole constraint system at D. Each
-    unit image is checked against the cocycle templates, so the coboundaries
-    lie in the cocycle space and the quotient dimension is the number of
-    columns minus both ranks.
-    """
+    def images():
+        for k, u in sorted(cx.units(witness), key=lambda unit: unit[1]):
+            row = linalg.scale_to_int(cx.unit_row(k, u))
+            if not cx.annihilates(cx.row_coefficients(row)):
+                raise AssertionError("coboundary basis escapes the cocycle space")
+            yield {c - shift if pair_power(c)[1] > D else c: v for c, v in row.items()}
 
-    def __init__(self, alg: LieAlgebra) -> None:
-        self.alg = alg
-        self.cx = _complex(alg)
-        self.degree = -1
-        self.quotient: Optional[int] = None
-        self.cocycle: Dict[int, Dict[int, int]] = {}
-        self.coboundary: Dict[int, Dict[int, int]] = {}
-        self.constraints: Dict[int, Dict[int, int]] = {}
-
-    def climb_to(self, D: int) -> int:
-        """Raise the bound to D, one degree at a time; the quotient dimension at D."""
-        while self.degree < D:
-            self._climb()
-        return self.quotient
-
-    def _climb(self) -> None:
-        D = self.degree + 1
-        ncols = _columns(self.alg, D)
-        cx = self.cx
-        if D:
-            linalg.echelon_int(cx.cocycle_rows(D - 1, full=True), self.cocycle)
-        images = [linalg.scale_to_int(cx.unit_row(k, u)) for k, u in cx.units(D) if u == D]
-        if not all(cx.annihilates(cx.row_coefficients(r)) for r in images):
-            raise AssertionError("coboundary basis escapes the cocycle space")
-        linalg.echelon_int(images, self.coboundary)
-        self.constraints = linalg.echelon_int(cx.cocycle_rows(D, full=False),
-                                              dict(self.cocycle))
-        self.degree = D
-        self.quotient = ncols - len(self.constraints) - len(self.coboundary)
-
-    def solve(self) -> _DegreeSolve:
-        """Cocycle basis, coboundary rank and quotient representatives at the
-        current bound, from the echelons, which it takes over. Reduced row
-        echelon form is canonical for a row space, so the rank many
-        constraint rows give the cocycle basis that the whole system would,
-        and each cocycle reduces against the coboundary echelon as against
-        its RREF."""
-        D = self.degree
-        constraints, coboundary = self.constraints, self.coboundary
-        self.cocycle = self.coboundary = self.constraints = None
-        z_vecs = linalg.nullspace(list(constraints.values()), self.cx.columns(D))
-        del constraints
-        reduced = [linalg.reduce_mod_rows(v, coboundary) for v in z_vecs]
-        rep_rows = linalg.rref([r for r in reduced if r])
-        if len(rep_rows) != len(z_vecs) - len(coboundary):
-            raise AssertionError("coboundary basis escapes the cocycle space")
-        return _DegreeSolve(D, z_vecs, len(coboundary), rep_rows)
+    return {lead: row for lead, row in linalg.echelon_int(images()).items() if lead >= 0}
 
 
-def _solve_at_degree(alg: LieAlgebra, D: int) -> _DegreeSolve:
-    """The canonical solve at entry-degree bound D, after the ladder up to D."""
-    ladder = _Ladder(alg)
-    ladder.climb_to(D)
-    return ladder.solve()
+def _solve(alg: LieAlgebra, D: int, witness: int) -> _DegreeSolve:
+    """The canonical solve at entry-degree bound D, modulo the coboundaries
+    of witnesses of degree `witness` that land in V_D. The constraint rows
+    enter one echelon power by power: the full rows of powers below D, then
+    those of power D without their derivative term. Reduced row echelon
+    form is canonical for a row space, so the rank-many echelon rows give
+    the cocycle basis that the whole constraint list would, and each cocycle
+    reduces against the coboundary echelon as against its RREF."""
+    cx = _complex(alg)
+    constraints: Dict[int, Dict[int, int]] = {}
+    for u in range(D + 1):
+        linalg.echelon_int(cx.cocycle_rows(u, full=u < D), constraints)
+    z_vecs = linalg.nullspace(list(constraints.values()), cx.columns(D))
+    del constraints
+    coboundary = _coboundary_echelon(cx, D, witness)
+    reduced = [linalg.reduce_mod_rows(v, coboundary) for v in z_vecs]
+    rep_rows = linalg.rref([r for r in reduced if r])
+    if len(rep_rows) != len(z_vecs) - len(coboundary):
+        raise AssertionError("coboundary basis escapes the cocycle space")
+    return _DegreeSolve(D, z_vecs, len(coboundary), rep_rows)
 
 
 def _kind(alg: LieAlgebra, i: int) -> Optional[str]:
@@ -229,33 +339,34 @@ def _classification(alg: LieAlgebra, solve: _DegreeSolve) -> Classification:
     )
 
 
-def classify(alg: LieAlgebra, degree="auto", cap: int = 16) -> Classification:
+def classify(alg: LieAlgebra, degree="auto") -> Classification:
     """Cocycle space, coboundary space, quotient and canonical representatives.
 
-    With degree="auto" the entry-degree bound escalates from 1 until the
-    quotient dimension agrees at two consecutive bounds; degree_used records
-    the confirming bound. Each bound's quotient dimension is counted from
-    echelons that grow with the bound (`_Ladder`), and the canonical solve
-    runs once, at the confirming bound. Algebras without a time generator
-    are classified at degree 0: nothing in the constraint system couples
-    powers of t there, so every higher degree replicates the same
-    classification and escalation would never terminate.
+    An explicit degree D classifies H^2(g; V_D), with witnesses of degree
+    D. With degree="auto" an algebra with a time generator is classified
+    as H^2(g; R[t]) by one solve at the certified bound (module docstring):
+    degree_used is max(2, N), the smallest bound >= 2 above every class's
+    lift degree N - 1, and the coboundaries are those of witnesses of
+    degree degree_used + k1 that land in V_degree_used. The quotient
+    dimension is checked against the certificate's q*. Algebras without a
+    time generator are classified at degree 0: nothing in the constraint
+    system couples powers of t there, so every higher degree replicates the
+    same classification.
     """
     first = _first_degree(alg.time_index is not None, degree)
     _columns(alg, first)  # refuse a negative or oversized first solve before validating
     alg._require_valid()
     if degree != "auto" or alg.time_index is None:
-        return _classification(alg, _solve_at_degree(alg, first))
-
-    ladder = _Ladder(alg)
-    prev = ladder.climb_to(1)
-    for D in range(2, cap + 1):
-        cur = ladder.climb_to(D)
-        if cur == prev:
-            return _classification(alg, ladder.solve())
-        prev = cur
-    raise DegreeCapError(
-        "quotient dimension of %s did not stabilize by degree %d" % (alg.name, cap))
+        return _classification(alg, _solve(alg, first, first))
+    q, N = _certificate(alg)
+    D = max(2, N)
+    witness = D + _k1(alg)
+    _columns(alg, witness)
+    result = _classification(alg, _solve(alg, D, witness))
+    if result.quotient_dim != q:
+        raise AssertionError("quotient dimension %d of %s at degree %d is not the certified %d"
+                             % (result.quotient_dim, alg.name, D, q))
+    return result
 
 
 # -- equivalence --------------------------------------------------------
@@ -304,14 +415,19 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     """Decide whether x2 - x1 is a coboundary; return a witness when it is.
 
     The witness search runs over one-cochains of component degree
-    deg(x2 - x1) + 1. That bound is known to fall short: when ad tau has a
-    nilpotent block on the other generators, the top degrees of lambda can
-    cancel in d lambda, so a coboundary of entry degree k - 1 may need a
-    witness of degree k + 1, and is then reported inequivalent to zero
-    (Bug C in ROADMAP). The search solves over the d1 images of the unit
-    one-cochains, the rows `classify` eliminates: a unit whose image
-    reduces to zero against the images of earlier units gets coefficient
-    zero, so the witness is unique in the operators' unit order.
+    deg(x2 - x1) + max(1, k1). By Part 2 of the module docstring, a
+    coboundary whose entries have degree <= d is the coboundary of a
+    one-cochain of degree <= d + k1, where k1 is the nilpotency index of
+    ad tau on its generalized kernel in ann [h, h] (0 without a time
+    generator, where d_h alone is injective on a complement of its kernel).
+    The top degrees of lambda cancel in d lambda only along that kernel:
+    where ad tau is one Jordan block of size 2 on an abelian ideal
+    (x0, x1), k1 = 2, and a constant on (tau, x0) needs a witness of
+    degree 2. Where k1 <= 1 the search runs at deg + 1.
+    The search solves over the d1 images of the unit one-cochains, the
+    rows `classify` eliminates: a unit whose image reduces to zero against
+    the images of earlier units gets coefficient zero, so the witness is
+    unique in the operators' unit order.
 
     The images are eliminated once per algebra instance and degree bound,
     on the first query, and kept with the algebra (`LieAlgebra.memo`); each
@@ -330,7 +446,7 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     delta = x2 - x1
     if delta.is_zero():
         return EquivalenceResult(True, OneCochain.zero(alg))
-    lam_degree = max(delta.max_degree() + 1, 1)
+    lam_degree = delta.max_degree() + max(1, _k1(alg))
     _columns(alg, lam_degree)
     cx = _complex(alg)
     solver = _d1_solver(alg, lam_degree)

@@ -39,8 +39,7 @@ from typing import Optional, Tuple
 from .checks import (PROBE_T, PROBE_X, SUITE_NAMES, SWEEP_MARGIN,  # noqa: F401
                      SWEEP_RATIOS, PairLimitError, check_table_pairs,
                      exponent_table, suite)
-from .classify import (ColumnLimitError, DegreeCapError, check_columns,
-                       check_family_columns, classify)
+from .classify import ColumnLimitError, check_columns, check_family_columns, classify
 from .groupexp import ExtrapolationError, theta_galilean, theta_milne
 from .lie import LieAlgebra, family_index, galilean, milne, phase_space
 
@@ -321,9 +320,6 @@ def main(argv=None) -> int:
     except (UsageError, ColumnLimitError, PairLimitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except DegreeCapError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CHECK_FAILED
     except ExtrapolationError as exc:
         print("error: extrapolation did not converge: %s" % exc, file=sys.stderr)
         return EXIT_CHECK_FAILED

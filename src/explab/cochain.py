@@ -220,10 +220,11 @@ class OneCochain:
 # -- the cochain complex as sparse integer operators ----------------------
 
 # Largest number of coefficient columns a solve may have. It admits auto
-# mode's default cap (degree 16) on every built-in algebra up to milne:7
-# (378 pairs x 17 powers = 6426 columns) and refuses an oversized explicit
-# degree before any row is built (`explab.classify`). It is also the width
-# of the column numbering: no admissible bound puts a power of t at it.
+# mode's certified bound on every built-in algebra up to milne:8 (degree 15:
+# 465 pairs x 16 powers = 7440 columns; milne:9 needs degree 17, 10,098
+# columns) and refuses an oversized explicit degree before any row is built
+# (`explab.classify`). It is also the width of the column numbering: no
+# admissible bound puts a power of t at it.
 MAX_COLUMNS = 10_000
 
 
@@ -278,6 +279,8 @@ class _Complex:
         self.triples: Dict[Tuple[int, int, int], tuple] = {}
         self.triples_at: Dict[int, List[Tuple[int, int, int]]] = {}
         sums = alg.cyclic_sums()
+        # their other reader, the Jacobi check, runs before every solve
+        alg.forget("cyclic sums")
         for triple in itertools.combinations(range(alg.dim), 3):
             i, j, k = triple
             bracket = {rank[a, b]: c for a, b, c in sums.get(triple, ())}

@@ -9,7 +9,6 @@ algebras of order m, and the abelian phase-space translation algebras.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
@@ -179,6 +178,10 @@ class LieAlgebra:
             value = self._memo[key] = build()
             return value
 
+    def forget(self, key) -> None:
+        """Drop what memo(key) built, once its last reader has it."""
+        self._memo.pop(key, None)
+
     # -- validation --------------------------------------------------
 
     def validate(self) -> List[JacobiViolation]:
@@ -208,12 +211,17 @@ class LieAlgebra:
         -(a_m, a_r) and (a_r, a_r) as zero, integral coefficients as ints; a
         triple whose sum vanishes is left out. Contracted with c_ab^l it is
         the Jacobi residual at l; on a two-cochain it is the bracket part of
-        the cocycle condition. Computed once per instance."""
+        the cocycle condition. Computed once per instance and kept until
+        `explab.cochain` has read it (`forget`)."""
         return self.memo("cyclic sums", self._cyclic_sums)
 
     def _cyclic_sums(self) -> Dict[Tuple[int, int, int], Tuple[Tuple[int, int, object], ...]]:
+        # a triple's sum reads only the brackets of its three pairs, so only
+        # triples holding a pair with a nonzero bracket are visited
+        triples = {tuple(sorted((i, j, k))) for i, j in self._table
+                   for k in range(self.dim) if k != i and k != j}
         out = {}
-        for triple in itertools.combinations(range(self.dim), 3):
+        for triple in sorted(triples):
             i, j, k = triple
             acc: Dict[Tuple[int, int], Fraction] = {}
             for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):

@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from explab import linalg
 from explab.classify import (MAX_COLUMNS, Classification, ColumnLimitError,
-                             DegreeCapError, EquivalenceResult, _classification,
-                             _column_count, _columns, _d1_solver,
-                             _DegreeSolve, _Ladder, _solve_at_degree,
-                             are_equivalent, check_family_columns, classify,
-                             realizable_subspace, verify_milne_structure)
+                             EquivalenceResult, _certificate, _classification,
+                             _coboundary_echelon, _column_count, _columns, _d1_solver,
+                             _DegreeSolve, _k1, _solve, are_equivalent,
+                             check_family_columns, classify, realizable_subspace,
+                             verify_milne_structure)
 from explab.cochain import (OneCochain, TwoCochain, _complex, _Complex, coboundary, column,
                             is_cocycle, jacobi_residual)
 from explab.lie import LieAlgebra, galilean, milne, phase_space
@@ -115,14 +115,10 @@ def oracle_is_cocycle(xi):
 
 
 def bases(alg, D):
-    """Cocycle basis and the ladder's coboundary echelon basis at degree bound D."""
-    ladder = _Ladder(alg)
-    ladder.climb_to(D)
-    b_rows = list(ladder.coboundary.values())
-    solve = ladder.solve()
+    """Cocycle basis and the solve's coboundary echelon basis at degree bound D."""
     cx = _complex(alg)
-    return ([cx.to_cochain(alg, r) for r in solve.cocycle_rows],
-            [cx.to_cochain(alg, r) for r in b_rows])
+    return ([cx.to_cochain(alg, r) for r in _solve(alg, D, D).cocycle_rows],
+            [cx.to_cochain(alg, r) for r in _coboundary_echelon(cx, D, D).values()])
 
 
 class TestGalilean:
@@ -144,7 +140,7 @@ class TestGalilean:
     def test_cocycle_and_coboundary_dims_scale_with_degree(self):
         g = galilean()
         for D in (0, 1, 2, 3):
-            solve = _solve_at_degree(g, D)
+            solve = _solve(g, D, D)
             assert len(solve.cocycle_rows) == 9 * (D + 1) + 1
             assert solve.coboundary_dim == 9 * (D + 1)
 
@@ -152,7 +148,7 @@ class TestGalilean:
         # derived subalgebra of the spatial part is 9-dimensional
         g = galilean()
         assert dense_rank(constant_coboundary_rows(g)) == 9
-        assert _solve_at_degree(g, 0).coboundary_dim == 9
+        assert _solve(g, 0, 0).coboundary_dim == 9
 
     def test_coordinates(self):
         assert classify(galilean()).coordinates == ["gamma"]
@@ -195,10 +191,10 @@ class TestPhaseSpace:
             assert c.degree_used == 0
 
     def test_explicit_degree_honored(self):
-        assert len(_solve_at_degree(phase_space(1), 0).cocycle_rows) == 1
-        assert len(_solve_at_degree(phase_space(2), 0).cocycle_rows) == 6
+        assert len(_solve(phase_space(1), 0, 0).cocycle_rows) == 1
+        assert len(_solve(phase_space(2), 0, 0).cocycle_rows) == 6
         # with no time generator every extra power replicates the classes
-        assert len(_solve_at_degree(phase_space(1), 2).cocycle_rows) == 3
+        assert len(_solve(phase_space(1), 2, 2).cocycle_rows) == 3
 
 
 class TestMilne:
@@ -329,16 +325,16 @@ class TestAreEquivalent:
 
 
 class TestAutoModeMechanics:
-    def test_cap_abort(self):
-        with pytest.raises(DegreeCapError):
-            classify(galilean(), cap=1)
-
     def test_two_generator_time_ladder(self):
         alg = LieAlgebra(["x", "tau"], {}, time_index=1, name="toy")
         c = classify(alg)
-        # single pair (x, tau); coboundaries are derivatives of Lam_x
-        assert c.quotient_dim == 1
+        # single pair (x, tau), and h = span(x) has no two-cochains: every
+        # cocycle c(t) on (x, tau) is d of an antiderivative of c as Lam_x.
+        # At an explicit degree D its t^D term needs a witness of degree
+        # D + 1, which auto mode admits (k1 = 1)
+        assert c.quotient_dim == 0
         assert c.degree_used == 2
+        assert classify(alg, degree=2).quotient_dim == 1
 
     def test_invalid_algebra_rejected(self):
         bad = LieAlgebra(["x", "y", "z", "w"],
@@ -388,12 +384,11 @@ class TestTimeComponentRefused:
 class TestCentralTimeTruncation:
     # [x, y] = z with tau central: H^2 over R[t] has dimension 2, but every
     # truncation to degree <= D adds two classes at t^D that are coboundaries
-    # of one-cochains of degree D + 1 (ROADMAP item 1, Bug B)
+    # of one-cochains of degree D + 1 (Bug B); auto mode takes its witnesses
+    # one degree higher (k1 = 1), so it counts only the two
     SPEC = {"labels": ["tau", "x", "y", "z"], "time_generator": "tau",
             "brackets": [{"lhs": "x", "rhs": "y", "out": [["z", "1"]]}]}
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1 (Bug B): auto mode counts "
-                       "truncation artifacts until its degree bound is certified")
     def test_every_class_is_nontrivial(self):
         alg = LieAlgebra.from_dict(self.SPEC)
         c = classify(alg)
@@ -406,7 +401,7 @@ class TestNilpotentWitnessDegree:
     # ad tau is one nilpotent Jordan block on the abelian ideal (x0, x1), so
     # the top degrees of lambda cancel in d lambda: lambda = (x0: t^k,
     # x1: -t^(k+1)/(k+1)) has d lambda = -k t^(k-1) on (tau, x0) alone, and
-    # a witness for it needs degree k + 1 = deg + 2 (ROADMAP item 2, Bug C)
+    # a witness for it needs degree k + 1 = deg + 2 (Bug C); k1 = 2 here
     SPEC = {"labels": ["tau", "x0", "x1"], "time_generator": "tau",
             "brackets": [{"lhs": "tau", "rhs": "x1", "out": [["x0", "1"]]}]}
 
@@ -424,12 +419,24 @@ class TestNilpotentWitnessDegree:
         want = {("tau", "x0"): RatPoly.monomial(k - 1, -k)}
         assert delta == TwoCochain.from_labels(delta.alg, want)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2 (Bug C): are_equivalent "
-                       "searches witnesses of degree deg(delta) + 1 only")
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_the_coboundary_is_equivalent_to_zero(self, k):
         delta = self.delta(k)
-        assert are_equivalent(TwoCochain.zero(delta.alg), delta)
+        result = are_equivalent(TwoCochain.zero(delta.alg), delta)
+        assert result and coboundary(result.witness) == delta
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_every_coboundary_is_equivalent_to_zero(self, data):
+        # R^n x| R tau with any, triangular or nilpotent ad tau: whatever
+        # cancels in d lambda, the witness search reaches some lambda'
+        alg = abelian_extension(draw_matrix(data))
+        coeffs = st.lists(st.integers(min_value=-3, max_value=3).map(Fraction), max_size=4)
+        comps = [RatPoly(data.draw(coeffs)) for _ in range(alg.dim)]
+        comps[alg.time_index] = RatPoly.constant(comps[alg.time_index].coeff(0))
+        delta = coboundary(OneCochain(alg, comps))
+        result = are_equivalent(TwoCochain.zero(alg), delta)
+        assert result and coboundary(result.witness) == delta
 
 
 class TestDeterminism:
@@ -462,7 +469,7 @@ CHECK_ALGEBRAS = [galilean(), milne(2), rescaled_copy(milne(1)), phase_space(2)]
 
 @functools.lru_cache(maxsize=None)
 def cocycle_basis(alg, D):
-    return _solve_at_degree(alg, D).cocycle_rows
+    return _solve(alg, D, D).cocycle_rows
 
 
 def oracle_algebras():
@@ -743,8 +750,8 @@ class TestDegreeBound:
             classify(galilean(), degree=10 ** 9)
 
     def test_oversized_algebra_refused_before_validation(self, monkeypatch):
-        # auto mode's first solve (degree 1) already exceeds the limit, so
-        # the O(dim^3) Jacobi check must not run
+        # degree 1, below every bound auto mode solves at, already exceeds
+        # the limit, so the O(dim^3) Jacobi check must not run
         def fail(self):
             raise AssertionError("validate() ran before the column check")
         alg = milne(45)
@@ -780,14 +787,8 @@ class TestDegreeBound:
                 with pytest.raises(ColumnLimitError):
                     _column_count(dim, "x", degree)
 
-    def test_limit_admits_the_auto_cap_on_builtins(self):
-        algebras = ([galilean()] + [milne(m) for m in range(1, 8)]
-                    + [phase_space(n) for n in (1, 2, 3)])
-        for alg in algebras:
-            assert _columns(alg, 16) <= MAX_COLUMNS
 
-
-# -- the degree ladder against the per-degree full solves it replaced -------
+# -- auto mode and explicit degrees against per-degree full solves ----------
 
 def fraction_reduce(vec, reduced_rows):
     """vec less multiples of RREF rows, zero at their pivot columns, in
@@ -807,12 +808,40 @@ def fraction_reduce(vec, reduced_rows):
     return out
 
 
-def full_solve(alg, D):
-    """Reference solve at bound D from the whole constraint list, with no
-    ladder: the cocycle nullspace, the coboundary RREF, the reduction in
-    Fractions and its RREF."""
+def coboundaries_in(alg, D, witness):
+    """RREF of the coboundaries with entries of degree <= D among the d1
+    images of the units of degree <= witness: a Fraction elimination that
+    leads at the columns of powers above D first, whose rows leading at a
+    power up to D hold no higher power."""
+    def key(col):
+        return (col % MAX_COLUMNS <= D, col)
+
+    pivots = {}
+    for row in _complex(alg).coboundary_rows(witness):
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            lead = min(row, key=key)
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            f = row[lead] / pivots[lead][lead]
+            for c, v in pivots[lead].items():
+                nv = row.get(c, 0) - f * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c)
+    return linalg.rref([r for lead, r in pivots.items() if key(lead)[0]])
+
+
+def full_solve(alg, D, witness=None):
+    """Reference solve at bound D from the whole constraint list: the
+    cocycle nullspace, the coboundaries of witnesses of degree `witness`
+    (D by default) that land in V_D, the reduction in Fractions and its
+    RREF."""
+    witness = D if witness is None else witness
     cx = _complex(alg)
-    _columns(alg, D)
+    _columns(alg, witness)
     rows = []
     for bracket, deriv, _ in cx.triples.values():
         for u in range(D + 1):
@@ -822,42 +851,37 @@ def full_solve(alg, D):
             if row:
                 rows.append(row)
     z_vecs = linalg.nullspace(rows, cx.columns(D))
-    b_rows = linalg.rref(cx.coboundary_rows(D))
+    b_rows = coboundaries_in(alg, D, witness)
     reduced = [fraction_reduce(v, b_rows) for v in z_vecs]
     return _DegreeSolve(D, z_vecs, len(b_rows), linalg.rref([r for r in reduced if r]))
 
 
-def escalation_oracle(alg, cap=16):
-    """Reference escalation, one full solve per bound: the quotient
-    dimensions at bounds 0, 1, ... up to the first repeat from bound 1 on,
-    and the report of the last solve, or None when none repeats by `cap`."""
+def escalation_oracle(alg):
+    """The plateau escalation, one full solve per bound: the report at the
+    first bound from 2 on whose quotient dimension repeats the previous
+    bound's, or at degree 0 without a time generator."""
     solve = full_solve(alg, 0)
-    dims = [len(solve.rep_rows)]
     if alg.time_index is None:
-        return dims, _classification(alg, solve)
-    for D in range(1, cap + 1):
+        return _classification(alg, solve)
+    prev = len(full_solve(alg, 1).rep_rows)
+    for D in itertools.count(2):
         solve = full_solve(alg, D)
-        dims.append(len(solve.rep_rows))
-        if D >= 2 and dims[-1] == dims[-2]:
-            return dims, _classification(alg, solve)
-    return dims, None
+        if len(solve.rep_rows) == prev:
+            return _classification(alg, solve)
+        prev = len(solve.rep_rows)
 
 
 def report_bytes(c):
     return json.dumps(c.to_jsonable(), sort_keys=True)
 
 
-def assert_ladder_matches_oracle(alg):
-    dims, want = escalation_oracle(alg)
-    ladder = _Ladder(alg)
-    assert [ladder.climb_to(D) for D in range(len(dims))] == dims
-    if want is None:
-        with pytest.raises(DegreeCapError):
-            classify(alg)
-        return
+def assert_auto_matches_escalation(alg):
+    # with k1 = 0 the certified bound is where the plateau confirms, and
+    # auto mode is the explicit solve there
     got = classify(alg)
-    assert got.degree_used == want.degree_used
-    assert report_bytes(got) == report_bytes(want)
+    assert _k1(alg) == 0
+    assert report_bytes(got) == report_bytes(escalation_oracle(alg))
+    assert report_bytes(classify(alg, degree=got.degree_used)) == report_bytes(got)
 
 
 def abelian_extension(matrix):
@@ -874,59 +898,69 @@ def abelian_extension(matrix):
                                  "time_generator": "tau"})
 
 
+def draw_matrix(data, shapes=("any", "triangular", "nilpotent")):
+    """A rational n x n matrix, n <= 4, of a drawn shape: any, upper
+    triangular, or strictly upper triangular (nilpotent)."""
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    shape = data.draw(st.sampled_from(shapes))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    return [[data.draw(entry) if shape == "any" or j > i
+             or (shape == "triangular" and i == j) else 0
+             for j in range(n)] for i in range(n)]
+
+
 class TestDegreeLadder:
+    # the ladder of per-degree full solves, each from the whole constraint
+    # list, as the oracle of auto mode and of explicit degrees
     @pytest.mark.parametrize("build", [
         galilean, *[functools.partial(milne, m) for m in range(1, 7)],
         *[functools.partial(phase_space, n) for n in (1, 2, 3)]],
         ids=["galilean", *["milne:%d" % m for m in range(1, 7)],
              *["phase-space:%d" % n for n in (1, 2, 3)]])
     def test_builtin_matches_the_escalation(self, build):
-        assert_ladder_matches_oracle(build())
+        assert_auto_matches_escalation(build())
 
     def test_relabelled_rational_algebras_match_the_escalation(self):
         for base in (galilean(), milne(1), milne(2), milne(3)):
-            assert_ladder_matches_oracle(rescaled_copy(base))
-
-    def test_central_time_algebra_matches_the_escalation(self):
-        alg = LieAlgebra.from_dict(TestCentralTimeTruncation.SPEC)
-        assert_ladder_matches_oracle(alg)
-        c = classify(alg)
-        assert (c.quotient_dim, c.degree_used) == (4, 2)
+            assert_auto_matches_escalation(rescaled_copy(base))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data())
     def test_abelian_ideal_with_rational_derivation(self, data):
-        # a nilpotent ad tau keeps the quotient growing for more degrees
-        n = data.draw(st.integers(min_value=1, max_value=4))
-        shape = data.draw(st.sampled_from(["any", "triangular", "nilpotent"]))
-        entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
-        matrix = [[data.draw(entry) if shape == "any" or j > i
-                   or (shape == "triangular" and i == j) else 0
-                   for j in range(n)] for i in range(n)]
-        assert_ladder_matches_oracle(abelian_extension(matrix))
+        # from the certified bound D on, the full solve with witnesses of
+        # degree D + n, n = dim h >= k1, gives auto mode's quotient
+        alg = abelian_extension(draw_matrix(data))
+        c = classify(alg)
+        for D in range(c.degree_used, c.degree_used + 3):
+            assert len(full_solve(alg, D, D + alg.dim - 1).rep_rows) == c.quotient_dim, D
 
     def test_coboundary_echelon_spans_the_unit_images(self):
-        # the solve reduces against the ladder's echelon where the full
-        # solve uses the RREF of every unit image: same pivots, same span
-        for alg in oracle_algebras() + [phase_space(1)]:
+        # the solve reduces against its echelon where the full solve uses
+        # the RREF of the coboundaries that land in V_D: same pivots, same span
+        algebras = oracle_algebras() + [phase_space(1), abelian_extension([[0, 1], [0, 0]]),
+                                        LieAlgebra.from_dict(TestCentralTimeTruncation.SPEC)]
+        for alg in algebras:
             cx = _complex(alg)
-            ladder = _Ladder(alg)
-            for D in range(5):
-                ladder.climb_to(D)
-                want = linalg.rref(cx.coboundary_rows(D))
-                assert sorted(ladder.coboundary) == [min(r) for r in want], (alg.name, D)
-                for lead, row in ladder.coboundary.items():
-                    assert min(row) == lead and not fraction_reduce(row, want)
+            for D in range(4):
+                for witness in (D, D + 2):
+                    echelon = _coboundary_echelon(cx, D, witness)
+                    want = coboundaries_in(alg, D, witness)
+                    assert sorted(echelon) == [min(r) for r in want], (alg.name, D, witness)
+                    for lead, row in echelon.items():
+                        assert min(row) == lead and not fraction_reduce(row, want)
 
     def test_explicit_degree_matches_the_full_solve(self):
         for alg in (galilean(), milne(2), rescaled_copy(milne(2)), phase_space(2)):
             for D in (0, 1, 3, 5):
-                assert _solve_at_degree(alg, D) == full_solve(alg, D)
+                assert _solve(alg, D, D) == full_solve(alg, D)
+        alg = LieAlgebra.from_dict(TestCentralTimeTruncation.SPEC)
+        for D in (0, 1, 3):
+            assert _solve(alg, D, D + 2) == full_solve(alg, D, D + 2)
 
     def test_flipped_time_term_escapes_the_cocycle_space(self, monkeypatch):
         # with the sign of the time-grading term of d1 flipped, the unit
         # images of power >= 1 are no cocycles: every bound that holds one
-        # must refuse, auto mode and the ladder's own check included
+        # must refuse, auto mode and the echelon's own check included
         d1_unit = _Complex.d1_unit
 
         def flipped(self, k, u):
@@ -934,24 +968,14 @@ class TestDegreeLadder:
                     for pidx, power, c in d1_unit(self, k, u)]
         monkeypatch.setattr(_Complex, "d1_unit", flipped)
         for run in (lambda: classify(galilean()), lambda: classify(milne(2), degree=3),
-                    lambda: _Ladder(galilean()).climb_to(1)):
+                    lambda: _coboundary_echelon(_complex(galilean()), 1, 1)):
             with pytest.raises(AssertionError,
                                match="coboundary basis escapes the cocycle space"):
                 run()
         assert classify(galilean(), degree=0).quotient_dim == 1
 
-    def test_counts_need_no_canonical_solve(self, monkeypatch):
-        # the escalation only counts: one nullspace, at the confirming bound
-        calls = []
-        nullspace = linalg.nullspace
-        monkeypatch.setattr(linalg, "nullspace",
-                            lambda rows, columns: calls.append(len(rows))
-                            or nullspace(rows, columns))
-        c = classify(milne(2))
-        assert c.degree_used == 3 and len(calls) == 1
-
     def test_classify_peak_memory(self):
-        # the ladder holds echelons of rank-many rows and never the whole
+        # the solve holds echelons of rank-many rows and never the whole
         # constraint list of a bound, which alone peaks at about 3.6 MB here
         alg = milne(5)
         tracemalloc.start()
@@ -961,6 +985,52 @@ class TestDegreeLadder:
         finally:
             tracemalloc.stop()
         assert peak <= 2_500_000
+
+
+class TestCertificate:
+    # ad tau on h = R^n and q* = dim H^2(g; R[t]): the semidirect products
+    # on which the plateau escalation over-counted
+    TABLE = [([[0, 0], [0, 0]], 1), ([[0, 1], [0, 0]], 1),
+             ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], 3), ([[0, 0, 0], [0, 1, 0], [0, 0, -1]], 1),
+             ([[1, 0], [0, -1]], 1), ([[1, 0], [0, 2]], 0)]
+
+    def test_auto_mode_gives_q_star(self):
+        # the table, Bug B's algebra (tau central on the Heisenberg algebra)
+        # and the (x, tau) toy; every class is nontrivial, and the full
+        # solve agrees from the certified bound on
+        algebras = ([abelian_extension(m) for m, _ in self.TABLE]
+                    + [LieAlgebra.from_dict(TestCentralTimeTruncation.SPEC),
+                       LieAlgebra(["x", "tau"], {}, time_index=1, name="toy")])
+        results = [classify(alg) for alg in algebras]
+        assert [c.quotient_dim for c in results] == [q for _, q in self.TABLE] + [2, 0]
+        for alg, c in zip(algebras, results):
+            zero = TwoCochain.zero(alg)
+            assert not any(are_equivalent(zero, rep) for rep in c.representatives)
+            for D in range(c.degree_used, c.degree_used + 3):
+                assert len(full_solve(alg, D, D + alg.dim - 1).rep_rows) == c.quotient_dim
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_triangular_derivation_counts_zero_sums(self, data):
+        # L on the two-forms of R^n has the eigenvalues -(a_ii + a_jj), i < j
+        matrix = draw_matrix(data, ("triangular", "nilpotent"))
+        want = sum(1 for i, j in itertools.combinations(range(len(matrix)), 2)
+                   if matrix[i][i] + matrix[j][j] == 0)
+        assert classify(abelian_extension(matrix)).quotient_dim == want
+
+    def test_builtin_certificates(self):
+        # q* = m(m+1)/2 classes, lifted to degree N - 1 = 2m - 2
+        assert (_certificate(galilean()), _k1(galilean())) == ((1, 1), 0)
+        for m in range(1, 6):
+            assert _certificate(milne(m)) == (m * (m + 1) // 2, max(1, 2 * m - 1))
+            assert _k1(milne(m)) == 0
+
+    @pytest.mark.parametrize("m, degree", [(9, 17), (12, 23)])
+    def test_milne_beyond_8_needs_more_columns(self, m, degree):
+        alg = milne(m)
+        with pytest.raises(ColumnLimitError, match="degree %d needs" % degree):
+            classify(alg)
+        assert _certificate(alg) == (m * (m + 1) // 2, degree)
 
 
 # -- invariance under a change of basis of h --------------------------------
@@ -1013,3 +1083,13 @@ class TestChangeOfBasis:
             assert getattr(got, field) == getattr(want, field), field
         zero = TwoCochain.zero(sheared)
         assert not any(are_equivalent(zero, rep) for rep in got.representatives)
+
+    @pytest.mark.parametrize("build", [galilean, functools.partial(milne, 1),
+                                       functools.partial(milne, 2)],
+                             ids=["galilean", "milne:1", "milne:2"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_auto_mode_is_the_explicit_solve_at_its_degree(self, build, seed):
+        sheared = sheared_copy(build(), seed)
+        c = classify(sheared)
+        assert _k1(sheared) == 0
+        assert report_bytes(classify(sheared, degree=c.degree_used)) == report_bytes(c)

@@ -13,7 +13,7 @@ import pytest
 
 import explab.checks as checks
 import explab.cli as cli
-from explab.classify import MAX_COLUMNS, ColumnLimitError, DegreeCapError, classify
+from explab.classify import MAX_COLUMNS, ColumnLimitError, classify
 from explab.groupexp import ExtrapolationError, PhaseFunction
 from explab.lie import LieAlgebra
 
@@ -225,13 +225,6 @@ class TestClassifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: invalid algebra in %s: " % spec)
 
-    def test_degree_cap_abort_exits_one(self, capsys, monkeypatch):
-        def blow_up(alg, degree="auto"):
-            raise DegreeCapError("quotient never stabilized below the cap")
-        monkeypatch.setattr(cli, "classify", blow_up)
-        code, out, err = run_cli(["classify", "--algebra", "galilean"], capsys)
-        assert code == 1 and out == "" and "cap" in err
-
     def test_text_format(self, capsys):
         code, out, _ = run_cli(["classify", "--algebra", "galilean",
                                 "--format", "text"], capsys)
@@ -277,11 +270,12 @@ class TestVerifyCommand:
         assert sweep["best_ratio"] == 1.0
 
     def test_oversized_milne_suite_is_a_usage_error(self, capsys):
-        # auto mode escalates until degree 11 exceeds the column limit
-        code, out, err = run_cli(["verify", "--suite", "milne:12"], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "limit is %d" % MAX_COLUMNS in err
+        # the certified bound 2m - 1 exceeds the column limit from m = 9 on
+        for m, degree in ((9, 17), (12, 23)):
+            code, out, err = run_cli(["verify", "--suite", "milne:%d" % m], capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error: degree %d needs" % degree)
+            assert err.count("\n") == 1 and "limit is %d" % MAX_COLUMNS in err
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(["verify", "--suite", "nope"], capsys)
@@ -491,8 +485,8 @@ def test_classify_report_bytes_are_golden(spec, capsys, monkeypatch):
 
 
 # sha256 of `classify --format json` reports outside the benchmark's set:
-# larger auto-degree runs, explicit degrees, and Bug B's algebra (ROADMAP
-# item 2) as auto mode reports it today, truncation artifacts included
+# larger auto-degree runs, explicit degrees, and Bug B's algebra, whose
+# auto-mode report holds its two classes and no truncation artifact
 CENTRAL_TIME = {"labels": ["tau", "x", "y", "z"], "time_generator": "tau",
                 "brackets": [{"lhs": "x", "rhs": "y", "out": [["z", "1"]]}]}
 GOLDEN = {
@@ -506,7 +500,7 @@ GOLDEN = {
         "09c12b43bccf4beac5ee60a06f6117790d16997dd3e7e4936f7c44e898195544",
     ("milne:2", "--degree", "3"):
         "029c3136593bf687c5ec6d80279228e47609bb7f91a32f77bd365649be752af6",
-    ("central-time.json",): "838508c33ec33abbfdebbc3862f6b2338bdccbe44a9b2e1d85d0ed2f599fb171",
+    ("central-time.json",): "b7b7f6a6c6a73f0b7f91ce52338e971ba6a781c0c539b3993e9f963164174e71",
 }
 
 

@@ -1,9 +1,12 @@
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from explab.classify import classify
 from explab.lie import (LieAlgebra, Role, family_index, galilean, milne,
                         phase_space)
 
@@ -224,6 +227,52 @@ class TestValidateCatchesCorruption:
         # the defect must surface on a triple containing a rotation
         rot = {idx["a12"], idx["a13"], idx["a23"]}
         assert any({v.i, v.j, v.k} & rot for v in bad)
+
+
+def all_triples_cyclic_sums(alg):
+    """The cyclic sums from a visit of every triple i < j < k."""
+    out = {}
+    for triple in itertools.combinations(range(alg.dim), 3):
+        i, j, k = triple
+        acc = {}
+        for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in alg.bracket_basis(p, q):
+                if m != r:
+                    pair, s = ((m, r), c) if m < r else ((r, m), -c)
+                    acc[pair] = acc.get(pair, 0) + s
+        terms = tuple((a, b, c.numerator if c.denominator == 1 else c)
+                      for (a, b), c in acc.items() if c)
+        if terms:
+            out[triple] = terms
+    return out
+
+
+class TestCyclicSums:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sums_match_the_all_triples_loop(self, seed):
+        # random structure constants, Jacobi or not: the sums and their
+        # lexicographic order, which names the first Jacobi violation
+        rng = random.Random(seed)
+        n = rng.randint(3, 9)
+        brackets = {pair: [(rng.randrange(n), Fraction(rng.choice([-2, -1, 1, 3]),
+                                                      rng.choice([1, 2])))
+                           for _ in range(rng.randint(1, 2))]
+                    for pair in itertools.combinations(range(n), 2) if rng.random() < 0.3}
+        alg = LieAlgebra(["x%d" % k for k in range(n)], brackets)
+        want = all_triples_cyclic_sums(alg)
+        got = alg.cyclic_sums()
+        assert got == want and list(got) == list(want)
+
+    def test_bracket_free_algebra_visits_no_triple(self):
+        alg = LieAlgebra(["x%03d" % k for k in range(101)], {})
+        started = time.perf_counter()
+        assert alg.validate() == [] and alg.cyclic_sums() == {}
+        assert time.perf_counter() - started < 0.1
+
+    def test_sums_are_dropped_once_the_complex_has_read_them(self):
+        alg = milne(5)
+        classify(alg)
+        assert "cyclic sums" not in alg._memo
 
 
 class TestSerialization:
