@@ -281,7 +281,11 @@ class _Complex:
         sums = alg.cyclic_sums()
         # their other reader, the Jacobi check, runs before every solve
         alg.forget("cyclic sums")
-        for triple in itertools.combinations(range(alg.dim), 3):
+        # only a triple with a bracket sum or the time generator has a template
+        timed = () if ti is None else (
+            tuple(sorted((ti,) + pair)) for pair in itertools.combinations(
+                [k for k in range(alg.dim) if k != ti], 2))
+        for triple in sorted(set(sums).union(timed)):
             i, j, k = triple
             bracket = {rank[a, b]: c for a, b, c in sums.get(triple, ())}
             deriv = next((signed(q, r, 1) for p, q, r in ((i, j, k), (j, k, i), (k, i, j))

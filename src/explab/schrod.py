@@ -18,12 +18,17 @@ m_grav = m_inertial; every other mass ratio leaves an O(|ratio-1|)
 defect that refinement cannot remove.  That asymmetry is what
 mass_equality_sweep scores.
 
-transform_wave and schrodinger_residual work on ROWS_PER_BLOCK time
+transform_wave and schrodinger_residuals work on ROWS_PER_BLOCK time
 slices at a time, as numpy calls over the block, with the stencils and
 operand order of a one-slice loop, so each value has the bits that loop
 gives; the block bound keeps whole-grid temporaries out of peak memory.
-sample_wave still calls fn(xs, t) once per slice, and a callable g is
-still called once per interior slice with a float t.
+The transform reads each interpolation tap of a row as a window of the
+padded row, since a row shifts by one whole number of nodes.  One
+stencil pass per block serves every gravitational mass of a
+schrodinger_residuals call: only m_grav * g(t) * x * psi differs between
+masses, and schrodinger_residual is its one-mass call.  sample_wave
+still calls fn(xs, t) once per slice, and a callable g is called once
+per interior slice with a float t per residual call, not once per mass.
 """
 
 import math
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .groupexp import acceleration_phase_polys, milne_phase_value
 from .ratpoly import RatPoly
@@ -180,7 +186,6 @@ def transform_wave(psi: WaveField, A: RatPoly, mass: Optional[float] = None,
     shifts = A(psi.ts)
     h = psi.dx
     nx = psi.xs.size
-    cols = np.arange(nx)
     out = np.empty_like(psi.values)
     for start in range(0, psi.ts.size, ROWS_PER_BLOCK):
         rows = slice(start, start + ROWS_PER_BLOCK)
@@ -193,10 +198,12 @@ def transform_wave(psi: WaveField, A: RatPoly, mass: Optional[float] = None,
         pad = int(np.max(np.abs(n0))) + 4
         padded = np.zeros((vals.shape[0], nx + 2 * pad), dtype=complex)
         padded[:, pad:pad + nx] = vals
+        # row k's tap widx is the window of padded row k at n0[k] + widx - 3 + pad
+        windows = sliding_window_view(padded, nx, axis=1)
+        block_rows = np.arange(vals.shape[0])
         block = np.zeros_like(vals)
         for widx in range(weights.shape[1]):
-            src = (n0 + (widx - 3 + pad))[:, None] + cols
-            block += weights[:, widx, None] * np.take_along_axis(padded, src, 1)
+            block += weights[:, widx, None] * windows[block_rows, n0 + (widx - 3 + pad)]
         out[rows] = np.exp(1j * phase(psi.xs, ts[:, None])) * block
     return WaveField(psi.xs, psi.ts, out, psi.mass)
 
@@ -214,29 +221,49 @@ def schrodinger_residual(psi: WaveField, m_inertial: Optional[float] = None,
     """Residual of i d_t + (1/(2 m_i)) d_xx - m_g phi with phi = -g(t) x.
 
     Fourth-order central stencil in x, second-order in t, evaluated on
-    interior nodes only; g may be a constant or a callable of t.
+    interior nodes only; g may be a constant or a callable of t.  The
+    one-mass call of schrodinger_residuals.
     """
     m_i = psi.mass if m_inertial is None else m_inertial
     m_g = m_i if m_grav is None else m_grav
+    return schrodinger_residuals(psi, m_i, [m_g], g)[0]
+
+
+def schrodinger_residuals(psi: WaveField, m_inertial: float, m_gravs: Sequence[float],
+                          g=0.0) -> List[ResidualReport]:
+    """schrodinger_residual(psi, m_inertial, m_g, g) for each m_g of
+    m_gravs, in order, from one stencil pass: per block, d_xx, d_t, the
+    kinetic part and g(t) are computed once, and only the field term
+    m_g * g(t) * x * psi once per mass.
+    """
+    if not (math.isfinite(m_inertial) and m_inertial > 0):
+        raise ValueError("m_inertial must be positive and finite")
     g_of_t = g if callable(g) else (lambda t: g)
     if psi.xs.size < 5 or psi.ts.size < 3:
         raise ValueError("grid too small for the residual stencils")
     h, dt = psi.dx, psi.dt
     v = psi.values
     x_in = psi.xs[2:-2]
-    sums = []
+    sums = [[] for _ in m_gravs]
     for start in range(1, psi.ts.size - 1, ROWS_PER_BLOCK):
         stop = min(start + ROWS_PER_BLOCK, psi.ts.size - 1)
         rows = v[start:stop]
         d2 = (-rows[:, :-4] + 16 * rows[:, 1:-3] - 30 * rows[:, 2:-2]
               + 16 * rows[:, 3:-1] - rows[:, 4:]) / (12 * h * h)
         ddt = (v[start + 1:stop + 1, 2:-2] - v[start - 1:stop - 1, 2:-2]) / (2 * dt)
-        field = np.array([m_g * g_of_t(float(t)) for t in psi.ts[start:stop]])
-        resid = 1j * ddt + d2 / (2 * m_i) + field[:, None] * x_in * rows[:, 2:-2]
-        sums.append(np.sum(np.abs(resid) ** 2, axis=1))
-    norms = np.sqrt(h * np.concatenate(sums))
-    return ResidualReport(times=psi.ts[1:-1], norms=norms,
-                          max_norm=float(np.max(norms)))
+        base = 1j * ddt + d2 / (2 * m_inertial)
+        gs = [g_of_t(float(t)) for t in psi.ts[start:stop]]
+        core = rows[:, 2:-2]
+        for m_g, acc in zip(m_gravs, sums):
+            field = np.array([m_g * gt for gt in gs])
+            resid = base + field[:, None] * x_in * core
+            acc.append(np.sum(np.abs(resid) ** 2, axis=1))
+    reports = []
+    for acc in sums:
+        norms = np.sqrt(h * np.concatenate(acc))
+        reports.append(ResidualReport(times=psi.ts[1:-1], norms=norms,
+                                      max_norm=float(np.max(norms))))
+    return reports
 
 
 def convergence_slope(hs: Sequence[float], residuals: Sequence[float]) -> float:
@@ -288,9 +315,9 @@ def mass_equality_sweep(A: RatPoly, m_inertial: float,
     packet = gaussian_packet(m_inertial, x0=0.0, k0=0.3)
     xs, ts = wave_grid(*SWEEP_GRID)
     moved = transform_wave(sample_wave(packet, xs, ts, m_inertial), A)
-    table = [(rho, schrodinger_residual(moved, m_inertial, rho * m_inertial,
-                                        g_of_t).max_norm)
-             for rho in ratios]
+    reports = schrodinger_residuals(moved, m_inertial, [rho * m_inertial for rho in ratios],
+                                    g_of_t)
+    table = [(rho, report.max_norm) for rho, report in zip(ratios, reports)]
     if degenerate or not all(math.isfinite(v) for _, v in table):
         return SweepResult(table=table, degenerate=degenerate, best_ratio=None,
                            margin=None)

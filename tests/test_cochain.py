@@ -1,10 +1,14 @@
 import itertools
+import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from explab.cochain import (OneCochain, TwoCochain, coboundary, is_cocycle,
+from explab.classify import ColumnLimitError, classify
+from explab.cochain import (OneCochain, TwoCochain, _Complex, coboundary, is_cocycle,
                             jacobi_residual)
 from explab.lie import LieAlgebra, galilean, milne, phase_space
 from explab.ratpoly import RatPoly
@@ -204,3 +208,76 @@ class TestIsCocycle:
     def test_anisotropic_mass_fails(self):
         xi = TwoCochain.from_labels(galilean(), {("b1", "d1"): 1})
         assert not is_cocycle(xi)
+
+
+def all_triples_templates(alg):
+    """The complex's (triples, triples_at) from a visit of every triple
+    i < j < k."""
+    ti = alg.time_index
+    rank = {p: n for n, p in enumerate(alg.pairs())}
+
+    def signed(a, b, c):
+        return (rank[(a, b)], c) if a < b else (rank[(b, a)], -c)
+
+    sums = alg.cyclic_sums()
+    triples, triples_at = {}, {}
+    for triple in itertools.combinations(range(alg.dim), 3):
+        i, j, k = triple
+        bracket = {rank[a, b]: c for a, b, c in sums.get(triple, ())}
+        deriv = next((signed(q, r, 1) for p, q, r in ((i, j, k), (j, k, i), (k, i, j))
+                      if p == ti), None)
+        if not bracket and deriv is None:
+            continue
+        scale = lcm(*(c.denominator for c in bracket.values()))
+        triples[triple] = (
+            tuple((pidx, int(c * scale)) for pidx, c in bracket.items()),
+            None if deriv is None else (deriv[0], deriv[1] * scale), scale)
+        for pidx in set(bracket) | ({deriv[0]} if deriv else set()):
+            triples_at.setdefault(pidx, []).append(triple)
+    return triples, triples_at
+
+
+def random_algebra(seed):
+    # random structure constants, Jacobi or not, with or without a time
+    # generator anywhere in the basis
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    brackets = {pair: [(rng.randrange(n), Fraction(rng.choice([-2, -1, 1, 3]),
+                                                  rng.choice([1, 2, 3])))
+                       for _ in range(rng.randint(1, 2))]
+                for pair in itertools.combinations(range(n), 2) if rng.random() < 0.3}
+    time_index = rng.choice([None] + list(range(n)))
+    return LieAlgebra(["x%d" % k for k in range(n)], brackets, time_index=time_index)
+
+
+def bracket_free_timed(n):
+    return LieAlgebra(["x%03d" % k for k in range(n - 1)] + ["tau"], {}, time_index=n - 1)
+
+
+class TestComplexTriples:
+    CENTRAL_HEISENBERG = LieAlgebra(["tau", "x", "y", "z"], {(1, 2): [(3, 1)]},
+                                    time_index=0, name="central-heisenberg")
+
+    @pytest.mark.parametrize("alg", [galilean()] + [milne(m) for m in range(1, 6)]
+                             + [phase_space(2), CENTRAL_HEISENBERG]
+                             + [random_algebra(seed) for seed in range(12)],
+                             ids=lambda alg: alg.name)
+    def test_templates_match_the_all_triples_loop(self, alg):
+        # the templates and their order, which orders the cocycle rows
+        triples, triples_at = all_triples_templates(alg)
+        cx = _Complex(alg)
+        assert list(cx.triples.items()) == list(triples.items())
+        assert list(cx.triples_at.items()) == list(triples_at.items())
+
+    def test_wide_bracket_free_algebra_is_refused_quickly(self):
+        # only the triples holding tau have a template; visiting all
+        # 161,700 triples of the 100 labels took most of the refusal
+        started = time.perf_counter()
+        all_triples_templates(bracket_free_timed(100))
+        all_triples = time.perf_counter() - started
+        started = time.perf_counter()
+        with pytest.raises(ColumnLimitError,
+                           match="^degree 3 needs 19800 coefficient columns on custom; "
+                                 "the limit is 10000$"):
+            classify(bracket_free_timed(100))
+        assert time.perf_counter() - started < all_triples / 2

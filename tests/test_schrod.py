@@ -32,6 +32,7 @@ from explab.schrod import (
     milne_phase,
     sample_wave,
     schrodinger_residual,
+    schrodinger_residuals,
     transform_wave,
 )
 
@@ -429,6 +430,58 @@ class TestBlocksMatchSliceOracle:
         assert peak <= 5_830_000
 
 
+class TestSharedStencil:
+    # unsorted, with a duplicate
+    M_GRAVS = [2 * MASS, MASS, 0.5 * MASS, MASS, 1.1 * MASS]
+
+    @pytest.mark.parametrize("nx, nt", BLOCK_GRIDS)
+    @pytest.mark.parametrize("profile", SHIFT_PROFILES, ids=str)
+    def test_every_mass_has_the_slice_oracle_bits(self, nx, nt, profile):
+        w = free_wave(xs=np.linspace(-16, 16, nx), ts=np.linspace(0, 0.8, nt))
+        moved = transform_wave(w, profile)
+        addot = profile.differentiate().differentiate()
+        for g in (lambda t: float(addot(t)), 0.8):
+            reports = schrodinger_residuals(moved, MASS, self.M_GRAVS, g)
+            assert len(reports) == len(self.M_GRAVS)
+            for m_grav, got in zip(self.M_GRAVS, reports):
+                want = slice_schrodinger_residual(moved, MASS, m_grav, g)
+                assert same_bits(got.norms, want.norms)
+                assert got.max_norm == want.max_norm
+                assert same_bits(got.times, want.times)
+
+    def test_g_is_called_once_per_interior_slice_not_per_mass(self):
+        seen = []
+        schrodinger_residuals(free_wave(), MASS, self.M_GRAVS,
+                              lambda t: seen.append(t) or 0.8)
+        assert seen == [float(t) for t in TS[1:-1]]
+
+    def test_sweep_table_is_the_per_ratio_residuals(self, monkeypatch):
+        profile, ratios = cubic_profile(3), [2.0, 0.5, 1.0, 1.1, 0.9]
+        addot = profile.differentiate().differentiate()
+        xs, ts = schrod.wave_grid(*schrod.SWEEP_GRID)
+        packet = gaussian_packet(MASS, x0=0.0, k0=0.3)
+        moved = transform_wave(sample_wave(packet, xs, ts, MASS), profile)
+        want = [(rho, schrodinger_residual(moved, MASS, rho * MASS,
+                                           lambda t: float(addot(t))).max_norm)
+                for rho in ratios]
+        calls = []
+        real = schrod.schrodinger_residuals
+        monkeypatch.setattr(schrod, "schrodinger_residuals",
+                            lambda *args: calls.append(args) or real(*args))
+        assert mass_equality_sweep(profile, MASS, ratios).table == want
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("m_inertial", [0.0, math.inf, -1.0, math.nan])
+    def test_degenerate_inertial_mass_is_refused(self, m_inertial):
+        seen = []
+        g = lambda t: seen.append(t) or 0.8
+        with pytest.raises(ValueError, match="m_inertial must be positive and finite"):
+            schrodinger_residual(free_wave(), m_inertial, MASS, g)
+        with pytest.raises(ValueError, match="m_inertial must be positive and finite"):
+            schrodinger_residuals(free_wave(), m_inertial, [MASS, 2 * MASS], g)
+        assert seen == []
+
+
 def cubic_profile(seed):
     """The benchmark's seeded cubic frame, A(t) = a2 t^2 + a3 t^3."""
     rng = random.Random(seed)
@@ -460,15 +513,14 @@ class TestGoldenDigests:
 class TestSweepNonFinite:
     @pytest.fixture
     def nan_at_ratio_two(self, monkeypatch):
-        real = schrod.schrodinger_residual
+        real = schrod.schrodinger_residuals
 
-        def planted(psi, m_inertial=None, m_grav=None, g=0.0):
-            report = real(psi, m_inertial, m_grav, g)
-            if m_grav == 2.0 * m_inertial:
-                return ResidualReport(report.times, report.norms, math.nan)
-            return report
+        def planted(psi, m_inertial, m_gravs, g=0.0):
+            return [ResidualReport(report.times, report.norms, math.nan)
+                    if m_grav == 2.0 * m_inertial else report
+                    for m_grav, report in zip(m_gravs, real(psi, m_inertial, m_gravs, g))]
 
-        monkeypatch.setattr(schrod, "schrodinger_residual", planted)
+        monkeypatch.setattr(schrod, "schrodinger_residuals", planted)
 
     @pytest.mark.parametrize("ratios", [[2.0, 0.5, 0.9, 1.0, 1.1],
                                         [0.5, 0.9, 1.0, 1.1, 2.0]],
