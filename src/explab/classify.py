@@ -72,14 +72,15 @@ All arithmetic in this module is exact; no floats anywhere.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import linalg
-from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _complex, _Complex, coboundary,
-                      is_cocycle, pair_power)
+from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _complex, coboundary, is_cocycle,
+                      pair_power)
 from .lie import LieAlgebra, family_dim
 from .ratpoly import RatPoly
 
@@ -259,25 +260,6 @@ class _DegreeSolve:
     rep_rows: List[Dict[int, Fraction]]
 
 
-def _coboundary_echelon(cx: _Complex, D: int, witness: int) -> Dict[int, Dict[int, int]]:
-    """Integer echelon of the coboundaries with entries of degree <= D among
-    the d1 images of the units of degree <= witness (>= D), each image
-    checked against the cocycle templates. The images are eliminated one
-    power of t at a time with every column of a power above D ordered first,
-    so the rows that lead at a power up to D span exactly those
-    coboundaries, and hold no higher power."""
-    shift = len(cx.pairs) * MAX_COLUMNS
-
-    def images():
-        for k, u in sorted(cx.units(witness), key=lambda unit: unit[1]):
-            row = linalg.scale_to_int(cx.unit_row(k, u))
-            if not cx.annihilates(cx.row_coefficients(row)):
-                raise AssertionError("coboundary basis escapes the cocycle space")
-            yield {c - shift if pair_power(c)[1] > D else c: v for c, v in row.items()}
-
-    return {lead: row for lead, row in linalg.echelon_int(images()).items() if lead >= 0}
-
-
 def _solve(alg: LieAlgebra, D: int, witness: int) -> _DegreeSolve:
     """The canonical solve at entry-degree bound D, modulo the coboundaries
     of witnesses of degree `witness` that land in V_D. The constraint rows
@@ -285,14 +267,15 @@ def _solve(alg: LieAlgebra, D: int, witness: int) -> _DegreeSolve:
     those of power D without their derivative term. Reduced row echelon
     form is canonical for a row space, so the rank-many echelon rows give
     the cocycle basis that the whole constraint list would, and each cocycle
-    reduces against the coboundary echelon as against its RREF."""
+    reduces against the coboundaries read from the d1 echelon (`landing`)
+    as against their RREF. dim((Z + B)/B) = dim Z - dim(Z & B), so the rank
+    check below holds iff those coboundaries B lie in the cocycles Z."""
     cx = _complex(alg)
-    constraints: Dict[int, Dict[int, int]] = {}
-    for u in range(D + 1):
-        linalg.echelon_int(cx.cocycle_rows(u, full=u < D), constraints)
+    constraints = linalg.echelon_int(itertools.chain.from_iterable(
+        cx.cocycle_rows(u, full=u < D) for u in range(D + 1)))
     z_vecs = linalg.nullspace(list(constraints.values()), cx.columns(D))
     del constraints
-    coboundary = _coboundary_echelon(cx, D, witness)
+    coboundary = _d1_solver(alg, witness, D).landing()
     reduced = [linalg.reduce_mod_rows(v, coboundary) for v in z_vecs]
     rep_rows = linalg.rref([r for r in reduced if r])
     if len(rep_rows) != len(z_vecs) - len(coboundary):
@@ -385,15 +368,29 @@ _INEQUIVALENT = EquivalenceResult(False, None)
 
 
 class _D1Solver:
-    """The tagged d1 echelon of one algebra at one degree bound, built on
-    its first query, and the positive results from it that callers hold."""
+    """The tagged echelon of the d1 images of the units of degree <=
+    `witness`, in unit order, with every column of a power above `cut`
+    ordered first, and the positive results from it that callers hold.
+    classify reads `landing`; are_equivalent cuts at the witness degree."""
 
     __slots__ = ("echelon", "results")
 
-    def __init__(self, alg: LieAlgebra, D: int) -> None:
-        self.echelon = linalg.augment(_complex(alg).coboundary_rows(D))
+    def __init__(self, alg: LieAlgebra, witness: int, cut: int) -> None:
+        cx = _complex(alg)
+        shift = len(cx.pairs) * MAX_COLUMNS
+        self.echelon = linalg.augment([{c - shift if pair_power(c)[1] > cut else c: v
+                                        for c, v in row.items()}
+                                       for row in cx.coboundary_rows(witness)])
         # weak: a result keeps its witness's algebra, and so this, alive
         self.results = weakref.WeakValueDictionary()
+
+    def landing(self) -> Dict[int, Dict[int, int]]:
+        """Integer echelon of the coboundaries with entries of degree <= cut:
+        the rows that lead at an unshifted image column, tags dropped. Such a
+        coboundary's image entries reduce to zero against these rows alone."""
+        marker = self.echelon.marker
+        return {lead: {c: v for c, v in row.items() if c < marker}
+                for lead, row in self.echelon.pivots.items() if 0 <= lead < marker}
 
     def shared(self, alg: LieAlgebra, comps: Tuple[RatPoly, ...]) -> EquivalenceResult:
         """The result for these witness components that a caller still
@@ -405,10 +402,10 @@ class _D1Solver:
         return result
 
 
-def _d1_solver(alg: LieAlgebra, D: int) -> _D1Solver:
-    """The algebra's d1 solver at degree bound D, made on first use and
-    kept with the algebra instance."""
-    return alg.memo(("d1", D), lambda: _D1Solver(alg, D))
+def _d1_solver(alg: LieAlgebra, witness: int, cut: int) -> _D1Solver:
+    """The algebra's d1 solver at this witness degree and cut, made on
+    first use and kept with the algebra instance."""
+    return alg.memo(("d1", witness, cut), lambda: _D1Solver(alg, witness, cut))
 
 
 def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
@@ -424,14 +421,14 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     where ad tau is one Jordan block of size 2 on an abelian ideal
     (x0, x1), k1 = 2, and a constant on (tau, x0) needs a witness of
     degree 2. Where k1 <= 1 the search runs at deg + 1.
-    The search solves over the d1 images of the unit one-cochains, the
-    rows `classify` eliminates: a unit whose image reduces to zero against
-    the images of earlier units gets coefficient zero, so the witness is
-    unique in the operators' unit order.
+    The search solves over the d1 images of the unit one-cochains: a unit
+    whose image reduces to zero against the images of earlier units gets
+    coefficient zero, so the witness is unique in the operators' unit order.
 
-    The images are eliminated once per algebra instance and degree bound,
-    on the first query, and kept with the algebra (`LieAlgebra.memo`); each
-    query reduces only its own target. Results are immutable and shared:
+    The images are eliminated once per algebra instance and degree, cut at
+    that degree, by the first query or a classify that shares it, and kept
+    with the algebra (`LieAlgebra.memo`); each query reduces only its own
+    target. Results are immutable and shared:
     every negative verdict is one object, and a positive result equal to
     one a caller still holds, on the same algebra and bound, is that
     object. The echelon keeps no result alive.
@@ -449,7 +446,7 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     lam_degree = delta.max_degree() + max(1, _k1(alg))
     _columns(alg, lam_degree)
     cx = _complex(alg)
-    solver = _d1_solver(alg, lam_degree)
+    solver = _d1_solver(alg, lam_degree, lam_degree)
     weights = linalg.solve_augmented(solver.echelon, cx.to_row(delta))
     if weights is None:
         return _INEQUIVALENT

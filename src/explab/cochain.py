@@ -169,6 +169,8 @@ class TwoCochain:
             if i >= j:
                 raise ValueError("entries must be upper-triangular, got (%s, %s)"
                                  % (item["i"], item["j"]))
+            if (i, j) in entries:
+                raise ValueError("pair (%s, %s) listed twice" % (item["i"], item["j"]))
             entries[(i, j)] = RatPoly.from_strings(item["poly"])
         return cls(alg, entries)
 
@@ -327,13 +329,10 @@ class _Complex:
         """Every column at degree bound D, in ascending order."""
         return [column(pidx, u) for pidx in range(len(self.pairs)) for u in range(D + 1)]
 
-    def unit_row(self, k: int, u: int) -> Dict[int, object]:
-        """d1 of the unit one-cochain t^u e_k as a row, unscaled."""
-        return {column(pidx, power): c for pidx, power, c in self.d1_unit(k, u)}
-
     def coboundary_rows(self, D: int) -> List[Dict[int, object]]:
-        """d1 of each unit of `units(D)`, in that order, unscaled."""
-        return [self.unit_row(k, u) for k, u in self.units(D)]
+        """d1 of each unit of `units(D)` as a row, in that order, unscaled."""
+        return [{column(pidx, power): c for pidx, power, c in self.d1_unit(k, u)}
+                for k, u in self.units(D)]
 
     def cocycle_rows(self, u: int, full: bool) -> List[Dict[int, int]]:
         """The cocycle condition's integer rows at power u of t. A full row
@@ -364,24 +363,6 @@ class _Complex:
                 out[u - 1] = out.get(u - 1, 0) + c * u * v
         return out
 
-    def annihilates(self, coeffs: Dict[int, Sequence]) -> bool:
-        """True iff every triple's template annihilates the cochain whose
-        coefficients are {pair: coefficients by power}."""
-        touched = set()
-        for pidx in coeffs:
-            touched.update(self.triples_at.get(pidx, ()))
-        return not any(any(self.residual(t, coeffs).values()) for t in touched)
-
-    def row_coefficients(self, row: Dict[int, object]) -> Dict[int, list]:
-        """{pair: coefficients by power} of a row."""
-        out: Dict[int, list] = {}
-        for col, v in row.items():
-            pidx, power = pair_power(col)
-            coeffs = out.setdefault(pidx, [])
-            coeffs.extend([0] * (power + 1 - len(coeffs)))
-            coeffs[power] = v
-        return out
-
     def coefficients(self, xi: TwoCochain) -> Dict[int, tuple]:
         return {self.rank[p]: poly.coeffs for p, poly in xi._entries.items()}
 
@@ -393,8 +374,13 @@ class _Complex:
 
     def to_cochain(self, alg: LieAlgebra, row: Dict[int, Fraction]) -> TwoCochain:
         """The two-cochain on `alg` whose coefficients are `row`."""
-        return TwoCochain(alg, {self.pairs[pidx]: RatPoly(cs)
-                                for pidx, cs in self.row_coefficients(row).items()})
+        out: Dict[int, list] = {}
+        for col, v in row.items():
+            pidx, power = pair_power(col)
+            coeffs = out.setdefault(pidx, [])
+            coeffs.extend([0] * (power + 1 - len(coeffs)))
+            coeffs[power] = v
+        return TwoCochain(alg, {self.pairs[pidx]: RatPoly(cs) for pidx, cs in out.items()})
 
 
 def _complex(alg: LieAlgebra) -> _Complex:
@@ -443,5 +429,7 @@ def is_cocycle(xi: TwoCochain) -> bool:
     cx = _complex(xi.alg)
     coeffs = cx.coefficients(xi)
     den = functools.reduce(lcm, (c.denominator for cs in coeffs.values() for c in cs), 1)
-    return cx.annihilates({pidx: [c.numerator * (den // c.denominator) for c in cs]
-                           for pidx, cs in coeffs.items()})
+    scaled = {pidx: [c.numerator * (den // c.denominator) for c in cs]
+              for pidx, cs in coeffs.items()}
+    touched = {t for pidx in scaled for t in cx.triples_at.get(pidx, ())}
+    return not any(any(cx.residual(t, scaled).values()) for t in touched)

@@ -90,13 +90,11 @@ def _reduce(row: IntRow, pivots: Dict[int, IntRow]) -> Optional[int]:
     return None
 
 
-def echelon_int(rows: Iterable[IntRow],
-                pivots: Optional[Dict[int, IntRow]] = None) -> Dict[int, IntRow]:
-    """Forward elimination; returns {pivot column: row}. Given `pivots`, an
-    echelon from an earlier call, it grows that dict in place; its rows are
-    read, never changed, so a shallow copy can be grown apart."""
-    if pivots is None:
-        pivots = {}
+def echelon_int(rows: Iterable[IntRow]) -> Dict[int, IntRow]:
+    """Forward elimination of the rows in order; returns {pivot column:
+    row}, each row's smallest column its pivot. The input rows are copied,
+    never changed."""
+    pivots: Dict[int, IntRow] = {}
     for row in rows:
         row = dict(row)
         lead = _reduce(row, pivots)

@@ -8,6 +8,7 @@ All arithmetic is exact; floats are rejected at construction.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -16,12 +17,27 @@ __all__ = ["RatPoly", "as_fraction"]
 RationalLike = Union[int, str, Fraction]
 
 
+# Fraction("1e<n>") computes 10**n; n is bounded as CPython bounds int strings
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?[0_]*([0-9_]+)\s*\Z", re.IGNORECASE)
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int/str/Fraction to Fraction, refusing inexact types and
-    bool (a JSON true is not the number 1)."""
+    bool (a JSON true is not the number 1). A string with a zero
+    denominator or a decimal exponent beyond MAX_EXPONENT is a ValueError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        digits = exponent[1].replace("_", "") if exponent else ""
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError("decimal exponent beyond %d" % MAX_EXPONENT)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator") from None
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError("exact rational expected, got %r" % (value,))
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from explab import linalg
 from explab.classify import (MAX_COLUMNS, Classification, ColumnLimitError,
                              EquivalenceResult, _certificate, _classification,
-                             _coboundary_echelon, _column_count, _columns, _d1_solver,
-                             _DegreeSolve, _k1, _solve, are_equivalent,
+                             _column_count, _columns, _d1_solver, _DegreeSolve, _k1,
+                             _solve, are_equivalent,
                              check_family_columns, classify, realizable_subspace,
                              verify_milne_structure)
 from explab.cochain import (OneCochain, TwoCochain, _complex, _Complex, coboundary, column,
@@ -118,7 +118,7 @@ def bases(alg, D):
     """Cocycle basis and the solve's coboundary echelon basis at degree bound D."""
     cx = _complex(alg)
     return ([cx.to_cochain(alg, r) for r in _solve(alg, D, D).cocycle_rows],
-            [cx.to_cochain(alg, r) for r in _coboundary_echelon(cx, D, D).values()])
+            [cx.to_cochain(alg, r) for r in _d1_solver(alg, D, D).landing().values()])
 
 
 class TestGalilean:
@@ -636,12 +636,37 @@ class TestOperatorCache:
         lam = OneCochain.from_labels(a, {"d1_2": RatPoly((2, -1))})
         wa = are_equivalent(xa, xa + coboundary(lam)).witness
         wb = are_equivalent(xb, xb + coboundary(OneCochain(b, lam.components))).witness
-        assert ("d1", 2) in a._memo and ("d1", 2) in b._memo
-        assert _d1_solver(a, 2) is not _d1_solver(b, 2)
-        assert _d1_solver(a, 2).echelon is not _d1_solver(b, 2).echelon
+        assert ("d1", 2, 2) in a._memo and ("d1", 2, 2) in b._memo
+        assert _d1_solver(a, 2, 2) is not _d1_solver(b, 2, 2)
+        assert _d1_solver(a, 2, 2).echelon is not _d1_solver(b, 2, 2).echelon
         assert wa is not wb
         assert wa.alg is a and wb.alg is b
         assert wa.components == wb.components
+
+    def test_classify_and_equivalence_share_one_echelon(self):
+        # classify(milne:2) solves at degree 3 with witnesses of degree 3, and
+        # a query whose delta has degree 2 searches witnesses of degree 3
+        alg = milne(2)
+        c = classify(alg)
+        assert (c.degree_used, _k1(alg)) == (3, 0)
+        solver = alg._memo[("d1", 3, 3)]
+        keys = set(alg._memo)
+        xi = c.representatives[0]
+        target = xi + coboundary(OneCochain.from_labels(alg, {"d1_2": RatPoly((1, 0, 3))}))
+        assert (target - xi).max_degree() == 2
+        result = are_equivalent(xi, target)
+        assert result and coboundary(result.witness) == target - xi
+        assert set(alg._memo) == keys
+        assert _d1_solver(alg, 3, 3) is solver
+        assert list(solver.results.values()) == [result]
+
+    def test_a_positive_k1_cuts_the_classify_echelon_below_its_witnesses(self):
+        # Bug B's algebra: classify solves at degree 2 with witnesses of
+        # degree 3, and reads the echelon cut at 2
+        alg = LieAlgebra.from_dict(TestCentralTimeTruncation.SPEC)
+        c = classify(alg)
+        assert (c.degree_used, _k1(alg)) == (2, 1)
+        assert [key for key in alg._memo if isinstance(key, tuple)] == [("d1", 3, 2)]
 
     def test_operators_are_freed_with_the_algebra(self):
         alg = milne(2)
@@ -656,7 +681,7 @@ class TestOperatorCache:
         lam = OneCochain.from_labels(alg, {"d1_2": RatPoly((2, -1))})
         result = are_equivalent(xi, xi + coboundary(lam))
         assert not are_equivalent(xi, 2 * xi)
-        echelons = [weakref.ref(_d1_solver(alg, D).echelon) for D in (1, 2)]
+        echelons = [weakref.ref(_d1_solver(alg, D, D).echelon) for D in (1, 2, 3)]
         algebra = weakref.ref(alg)
         shared = weakref.ref(result)
         del alg, xi, lam, result
@@ -684,7 +709,7 @@ class TestOperatorCache:
         def answers(alg, order):
             pairs = queries(alg)
             got = {i: are_equivalent(*pairs[i]) for i in order}
-            assert {("d1", D) for D in (1, 2, 3)} <= set(alg._memo)
+            assert {("d1", D, D) for D in (1, 2, 3)} <= set(alg._memo)
             return [(got[i].equivalent, got[i].witness and got[i].witness.components)
                     for i in range(len(pairs))]
 
@@ -706,7 +731,7 @@ class TestOperatorCache:
         targets = [xi + coboundary(OneCochain.from_labels(g, {"b1": RatPoly((n, 1)), "tau": n}))
                    for n in range(3)]
         results = [are_equivalent(xi, t) for t in targets]
-        solver = _d1_solver(g, 2)
+        solver = _d1_solver(g, 2, 2)
         assert len(solver.results) == 3
         assert are_equivalent(xi, targets[1]) is results[1]
         del results[1]
@@ -940,10 +965,9 @@ class TestDegreeLadder:
         algebras = oracle_algebras() + [phase_space(1), abelian_extension([[0, 1], [0, 0]]),
                                         LieAlgebra.from_dict(TestCentralTimeTruncation.SPEC)]
         for alg in algebras:
-            cx = _complex(alg)
             for D in range(4):
                 for witness in (D, D + 2):
-                    echelon = _coboundary_echelon(cx, D, witness)
+                    echelon = _d1_solver(alg, witness, D).landing()
                     want = coboundaries_in(alg, D, witness)
                     assert sorted(echelon) == [min(r) for r in want], (alg.name, D, witness)
                     for lead, row in echelon.items():
@@ -960,7 +984,7 @@ class TestDegreeLadder:
     def test_flipped_time_term_escapes_the_cocycle_space(self, monkeypatch):
         # with the sign of the time-grading term of d1 flipped, the unit
         # images of power >= 1 are no cocycles: every bound that holds one
-        # must refuse, auto mode and the echelon's own check included
+        # must refuse through the solve's rank check, auto mode included
         d1_unit = _Complex.d1_unit
 
         def flipped(self, k, u):
@@ -968,7 +992,7 @@ class TestDegreeLadder:
                     for pidx, power, c in d1_unit(self, k, u)]
         monkeypatch.setattr(_Complex, "d1_unit", flipped)
         for run in (lambda: classify(galilean()), lambda: classify(milne(2), degree=3),
-                    lambda: _coboundary_echelon(_complex(galilean()), 1, 1)):
+                    lambda: _solve(galilean(), 1, 1)):
             with pytest.raises(AssertionError,
                                match="coboundary basis escapes the cocycle space"):
                 run()

@@ -164,6 +164,19 @@ class TestClassifyCommand:
         assert code == 2 and out == ""
         assert "(x, y), coefficient of z" in err and "True" in err
 
+    @pytest.mark.parametrize("coefficient, message", [
+        ("1/0", "zero denominator"), ("1e100000000", "decimal exponent beyond 4300")])
+    def test_unreadable_coefficient_string_is_a_usage_error(self, coefficient, message,
+                                                            capsys, tmp_path):
+        spec = tmp_path / "coefficient.json"
+        spec.write_text(json.dumps({
+            "labels": ["x", "y", "z"],
+            "brackets": [{"lhs": "x", "rhs": "y", "out": [["z", coefficient]]}]}))
+        code, out, err = run_cli(["classify", "--algebra", str(spec)], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "(x, y), coefficient of z" in err and message in err
+
     def test_unknown_algebra_name(self, capsys):
         code, _, err = run_cli(["classify", "--algebra", "heisenberg"], capsys)
         assert code == 2 and "unknown algebra" in err

@@ -39,6 +39,28 @@ class TestConstruction:
             with pytest.raises(TypeError):
                 RatPoly((1, value))
 
+    def test_decimal_strings_keep_their_values(self):
+        assert as_fraction("0.1") == Fraction(1, 10)
+        assert as_fraction("2/5") == Fraction(2, 5)
+        assert as_fraction("1e5") == 100000
+        assert as_fraction("-3E-2") == Fraction(-3, 100)
+        assert as_fraction("1e4300") == 10 ** 4300
+        assert as_fraction("1e-4300") == Fraction(1, 10 ** 4300)
+
+    def test_zero_denominator_is_a_value_error(self):
+        for text in ("1/0", "-3/0", "0/0"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                as_fraction(text)
+            with pytest.raises(ValueError):
+                RatPoly.from_strings(["1", text])
+
+    def test_decimal_exponent_is_bounded(self):
+        # Fraction("1e<n>") computes 10**n; "1e10000000" alone took seconds
+        for text in ("1e4301", "1e-4301", "1E+4_301", "1e10000000", "1e100000000",
+                     "2.5e" + "9" * 5000):
+            with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
+                as_fraction(text)
+
     def test_monomial(self):
         assert RatPoly.monomial(3, Fraction(1, 2)) == P(0, 0, 0, Fraction(1, 2))
         with pytest.raises(ValueError):
