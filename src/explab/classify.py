@@ -79,7 +79,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import linalg
-from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _complex, coboundary, is_cocycle,
+from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _complex, column, is_cocycle,
                       pair_power)
 from .lie import LieAlgebra, family_dim
 from .ratpoly import RatPoly
@@ -428,7 +428,12 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     The images are eliminated once per algebra instance and degree, cut at
     that degree, by the first query or a classify that shares it, and kept
     with the algebra (`LieAlgebra.memo`); each query reduces only its own
-    target. Results are immutable and shared:
+    target. After the cocycle checks the query runs on coefficient rows:
+    x2 - x1 is x2's row less x1's, and the witness is verified on columns,
+    its image summed from the d1 templates of its units, which must equal
+    that row. An input of degree MAX_COLUMNS or more is refused before any
+    row is numbered, since its top power would wrap into the next pair's
+    columns. Results are immutable and shared:
     every negative verdict is one object, and a positive result equal to
     one a caller still holds, on the same algebra and bound, is that
     object. The echelon keeps no result alive.
@@ -440,25 +445,37 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     for x in (x1, x2):
         if not is_cocycle(x):
             raise ValueError("input is not a cocycle")
-    delta = x2 - x1
-    if delta.is_zero():
-        return EquivalenceResult(True, OneCochain.zero(alg))
-    lam_degree = delta.max_degree() + max(1, _k1(alg))
-    _columns(alg, lam_degree)
+    top = max(x1.max_degree(), x2.max_degree())
+    if top >= MAX_COLUMNS:  # column(pair, power) would wrap into the next pair
+        _columns(alg, top)
     cx = _complex(alg)
+    delta = cx.to_row(x2)
+    for col, v in cx.to_row(x1).items():
+        w = delta.get(col, 0) - v
+        if w:
+            delta[col] = w
+        else:
+            del delta[col]
+    if not delta:
+        return EquivalenceResult(True, OneCochain.zero(alg))
+    lam_degree = max(pair_power(col)[1] for col in delta) + max(1, _k1(alg))
+    _columns(alg, lam_degree)
     solver = _d1_solver(alg, lam_degree, lam_degree)
-    weights = linalg.solve_augmented(solver.echelon, cx.to_row(delta))
+    weights = linalg.solve_augmented(solver.echelon, delta)
     if weights is None:
         return _INEQUIVALENT
     coeffs = [[Fraction(0)] * (lam_degree + 1) for _ in range(alg.dim)]
     units = cx.units(lam_degree)
+    image: Dict[int, Fraction] = {}
     for ucol, v in weights.items():
         k, u = units[ucol]
         coeffs[k][u] = v
-    result = solver.shared(alg, tuple(RatPoly(c) for c in coeffs))
-    if coboundary(result.witness) != delta:
+        for pidx, power, c in cx.d1_unit(k, u):
+            col = column(pidx, power)
+            image[col] = image.get(col, 0) + c * v
+    if {col: v for col, v in image.items() if v} != delta:
         raise AssertionError("witness verification failed")
-    return result
+    return solver.shared(alg, tuple(RatPoly(c) for c in coeffs))
 
 
 # -- acceleration-algebra structure reports ------------------------------

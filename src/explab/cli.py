@@ -28,6 +28,7 @@ report wall time.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -267,7 +268,10 @@ def _degree_arg(value: str):
         raise argparse.ArgumentTypeError("degree must be 'auto' or an integer")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: each parse
+    fills a namespace of its own and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="explab",
         description="Classify time-dependent infinitesimal exponents and "

@@ -119,17 +119,35 @@ class TwoCochain:
         if self.alg is not other.alg and self.alg.labels != other.alg.labels:
             raise ValueError("cochains live on different algebras")
 
+    def _merge(self, other: "TwoCochain", subtract: bool) -> "TwoCochain":
+        """self + other or self - other: one RatPoly sum or difference per
+        pair that both hold, zeros dropped; the other entries are shared
+        (RatPoly is immutable), those of a subtracted `other` negated."""
+        self._check_same_algebra(other)
+        table = dict(self._entries)
+        for k, p in other._entries.items():
+            q = table.get(k)
+            if q is None:
+                table[k] = -p if subtract else p
+                continue
+            r = q - p if subtract else q + p
+            if r:
+                table[k] = r
+            else:
+                del table[k]
+        out = TwoCochain.__new__(TwoCochain)
+        out.alg, out._entries = self.alg, table
+        return out
+
     def __add__(self, other: "TwoCochain") -> "TwoCochain":
         if not isinstance(other, TwoCochain):
             return NotImplemented
-        self._check_same_algebra(other)
-        keys = set(self._entries) | set(other._entries)
-        return TwoCochain(self.alg, {k: self.entry(*k) + other.entry(*k) for k in keys})
+        return self._merge(other, False)
 
     def __sub__(self, other: "TwoCochain") -> "TwoCochain":
         if not isinstance(other, TwoCochain):
             return NotImplemented
-        return self.__add__(-other)
+        return self._merge(other, True)
 
     def __neg__(self) -> "TwoCochain":
         return TwoCochain(self.alg, {k: -p for k, p in self._entries.items()})

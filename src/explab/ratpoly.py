@@ -17,28 +17,43 @@ __all__ = ["RatPoly", "as_fraction"]
 RationalLike = Union[int, str, Fraction]
 
 
-# Fraction("1e<n>") computes 10**n; n is bounded as CPython bounds int strings
-MAX_EXPONENT = 4300
+# CPython refuses to print an int of more decimal digits than this (its
+# default int_max_str_digits); Fraction("1e<n>") computes 10**n, so a
+# decimal exponent is held to the same bound before any digits exist
+MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"e[-+]?[0_]*([0-9_]+)\s*\Z", re.IGNORECASE)
+# the smallest integer of MAX_DIGITS + 1 digits; an int of fewer bits is below it
+_TOO_LONG = 10 ** MAX_DIGITS
+_TOO_LONG_BITS = _TOO_LONG.bit_length()
+
+
+def _printable(value: Fraction) -> Fraction:
+    for n in (value.numerator, value.denominator):
+        if n.bit_length() >= _TOO_LONG_BITS and abs(n) >= _TOO_LONG:
+            raise ValueError("coefficient beyond %d digits" % MAX_DIGITS)
+    return value
 
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int/str/Fraction to Fraction, refusing inexact types and
     bool (a JSON true is not the number 1). A string with a zero
-    denominator or a decimal exponent beyond MAX_EXPONENT is a ValueError."""
+    denominator or a decimal exponent beyond MAX_DIGITS is a ValueError,
+    and so is a string or int whose numerator or denominator has more than
+    MAX_DIGITS digits, which could not be printed. A Fraction, the result
+    of exact arithmetic, is taken as it is."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
         exponent = _EXPONENT.search(value)
         digits = exponent[1].replace("_", "") if exponent else ""
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-            raise ValueError("decimal exponent beyond %d" % MAX_EXPONENT)
+        if len(digits) > len(str(MAX_DIGITS)) or int(digits or 0) > MAX_DIGITS:
+            raise ValueError("decimal exponent beyond %d" % MAX_DIGITS)
         try:
-            return Fraction(value)
+            return _printable(Fraction(value))
         except ZeroDivisionError:
             raise ValueError("zero denominator") from None
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return _printable(Fraction(value))
     raise TypeError("exact rational expected, got %r" % (value,))
 
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -299,9 +300,18 @@ class TestAreEquivalent:
 
     def test_non_cocycle_rejected(self):
         g = galilean()
+        xi = classify(g).representatives[0]
         bad = TwoCochain.from_labels(g, {("b1", "d1"): RatPoly.t()})
-        with pytest.raises(ValueError):
-            are_equivalent(bad, bad)
+        for x1, x2 in ((bad, bad), (xi, bad), (bad, xi)):
+            with pytest.raises(ValueError, match="not a cocycle"):
+                are_equivalent(x1, x2)
+
+    def test_mismatched_algebras_rejected(self):
+        xi = classify(galilean()).representatives[0]
+        other = classify(milne(1)).representatives[0]
+        for x1, x2 in ((xi, other), (other, xi)):
+            with pytest.raises(ValueError, match="different algebras"):
+                are_equivalent(x1, x2)
 
     def test_zero_delta(self):
         xi = classify(milne(1)).representatives[0]
@@ -322,6 +332,89 @@ class TestAreEquivalent:
         res = are_equivalent(xi, xi + coboundary(lam))
         assert res.equivalent
         assert coboundary(res.witness) == coboundary(lam)
+
+
+# Bug B's algebra: tau central on the Heisenberg algebra
+CENTRAL_TIME = {"labels": ["tau", "x", "y", "z"], "time_generator": "tau",
+                "brackets": [{"lhs": "x", "rhs": "y", "out": [["z", "1"]]}]}
+
+
+def equivalence_queries(queries=300, seed=2020):
+    """Seeded (x1, x2) pairs on galilean, milne:1..3 and Bug B's algebra:
+    x1 a rational combination of classes, x2 = x1 + d lambda, plus a class
+    a third of the time; about 2/3 are equivalent, a few have x1 == x2."""
+    rng = random.Random(seed)
+    algs = [galilean(), milne(1), milne(2), milne(3), LieAlgebra.from_dict(CENTRAL_TIME)]
+    reps = [classify(alg).representatives for alg in algs]
+    for _ in range(queries):
+        s = rng.randrange(len(algs))
+        alg, classes = algs[s], reps[s]
+        x1 = TwoCochain.zero(alg)
+        for rep in classes:
+            x1 = x1 + Fraction(rng.randint(-2, 2), rng.randint(1, 3)) * rep
+        comps = [RatPoly([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                          for _ in range(rng.randint(0, 3))]) for _ in range(alg.dim)]
+        if alg.time_index is not None:
+            comps[alg.time_index] = RatPoly.constant(comps[alg.time_index].coeff(0))
+        x2 = x1 + coboundary(OneCochain(alg, comps))
+        if classes and rng.random() < 1 / 3:
+            x2 = x2 + rng.choice(classes)
+        yield x1, x2
+
+
+class TestColumnSpaceQuery:
+    # sha256 of the verdicts and witnesses of equivalence_queries(), as the
+    # TwoCochain-based query gave them before it ran on coefficient rows
+    DIGEST = "7d857c6d1c01bd6ec6f55479796e170927f7d8a901e944358a2ffdbbe905ce38"
+
+    def test_verdicts_and_witnesses_keep_their_digest(self):
+        digest = hashlib.sha256()
+        for q, (x1, x2) in enumerate(equivalence_queries()):
+            result = are_equivalent(x1, x2)
+            witness = None if result.witness is None else \
+                [p.to_strings() for p in result.witness.components]
+            digest.update(repr((q, x1.alg.name, result.equivalent, witness)).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_every_positive_verdict_is_witnessed(self):
+        verdicts = []
+        for x1, x2 in equivalence_queries():
+            result = are_equivalent(x1, x2)
+            verdicts.append(result.equivalent)
+            if result:
+                assert coboundary(result.witness) == x2 - x1
+        assert 150 < sum(verdicts) < 250
+
+    def test_a_perturbed_weight_fails_the_witness_check(self, monkeypatch):
+        solve = linalg.solve_augmented
+
+        def perturbed(aug, target):
+            weights = solve(aug, target)
+            first = min(weights)
+            weights[first] += 1
+            return weights
+
+        g = galilean()
+        xi = classify(g).representatives[0]
+        lam = OneCochain.from_labels(g, {"b1": RatPoly((1, 2)), "d2": RatPoly.t()})
+        monkeypatch.setattr(linalg, "solve_augmented", perturbed)
+        with pytest.raises(AssertionError, match="witness verification failed"):
+            are_equivalent(xi, xi + coboundary(lam))
+
+    def test_an_input_of_degree_max_columns_is_refused(self):
+        # every two-cochain of an abelian algebra without a time generator is
+        # a cocycle; at power MAX_COLUMNS the column of pair (x, y) would be
+        # that of the constant on (x, z), so the query is refused even where
+        # the top degrees cancel
+        alg = LieAlgebra(["x", "y", "z"], {}, time_index=None, name="abelian")
+        top = TwoCochain.from_labels(alg, {("x", "y"): RatPoly.monomial(MAX_COLUMNS)})
+        low = TwoCochain.from_labels(alg, {("x", "z"): 1})
+        for x1, x2 in ((top, top + low), (top + low, top), (TwoCochain.zero(alg), top)):
+            with pytest.raises(ColumnLimitError):
+                are_equivalent(x1, x2)
+        below = TwoCochain.from_labels(alg, {("x", "y"): RatPoly.monomial(MAX_COLUMNS - 1)})
+        result = are_equivalent(below, below + low)
+        assert not result and result.witness is None
 
 
 class TestAutoModeMechanics:

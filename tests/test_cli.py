@@ -536,3 +536,43 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["quotient_dim"] == 1
+
+
+class TestOneParser:
+    ARGV = (["classify", "--algebra", "galilean"],
+            ["verify", "--suite", "galilean", "--samples", "50", "--seed", "3"],
+            ["exponent", "--group", "galilean", "--theta", "galilean-mass:2",
+             "--pair", "b1,d1"],
+            ["classify", "--algebra", "milne:1", "--degree", "2", "--format", "text"],
+            ["verify", "--suite", "bundle"])
+
+    @staticmethod
+    def untimed(out):
+        if out.startswith("{"):
+            report = json.loads(out)
+            report.pop("timing")
+            return report
+        return out
+
+    def test_the_parser_is_built_once_on_first_use(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_alternating_commands_print_what_fresh_parsers_print(self, capsys, monkeypatch):
+        kept = [run_cli(argv, capsys) for argv in self.ARGV + self.ARGV[::-1]]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run_cli(argv, capsys) for argv in self.ARGV + self.ARGV[::-1]]
+        assert [(code, self.untimed(out), err) for code, out, err in kept] == \
+            [(code, self.untimed(out), err) for code, out, err in fresh]
+        assert all(code == 0 for code, _, _ in kept)
+
+    def test_no_default_leaks_between_subcommands(self):
+        parser = cli._build_parser()
+        for argv in self.ARGV + self.ARGV[::-1]:
+            parsed = vars(parser.parse_args(argv))
+            assert parsed == vars(cli._build_parser.__wrapped__().parse_args(argv))
+        bare = {"classify": {"command", "run", "algebra", "degree", "fmt", "out"},
+                "verify": {"command", "run", "suite", "samples", "seed", "fmt", "out"},
+                "exponent": {"command", "run", "group", "theta", "pair", "all_pairs",
+                             "fmt", "out"}}
+        for argv in self.ARGV:
+            assert set(vars(parser.parse_args(argv))) == bare[argv[0]]

@@ -77,6 +77,34 @@ class TestTwoCochainBasics:
         assert (xi + xi) == 2 * xi
         assert (xi - xi).is_zero()
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sums_and_differences_merge_entry_by_entry(self, seed):
+        # y repeats some of x's entries, so x - y cancels there, and x + y
+        # cancels where y repeats their negatives
+        rng = random.Random(seed)
+        g = milne(1)
+        pairs = list(g.pairs())
+
+        def poly():
+            return RatPoly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                            for _ in range(rng.randint(1, 3))])
+
+        for _ in range(20):
+            x = TwoCochain(g, {p: poly() for p in rng.sample(pairs, 8)})
+            y = TwoCochain(g, {p: poly() for p in rng.sample(pairs, 8)})
+            shared = rng.sample(sorted(x.nonzero_entries()), 3)
+            y = TwoCochain(g, {**y.nonzero_entries(),
+                               **{p: x.nonzero_entries()[p] for p in shared[:2]},
+                               shared[2]: -x.nonzero_entries()[shared[2]]})
+            before = (x.nonzero_entries(), y.nonzero_entries())
+            assert x - y == x + (-y)
+            assert (x - x).is_zero() and (x + (-x)).is_zero()
+            for z, sign in ((x + y, 1), (x - y, -1)):
+                assert all(not p.is_zero() for p in z.nonzero_entries().values())
+                for i, j in pairs:
+                    assert z.entry(i, j) == x.entry(i, j) + sign * y.entry(i, j)
+            assert (x.nonzero_entries(), y.nonzero_entries()) == before
+
     def test_serialization_roundtrip(self):
         g = milne(2)
         xi = TwoCochain.from_labels(g, {

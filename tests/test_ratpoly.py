@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from explab.lie import LieAlgebra
 from explab.ratpoly import RatPoly, as_fraction
 
 
@@ -44,8 +45,11 @@ class TestConstruction:
         assert as_fraction("2/5") == Fraction(2, 5)
         assert as_fraction("1e5") == 100000
         assert as_fraction("-3E-2") == Fraction(-3, 100)
-        assert as_fraction("1e4300") == 10 ** 4300
-        assert as_fraction("1e-4300") == Fraction(1, 10 ** 4300)
+        assert as_fraction("1e4299") == 10 ** 4299
+        assert as_fraction("1e-4299") == Fraction(1, 10 ** 4299)
+        assert as_fraction("9" * 4300) == 10 ** 4300 - 1
+        assert as_fraction(-10 ** 4300 + 1) == -10 ** 4300 + 1
+        assert as_fraction("1.5e4299") == 15 * 10 ** 4298
 
     def test_zero_denominator_is_a_value_error(self):
         for text in ("1/0", "-3/0", "0/0"):
@@ -60,6 +64,28 @@ class TestConstruction:
                      "2.5e" + "9" * 5000):
             with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
                 as_fraction(text)
+
+    def test_coefficients_beyond_4300_digits_are_refused(self):
+        # CPython prints no int of more than 4300 digits; 10**4300 has 4301
+        for value in ("1e4300", "1e-4300", "-1E+4300", "12e4299", "1.5e4300", "1.5e-4300",
+                      10 ** 4300, -10 ** 4300, 10 ** 5000):
+            with pytest.raises(ValueError, match="coefficient beyond 4300 digits"):
+                as_fraction(value)
+            with pytest.raises(ValueError, match="coefficient beyond 4300 digits"):
+                RatPoly((1, value))
+
+    def test_an_admitted_coefficient_round_trips_through_an_algebra(self):
+        for text in ("1e4299", "-1e-4299", "9" * 4300):
+            spec = {"labels": ["x", "y", "z"],
+                    "brackets": [{"lhs": "x", "rhs": "y", "out": [["z", text]]}]}
+            data = LieAlgebra.from_dict(spec).to_dict()
+            printed = data["brackets"][0]["out"][0][1]
+            assert as_fraction(printed) == as_fraction(text)
+            assert max(len(part.lstrip("-")) for part in printed.split("/")) == 4300
+            assert LieAlgebra.from_dict(data).to_dict() == data
+        spec["brackets"][0]["out"][0][1] = "1e4300"
+        with pytest.raises(ValueError, match="coefficient beyond 4300 digits"):
+            LieAlgebra.from_dict(spec)
 
     def test_monomial(self):
         assert RatPoly.monomial(3, Fraction(1, 2)) == P(0, 0, 0, Fraction(1, 2))
