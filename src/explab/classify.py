@@ -79,7 +79,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import linalg
-from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _complex, column, is_cocycle,
+from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _complex, coboundary, is_cocycle,
                       pair_power)
 from .lie import LieAlgebra, family_dim
 from .ratpoly import RatPoly
@@ -392,12 +392,11 @@ class _D1Solver:
         return {lead: {c: v for c, v in row.items() if c < marker}
                 for lead, row in self.echelon.pivots.items() if 0 <= lead < marker}
 
-    def shared(self, alg: LieAlgebra, comps: Tuple[RatPoly, ...]) -> EquivalenceResult:
-        """The result for these witness components that a caller still
-        holds, or a new one."""
-        result = self.results.get(comps)
+    def shared(self, witness: OneCochain) -> EquivalenceResult:
+        """The result for an equal witness that a caller still holds, or a
+        new one."""
+        result = self.results.get(witness.components)
         if result is None:
-            witness = OneCochain(alg, comps)
             result = self.results[witness.components] = EquivalenceResult(True, witness)
         return result
 
@@ -428,15 +427,15 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     The images are eliminated once per algebra instance and degree, cut at
     that degree, by the first query or a classify that shares it, and kept
     with the algebra (`LieAlgebra.memo`); each query reduces only its own
-    target. After the cocycle checks the query runs on coefficient rows:
-    x2 - x1 is x2's row less x1's, and the witness is verified on columns,
-    its image summed from the d1 templates of its units, which must equal
-    that row. An input of degree MAX_COLUMNS or more is refused before any
-    row is numbered, since its top power would wrap into the next pair's
-    columns. Results are immutable and shared:
-    every negative verdict is one object, and a positive result equal to
-    one a caller still holds, on the same algebra and bound, is that
-    object. The echelon keeps no result alive.
+    target. Both inputs are cocycle-checked on their integer coefficients.
+    The target is diff = x2 - x1 as an integer row, which is diff times its
+    denominator, so the weights divided by that denominator are the
+    witness, and it must satisfy coboundary(witness) == diff. An input of
+    degree MAX_COLUMNS or more is refused before any row is numbered,
+    since its top power would wrap into the next pair's columns. Results
+    are immutable and shared: every negative verdict is one object, and a
+    positive result equal to one a caller still holds, on the same algebra
+    and bound, is that object. The echelon keeps no result alive.
     """
     if x1.alg.labels != x2.alg.labels:
         raise ValueError("cochains live on different algebras")
@@ -448,34 +447,25 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     top = max(x1.max_degree(), x2.max_degree())
     if top >= MAX_COLUMNS:  # column(pair, power) would wrap into the next pair
         _columns(alg, top)
-    cx = _complex(alg)
-    delta = cx.to_row(x2)
-    for col, v in cx.to_row(x1).items():
-        w = delta.get(col, 0) - v
-        if w:
-            delta[col] = w
-        else:
-            del delta[col]
-    if not delta:
+    diff = x2 - x1
+    if diff.is_zero():
         return EquivalenceResult(True, OneCochain.zero(alg))
-    lam_degree = max(pair_power(col)[1] for col in delta) + max(1, _k1(alg))
+    lam_degree = diff.max_degree() + max(1, _k1(alg))
     _columns(alg, lam_degree)
+    cx = _complex(alg)
     solver = _d1_solver(alg, lam_degree, lam_degree)
-    weights = linalg.solve_augmented(solver.echelon, delta)
+    weights = linalg.solve_augmented(solver.echelon, cx.to_row(diff))
     if weights is None:
         return _INEQUIVALENT
     coeffs = [[Fraction(0)] * (lam_degree + 1) for _ in range(alg.dim)]
     units = cx.units(lam_degree)
-    image: Dict[int, Fraction] = {}
     for ucol, v in weights.items():
         k, u = units[ucol]
-        coeffs[k][u] = v
-        for pidx, power, c in cx.d1_unit(k, u):
-            col = column(pidx, power)
-            image[col] = image.get(col, 0) + c * v
-    if {col: v for col, v in image.items() if v} != delta:
+        coeffs[k][u] = v / diff._den
+    witness = OneCochain(alg, [RatPoly(c) for c in coeffs])
+    if coboundary(witness) != diff:
         raise AssertionError("witness verification failed")
-    return solver.shared(alg, tuple(RatPoly(c) for c in coeffs))
+    return solver.shared(witness)
 
 
 # -- acceleration-algebra structure reports ------------------------------
@@ -503,10 +493,14 @@ class MilneStructureReport:
         }
 
 
-def _acceleration_index(alg: LieAlgebra) -> Dict[Tuple[int, int], int]:
-    """(level n, axis i) -> index of d_i^(n)."""
-    return {(r.level, r.axes[0]): k for k, r in enumerate(alg.roles)
-            if r is not None and r.kind == "acceleration"}
+def _acceleration_index(alg: LieAlgebra, m: int) -> Dict[Tuple[int, int], int]:
+    """(level n, axis i) -> index of d_i^(n); a ValueError unless m is the
+    largest acceleration level of alg."""
+    acc = {(r.level, r.axes[0]): k for k, r in enumerate(alg.roles)
+           if r is not None and r.kind == "acceleration"}
+    if max((level for level, _ in acc), default=None) != m:
+        raise ValueError("m = %d is not the largest acceleration level of %s" % (m, alg.name))
+    return acc
 
 
 def _p_table(rep: TwoCochain, acc: Dict[Tuple[int, int], int],
@@ -521,11 +515,12 @@ def verify_milne_structure(c: Classification, m: int) -> MilneStructureReport:
     Every representative must be supported on acceleration pairs, isotropic
     (entry (d_i^(l), d_k^(n)) = P^(l,n) delta_ik), with P antisymmetric in
     (l, n), P^(0,0) = 0, degree(P^(l,n)) <= l+n-1, and the derivative ladder
-    dP^(l,n)/dt = P^(l-1,n) + P^(l,n-1).
+    dP^(l,n)/dt = P^(l-1,n) + P^(l,n-1). m must be the largest acceleration
+    level of c.alg; any other is a ValueError.
     """
     report = MilneStructureReport(order=m)
     alg = c.alg
-    acc = _acceleration_index(alg)
+    acc = _acceleration_index(alg, m)
     for s, rep in enumerate(c.representatives):
         tag = "rep[%d]" % s
         P = _p_table(rep, acc, m)
@@ -559,11 +554,12 @@ def verify_milne_structure(c: Classification, m: int) -> MilneStructureReport:
 
 
 def realizable_subspace(c: Classification, m: int) -> Classification:
-    """Restrict the quotient to classes with P^(l,q)(0) = 0 for all l, q >= 1."""
+    """Restrict the quotient to classes with P^(l,q)(0) = 0 for all l, q >= 1;
+    m must be the largest acceleration level of c.alg, else a ValueError."""
+    acc = _acceleration_index(c.alg, m)
     reps = c.representatives
     if not reps:
         return c
-    acc = _acceleration_index(c.alg)
     constraints: List[Dict[int, Fraction]] = []
     for l in range(1, m + 1):
         for n in range(l + 1, m + 1):
@@ -578,15 +574,10 @@ def realizable_subspace(c: Classification, m: int) -> Classification:
     degree = max([r.max_degree() for r in reps] + [0])
     _columns(c.alg, degree)
     cx = _complex(c.alg)
-    rep_rows = [cx.to_row(rep) for rep in reps]
-    rows = []
-    for combo in combos:
-        row: Dict[int, Fraction] = {}
-        for s, coeff in combo.items():
-            for col, v in rep_rows[s].items():
-                row[col] = row.get(col, 0) + coeff * v
-        rows.append(row)
-    restricted_rows = linalg.rref(rows)
+    combined = [sum((coeff * reps[s] for s, coeff in combo.items()), TwoCochain.zero(c.alg))
+                for combo in combos]
+    # the RREF of a combination's integer row, whatever its scale
+    restricted_rows = linalg.rref(cx.to_row(x) for x in combined)
     out = Classification(
         alg=c.alg,
         cocycle_dim=c.cocycle_dim,

@@ -22,10 +22,9 @@ Algebras without a time generator carry no constraint at all.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .lie import LieAlgebra
@@ -42,25 +41,58 @@ def _as_poly(value) -> RatPoly:
     raise TypeError("RatPoly or exact rational expected, got %r" % (value,))
 
 
-class TwoCochain:
-    """Antisymmetric polynomial-valued bilinear form on an algebra's basis."""
+def _lowest_terms(rows: Dict[Tuple[int, int], Sequence],
+                  den: int) -> Tuple[Dict[Tuple[int, int], tuple], int]:
+    """rows[pair] / den in canonical form, for int or Fraction values and a
+    positive int den: integer tuples with no trailing zero and no zero pair,
+    over the positive denominator that puts them in lowest terms (1 for zero)."""
+    # a set: the distinct denominators are few, so lcm gets a short argument list
+    scale = lcm(*{v.denominator for cs in rows.values() for v in cs})
+    den *= scale
+    out: Dict[Tuple[int, int], list] = {}
+    for pair, cs in rows.items():
+        top = len(cs)
+        while top and not cs[top - 1]:
+            top -= 1
+        if top:
+            out[pair] = [v.numerator * (scale // v.denominator) for v in cs[:top]]
+    g = gcd(den, *itertools.chain.from_iterable(out.values()))
+    return {pair: tuple(v // g for v in cs) for pair, cs in out.items()}, den // g
 
-    __slots__ = ("alg", "_entries")
+
+class TwoCochain:
+    """Antisymmetric polynomial-valued bilinear form on an algebra's basis.
+
+    One canonical form (`_lowest_terms`): per pair (i, j), i < j, the
+    integer coefficients of its polynomial in ascending powers of t, with
+    no trailing zero and no zero pair, all over one positive denominator
+    `_den`. Equal forms compare and hash equal, sums, differences and
+    multiples run on integers, and entries are RatPoly views built on
+    demand."""
+
+    __slots__ = ("alg", "_rows", "_den")
 
     def __init__(self, alg: LieAlgebra,
                  entries: Optional[Dict[Tuple[int, int], RatPoly]] = None) -> None:
-        table: Dict[Tuple[int, int], RatPoly] = {}
+        table: Dict[Tuple[int, int], tuple] = {}
         n = alg.dim
         for (i, j), p in (entries or {}).items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError("entry index out of range: (%r, %r)" % (i, j))
             if i >= j:
                 raise ValueError("entries are stored strictly upper-triangular")
-            p = _as_poly(p)
-            if not p.is_zero():
-                table[(i, j)] = p
+            table[(i, j)] = _as_poly(p).coeffs
         self.alg = alg
-        self._entries = table
+        self._rows, self._den = _lowest_terms(table, 1)
+
+    @classmethod
+    def _of(cls, alg: LieAlgebra, rows: Dict[Tuple[int, int], Sequence],
+            den: int = 1) -> "TwoCochain":
+        """The cochain on `alg` with coefficients rows[(i, j)] / den, i < j."""
+        out = cls.__new__(cls)
+        out.alg = alg
+        out._rows, out._den = _lowest_terms(rows, den)
+        return out
 
     @classmethod
     def zero(cls, alg: LieAlgebra) -> "TwoCochain":
@@ -82,23 +114,20 @@ class TwoCochain:
     # -- access --------------------------------------------------------
 
     def entry(self, i: int, j: int) -> RatPoly:
-        if i == j:
-            return RatPoly.zero()
-        if i < j:
-            return self._entries.get((i, j), RatPoly.zero())
-        return -self._entries.get((j, i), RatPoly.zero())
+        pair, den = ((i, j), self._den) if i < j else ((j, i), -self._den)
+        return RatPoly([Fraction(v, den) for v in self._rows.get(pair, ())])
 
     def entry_by_labels(self, l1: str, l2: str) -> RatPoly:
         return self.entry(self.alg.index(l1), self.alg.index(l2))
 
     def nonzero_entries(self) -> Dict[Tuple[int, int], RatPoly]:
-        return dict(self._entries)
+        return {pair: self.entry(*pair) for pair in self._rows}
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self._rows
 
     def max_degree(self) -> int:
-        return max((p.degree for p in self._entries.values()), default=-1)
+        return max(map(len, self._rows.values()), default=0) - 1
 
     def pair_value(self, x: Sequence, y: Sequence) -> RatPoly:
         """Bilinear extension Xi(x, y) for coefficient vectors x, y."""
@@ -107,7 +136,7 @@ class TwoCochain:
         x = [as_fraction(c) for c in x]
         y = [as_fraction(c) for c in y]
         out = RatPoly.zero()
-        for (i, j), p in self._entries.items():
+        for (i, j), p in self.nonzero_entries().items():
             w = x[i] * y[j] - x[j] * y[i]
             if w != 0:
                 out = out + p * w
@@ -115,69 +144,53 @@ class TwoCochain:
 
     # -- linear structure ------------------------------------------------
 
-    def _check_same_algebra(self, other: "TwoCochain") -> None:
-        if self.alg is not other.alg and self.alg.labels != other.alg.labels:
-            raise ValueError("cochains live on different algebras")
-
-    def _merge(self, other: "TwoCochain", subtract: bool) -> "TwoCochain":
-        """self + other or self - other: one RatPoly sum or difference per
-        pair that both hold, zeros dropped; the other entries are shared
-        (RatPoly is immutable), those of a subtracted `other` negated."""
-        self._check_same_algebra(other)
-        table = dict(self._entries)
-        for k, p in other._entries.items():
-            q = table.get(k)
-            if q is None:
-                table[k] = -p if subtract else p
-                continue
-            r = q - p if subtract else q + p
-            if r:
-                table[k] = r
-            else:
-                del table[k]
-        out = TwoCochain.__new__(TwoCochain)
-        out.alg, out._entries = self.alg, table
-        return out
-
     def __add__(self, other: "TwoCochain") -> "TwoCochain":
         if not isinstance(other, TwoCochain):
             return NotImplemented
-        return self._merge(other, False)
+        if self.alg is not other.alg and self.alg.labels != other.alg.labels:
+            raise ValueError("cochains live on different algebras")
+        g = gcd(self._den, other._den)
+        mine, theirs = other._den // g, self._den // g  # the cofactors of the lcm
+        rows = {pair: [v * mine for v in cs] for pair, cs in self._rows.items()}
+        for pair, cs in other._rows.items():
+            acc = rows.setdefault(pair, [])
+            acc.extend([0] * (len(cs) - len(acc)))
+            for u, v in enumerate(cs):
+                acc[u] += v * theirs
+        return TwoCochain._of(self.alg, rows, mine * self._den)
 
     def __sub__(self, other: "TwoCochain") -> "TwoCochain":
         if not isinstance(other, TwoCochain):
             return NotImplemented
-        return self._merge(other, True)
+        return self + -other
 
     def __neg__(self) -> "TwoCochain":
-        return TwoCochain(self.alg, {k: -p for k, p in self._entries.items()})
+        return self * -1
 
     def __mul__(self, scalar) -> "TwoCochain":
         c = as_fraction(scalar)
-        return TwoCochain(self.alg, {k: p * c for k, p in self._entries.items()})
+        return TwoCochain._of(self.alg, {pair: [v * c.numerator for v in cs]
+                                         for pair, cs in self._rows.items()},
+                              self._den * c.denominator)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwoCochain):
             return NotImplemented
-        return self.alg.labels == other.alg.labels and self._entries == other._entries
+        return (self.alg.labels == other.alg.labels and self._den == other._den
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.alg.labels,
-                     tuple(sorted((k, p.coeffs) for k, p in self._entries.items()))))
+        return hash((self.alg.labels, self._den, tuple(sorted(self._rows.items()))))
 
     # -- serialization -----------------------------------------------------
 
     def to_jsonable(self) -> List[dict]:
-        out = []
-        for (i, j) in sorted(self._entries):
-            out.append({
-                "i": self.alg.labels[i],
-                "j": self.alg.labels[j],
-                "poly": self._entries[(i, j)].to_strings(),
-            })
-        return out
+        """Entries in pair order; each coefficient prints as RatPoly's would."""
+        return [{"i": self.alg.labels[i], "j": self.alg.labels[j],
+                 "poly": [str(Fraction(v, self._den)) for v in self._rows[i, j]]}
+                for (i, j) in sorted(self._rows)]
 
     @classmethod
     def from_jsonable(cls, alg: LieAlgebra, data: Iterable[dict]) -> "TwoCochain":
@@ -193,7 +206,7 @@ class TwoCochain:
         return cls(alg, entries)
 
     def __repr__(self) -> str:
-        return "TwoCochain(%s, %d nonzero entries)" % (self.alg.name, len(self._entries))
+        return "TwoCochain(%s, %d nonzero entries)" % (self.alg.name, len(self._rows))
 
 
 class OneCochain:
@@ -367,38 +380,35 @@ class _Complex:
                 rows.append(row)
         return rows
 
-    def residual(self, triple, coeffs: Dict[int, tuple]) -> Dict[int, object]:
+    def residual(self, triple, rows: Dict[Tuple[int, int], tuple]) -> Dict[int, object]:
         """row . xi of the triple's template per power of t, for xi given as
         {pair: coefficients}: the triple's scale times its Jacobi residual."""
         bracket, deriv, _ = self.triples[triple]
         out: Dict[int, object] = {}
         for pidx, c in bracket:
-            for u, v in enumerate(coeffs.get(pidx, ())):
+            for u, v in enumerate(rows.get(self.pairs[pidx], ())):
                 out[u] = out.get(u, 0) + c * v
         if deriv is not None:
             pidx, c = deriv
-            for u, v in enumerate(coeffs.get(pidx, ())[1:], 1):
+            for u, v in enumerate(rows.get(self.pairs[pidx], ())[1:], 1):
                 out[u - 1] = out.get(u - 1, 0) + c * u * v
         return out
 
-    def coefficients(self, xi: TwoCochain) -> Dict[int, tuple]:
-        return {self.rank[p]: poly.coeffs for p, poly in xi._entries.items()}
+    def to_row(self, xi: TwoCochain) -> Dict[int, int]:
+        """xi times its denominator as an integer row; the caller keeps xi's
+        degree at a bound that `explab.classify` admits, so no power reaches the width."""
+        return {column(self.rank[pair], u): v for pair, cs in xi._rows.items()
+                for u, v in enumerate(cs) if v}
 
-    def to_row(self, xi: TwoCochain) -> Dict[int, Fraction]:
-        """xi's coefficients as a row; the caller keeps xi's degree at a
-        bound that `explab.classify` admits, so no power reaches the width."""
-        return {column(pidx, u): c for pidx, coeffs in self.coefficients(xi).items()
-                for u, c in enumerate(coeffs) if c}
-
-    def to_cochain(self, alg: LieAlgebra, row: Dict[int, Fraction]) -> TwoCochain:
+    def to_cochain(self, alg: LieAlgebra, row: Dict[int, object]) -> TwoCochain:
         """The two-cochain on `alg` whose coefficients are `row`."""
-        out: Dict[int, list] = {}
+        out: Dict[Tuple[int, int], list] = {}
         for col, v in row.items():
             pidx, power = pair_power(col)
-            coeffs = out.setdefault(pidx, [])
+            coeffs = out.setdefault(self.pairs[pidx], [])
             coeffs.extend([0] * (power + 1 - len(coeffs)))
             coeffs[power] = v
-        return TwoCochain(alg, {self.pairs[pidx]: RatPoly(cs) for pidx, cs in out.items()})
+        return TwoCochain._of(alg, out)
 
 
 def _complex(alg: LieAlgebra) -> _Complex:
@@ -408,18 +418,21 @@ def _complex(alg: LieAlgebra) -> _Complex:
 
 def coboundary(lam: OneCochain) -> TwoCochain:
     """d[Lam](a_i, a_j) = bold(a_i)Lam_j - bold(a_j)Lam_i - Lam([a_i, a_j]),
-    summed from the d1 templates of Lam's unit one-cochains."""
+    summed from the d1 templates of Lam's unit one-cochains, on Lam's
+    coefficients scaled once to integers by the lcm of their denominators."""
     alg = lam.alg
     cx = _complex(alg)
+    den = lcm(*{v.denominator for p in lam.components for v in p.coeffs})
     width = max(len(p.coeffs) for p in lam.components)
-    polys: Dict[int, List[object]] = {}
+    rows: Dict[Tuple[int, int], list] = {}
     for k, comp in enumerate(lam.components):
         for u, v in enumerate(comp.coeffs):
             if v:
+                v = v.numerator * (den // v.denominator)
                 for pidx, power, c in cx.d1_unit(k, u):
-                    acc = polys.setdefault(pidx, [0] * width)
+                    acc = rows.setdefault(cx.pairs[pidx], [0] * width)
                     acc[power] += c * v
-    return TwoCochain(alg, {cx.pairs[pidx]: RatPoly(cs) for pidx, cs in polys.items()})
+    return TwoCochain._of(alg, rows, den)
 
 
 def jacobi_residual(xi: TwoCochain, i: int, j: int, k: int) -> RatPoly:
@@ -435,19 +448,14 @@ def jacobi_residual(xi: TwoCochain, i: int, j: int, k: int) -> RatPoly:
     triple = tuple(sorted((i, j, k)))
     if triple not in cx.triples:
         return RatPoly.zero()
-    res = cx.residual(triple, cx.coefficients(xi))
-    scale = cx.triples[triple][2] * (-1) ** ((i > j) + (i > k) + (j > k))
+    res = cx.residual(triple, xi._rows)
+    scale = cx.triples[triple][2] * xi._den * (-1) ** ((i > j) + (i > k) + (j > k))
     return RatPoly([Fraction(res.get(u, 0), scale) for u in range(max(res, default=-1) + 1)])
 
 
 def is_cocycle(xi: TwoCochain) -> bool:
-    """True iff every triple's template annihilates xi, whatever its degree.
-    The templates are integral, so they run on xi's coefficients scaled to
-    integers by the lcm of their denominators."""
+    """True iff every triple's template, which is integral, annihilates
+    xi's integer coefficients, whatever its degree."""
     cx = _complex(xi.alg)
-    coeffs = cx.coefficients(xi)
-    den = functools.reduce(lcm, (c.denominator for cs in coeffs.values() for c in cs), 1)
-    scaled = {pidx: [c.numerator * (den // c.denominator) for c in cs]
-              for pidx, cs in coeffs.items()}
-    touched = {t for pidx in scaled for t in cx.triples_at.get(pidx, ())}
-    return not any(any(cx.residual(t, scaled).values()) for t in touched)
+    touched = {t for pair in xi._rows for t in cx.triples_at.get(cx.rank[pair], ())}
+    return not any(any(cx.residual(t, xi._rows).values()) for t in touched)

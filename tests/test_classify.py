@@ -275,6 +275,18 @@ class TestRealizable:
         r = realizable_subspace(classify(milne(m)), m)
         assert verify_milne_structure(r, m).ok
 
+    @pytest.mark.parametrize("name, alg, m", [("milne:2", milne(2), 3),
+                                              ("milne:2", milne(2), 1),
+                                              ("galilean", galilean(), 1)])
+    def test_an_order_that_is_not_the_top_level_is_refused(self, name, alg, m):
+        # milne:2 with m = 3 used to raise a bare KeyError, and galilean
+        # with m = 1 to return the whole quotient as realizable
+        c = classify(alg)
+        message = "^m = %d is not the largest acceleration level of %s$" % (m, name)
+        for check in (verify_milne_structure, realizable_subspace):
+            with pytest.raises(ValueError, match=message):
+                check(c, m)
+
 
 class TestAreEquivalent:
     def test_shift_by_coboundary(self):
@@ -586,7 +598,9 @@ class TestOperators:
                     comps = [RatPoly.zero()] * alg.dim
                     comps[k] = RatPoly.monomial(u)
                     want = oracle_coboundary(OneCochain(alg, comps))
-                    assert row == cx.to_row(want), (alg.name, D, k, u)
+                    # to_row holds the coefficients times their denominator
+                    assert row == {c: Fraction(v, want._den)
+                                   for c, v in cx.to_row(want).items()}, (alg.name, D, k, u)
 
     def test_unit_image_row_is_the_same_at_every_bound(self):
         # one column numbering whatever the bound: a unit t^u e_k has one row
@@ -673,7 +687,7 @@ def transposed_witness(x1, x2):
     for ucol, img in enumerate(cx.coboundary_rows(D)):
         for ecol, v in img.items():
             eq_rows.setdefault(ecol, {})[ucol] = v
-    rhs = cx.to_row(delta)
+    rhs = {c: Fraction(v, delta._den) for c, v in cx.to_row(delta).items()}
     rows = [{**eq_rows.get(ecol, {}), **({len(units): rhs[ecol]} if ecol in rhs else {})}
             for ecol in set(eq_rows) | set(rhs)]
     coeffs = [[Fraction(0)] * (D + 1) for _ in range(alg.dim)]

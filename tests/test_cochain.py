@@ -3,13 +3,13 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from explab.classify import ColumnLimitError, classify
-from explab.cochain import (OneCochain, TwoCochain, _Complex, coboundary, is_cocycle,
+from explab.cochain import (OneCochain, TwoCochain, _complex, _Complex, coboundary, is_cocycle,
                             jacobi_residual)
 from explab.lie import LieAlgebra, galilean, milne, phase_space
 from explab.ratpoly import RatPoly
@@ -136,6 +136,76 @@ class TestTwoCochainBasics:
         data = xi.to_jsonable()
         assert [d["i"] for d in data] == ["a12", "b2"]
         assert data[0]["poly"] == ["0", "1"]
+
+
+def assert_canonical(x):
+    """Integer tuples on pairs i < j, no trailing zero and no zero pair,
+    over a positive denominator in lowest terms (1 for zero)."""
+    assert x._den > 0
+    assert gcd(x._den, *itertools.chain.from_iterable(x._rows.values())) == 1
+    for (i, j), cs in x._rows.items():
+        assert i < j and cs and cs[-1] and all(type(v) is int for v in cs)
+
+
+class TestCanonicalForm:
+    # a time generator, and structure constants that are not integers
+    ALGEBRAS = [milne(1), galilean(),
+                LieAlgebra(["x", "y", "z"], {(0, 1): [(2, Fraction(1, 2))]},
+                           time_index=None, name="half-heisenberg")]
+    fractions = st.builds(Fraction, st.integers(min_value=-4, max_value=4),
+                          st.integers(min_value=1, max_value=6))
+    polys = st.lists(fractions, max_size=4).map(RatPoly)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_construction_gives_the_one_form(self, data):
+        alg = data.draw(st.sampled_from(self.ALGEBRAS))
+        pairs, labels = list(alg.pairs()), alg.labels
+        cochains = st.dictionaries(st.sampled_from(pairs), self.polys, max_size=6)
+        entries = data.draw(cochains)
+        x, y = TwoCochain(alg, entries), TwoCochain(alg, data.draw(cochains))
+        q = data.draw(self.fractions.filter(bool))
+        # every entry given lower-triangular, and one pair given both ways
+        # with parts that cancel
+        flipped = {(labels[j], labels[i]): -p for (i, j), p in entries.items()}
+        i, j = data.draw(st.sampled_from(pairs))
+        extra = data.draw(self.polys)
+        flipped[labels[j], labels[i]] = -entries.get((i, j), RatPoly.zero()) + extra
+        flipped[labels[i], labels[j]] = extra
+        cx = _complex(alg)
+        forms = [TwoCochain.from_labels(alg, flipped),
+                 TwoCochain.from_jsonable(alg, x.to_jsonable()),
+                 TwoCochain(alg, x.nonzero_entries()),
+                 (x + y) - y, (x - y) + y, y + x - y, -(-x),
+                 (x * q) * (1 / q), q * x * (1 / q),
+                 cx.to_cochain(alg, {c: Fraction(v, x._den) for c, v in cx.to_row(x).items()}),
+                 cx.to_cochain(alg, cx.to_row(x)) * Fraction(1, x._den)]
+        for z in [x, y, x * 0, x + y, x - y] + forms:
+            assert_canonical(z)
+        assert x * 0 == TwoCochain.zero(alg) and (x * 0)._den == 1
+        for z in forms:
+            assert z == x and hash(z) == hash(x)
+            assert (z._rows, z._den) == (x._rows, x._den)
+        assert [item["poly"] for item in x.to_jsonable()] == \
+            [x.entry(i, j).to_strings() for i, j in sorted(x.nonzero_entries())]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_coboundary_gives_the_one_form(self, data):
+        alg = data.draw(st.sampled_from(self.ALGEBRAS))
+        comps = [data.draw(self.polys) for _ in range(alg.dim)]
+        if alg.time_index is not None:
+            comps[alg.time_index] = RatPoly.constant(comps[alg.time_index].coeff(0))
+        q = data.draw(self.fractions.filter(bool))
+        d = coboundary(OneCochain(alg, comps))
+        forms = [TwoCochain(alg, d.nonzero_entries()),
+                 coboundary(OneCochain(alg, [p * q for p in comps])) * (1 / q),
+                 d + TwoCochain.zero(alg)]
+        for z in [d] + forms:
+            assert_canonical(z)
+        for z in forms:
+            assert z == d and hash(z) == hash(d)
+            assert (z._rows, z._den) == (d._rows, d._den)
 
 
 class TestOneCochainConstraint:
