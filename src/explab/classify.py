@@ -79,8 +79,8 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import linalg
-from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _complex, coboundary, is_cocycle,
-                      pair_power)
+from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _coefficient_lists, _complex,
+                      coboundary, is_cocycle, pair_power)
 from .lie import LieAlgebra, family_dim
 from .ratpoly import RatPoly
 
@@ -395,10 +395,7 @@ class _D1Solver:
     def shared(self, witness: OneCochain) -> EquivalenceResult:
         """The result for an equal witness that a caller still holds, or a
         new one."""
-        result = self.results.get(witness.components)
-        if result is None:
-            result = self.results[witness.components] = EquivalenceResult(True, witness)
-        return result
+        return self.results.setdefault(witness, EquivalenceResult(True, witness))
 
 
 def _d1_solver(alg: LieAlgebra, witness: int, cut: int) -> _D1Solver:
@@ -428,17 +425,18 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     that degree, by the first query or a classify that shares it, and kept
     with the algebra (`LieAlgebra.memo`); each query reduces only its own
     target. Both inputs are cocycle-checked on their integer coefficients.
-    The target is diff = x2 - x1 as an integer row, which is diff times its
-    denominator, so the weights divided by that denominator are the
-    witness, and it must satisfy coboundary(witness) == diff. An input of
-    degree MAX_COLUMNS or more is refused before any row is numbered,
-    since its top power would wrap into the next pair's columns. Results
-    are immutable and shared: every negative verdict is one object, and a
-    positive result equal to one a caller still holds, on the same algebra
-    and bound, is that object. The echelon keeps no result alive.
+    Both degrees of cochain hold integers over one denominator, so the
+    target is diff = x2 - x1 as an integer row, diff times its denominator;
+    the weights over that denominator are the witness's coefficients, and
+    it must satisfy coboundary(witness) == diff, the zero witness when
+    x2 == x1. An input of degree MAX_COLUMNS or more is refused before any
+    row is numbered, since its top power would wrap into the next pair's
+    columns. Results are immutable and shared: every negative verdict is
+    one object, and a positive result with a witness equal to one a caller
+    still holds, on the same algebra and bound, is that object. The
+    echelon keeps no result alive.
     """
-    if x1.alg.labels != x2.alg.labels:
-        raise ValueError("cochains live on different algebras")
+    diff = x2 - x1  # refuses cochains on different algebras
     alg = x1.alg
     alg._require_valid()
     for x in (x1, x2):
@@ -447,9 +445,6 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     top = max(x1.max_degree(), x2.max_degree())
     if top >= MAX_COLUMNS:  # column(pair, power) would wrap into the next pair
         _columns(alg, top)
-    diff = x2 - x1
-    if diff.is_zero():
-        return EquivalenceResult(True, OneCochain.zero(alg))
     lam_degree = diff.max_degree() + max(1, _k1(alg))
     _columns(alg, lam_degree)
     cx = _complex(alg)
@@ -457,12 +452,9 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     weights = linalg.solve_augmented(solver.echelon, cx.to_row(diff))
     if weights is None:
         return _INEQUIVALENT
-    coeffs = [[Fraction(0)] * (lam_degree + 1) for _ in range(alg.dim)]
     units = cx.units(lam_degree)
-    for ucol, v in weights.items():
-        k, u = units[ucol]
-        coeffs[k][u] = v / diff._den
-    witness = OneCochain(alg, [RatPoly(c) for c in coeffs])
+    witness = OneCochain._of(alg, _coefficient_lists((units[ucol], v)
+                                                     for ucol, v in weights.items()), diff._den)
     if coboundary(witness) != diff:
         raise AssertionError("witness verification failed")
     return solver.shared(witness)

@@ -41,36 +41,91 @@ def _as_poly(value) -> RatPoly:
     raise TypeError("RatPoly or exact rational expected, got %r" % (value,))
 
 
-def _lowest_terms(rows: Dict[Tuple[int, int], Sequence],
-                  den: int) -> Tuple[Dict[Tuple[int, int], tuple], int]:
-    """rows[pair] / den in canonical form, for int or Fraction values and a
-    positive int den: integer tuples with no trailing zero and no zero pair,
+def _lowest_terms(rows: Dict[object, Sequence], den: int) -> Tuple[Dict[object, tuple], int]:
+    """rows[key] / den in canonical form, for int or Fraction values and a
+    positive int den: integer tuples with no trailing zero and no zero key,
     over the positive denominator that puts them in lowest terms (1 for zero)."""
     # a set: the distinct denominators are few, so lcm gets a short argument list
     scale = lcm(*{v.denominator for cs in rows.values() for v in cs})
     den *= scale
-    out: Dict[Tuple[int, int], list] = {}
-    for pair, cs in rows.items():
+    out: Dict[object, list] = {}
+    for key, cs in rows.items():
         top = len(cs)
         while top and not cs[top - 1]:
             top -= 1
         if top:
-            out[pair] = [v.numerator * (scale // v.denominator) for v in cs[:top]]
+            out[key] = [v.numerator * (scale // v.denominator) for v in cs[:top]]
     g = gcd(den, *itertools.chain.from_iterable(out.values()))
-    return {pair: tuple(v // g for v in cs) for pair, cs in out.items()}, den // g
+    return {key: tuple(v // g for v in cs) for key, cs in out.items()}, den // g
 
 
-class TwoCochain:
-    """Antisymmetric polynomial-valued bilinear form on an algebra's basis.
+def _coefficient_lists(terms: Iterable[Tuple[Tuple[object, int], object]]) -> Dict[object, list]:
+    """{key: coefficients} with each ((key, power), value) term at its power."""
+    out: Dict[object, list] = {}
+    for (key, power), v in terms:
+        cs = out.setdefault(key, [])
+        cs.extend([0] * (power + 1 - len(cs)))
+        cs[power] = v
+    return out
 
-    One canonical form (`_lowest_terms`): per pair (i, j), i < j, the
-    integer coefficients of its polynomial in ascending powers of t, with
-    no trailing zero and no zero pair, all over one positive denominator
-    `_den`. Equal forms compare and hash equal, sums, differences and
-    multiples run on integers, and entries are RatPoly views built on
-    demand."""
+
+class _Cochain:
+    """The one form of one- and two-cochains (`_lowest_terms`): per key, a
+    generator or a pair i < j, the integer coefficients of its polynomial in
+    ascending powers of t over one positive denominator `_den`. Immutable;
+    equal cochains compare and hash equal. Cochains on algebras that are
+    neither one instance nor equal in `to_dict()` are refused."""
 
     __slots__ = ("alg", "_rows", "_den")
+
+    def _init(self, alg: LieAlgebra, rows: Dict[object, Sequence], den: int) -> None:
+        rows, den = _lowest_terms(rows, den)
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    @classmethod
+    def _of(cls, alg: LieAlgebra, rows: Dict[object, Sequence], den: int = 1):
+        """The cochain on `alg` with coefficients rows[key] / den."""
+        out = cls.__new__(cls)
+        out._init(alg, rows, den)
+        return out
+
+    @classmethod
+    def zero(cls, alg: LieAlgebra):
+        return cls._of(alg, {})
+
+    def _poly(self, key, den: int) -> RatPoly:
+        return RatPoly([Fraction(v, den) for v in self._rows.get(key, ())])
+
+    def _same_algebra(self, other: "_Cochain") -> None:
+        if self.alg is not other.alg and self.alg.to_dict() != other.alg.to_dict():
+            raise ValueError("cochains live on different algebras")
+
+    def is_zero(self) -> bool:
+        return not self._rows
+
+    def max_degree(self) -> int:
+        return max(map(len, self._rows.values()), default=0) - 1
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        self._same_algebra(other)
+        return self._den == other._den and self._rows == other._rows
+
+    def __hash__(self):
+        return hash((self.alg.labels, self._den, tuple(sorted(self._rows.items()))))
+
+
+class TwoCochain(_Cochain):
+    """Antisymmetric polynomial-valued bilinear form on an algebra's basis,
+    keyed by pairs i < j; entries are RatPoly views built on demand."""
+
+    __slots__ = ()
 
     def __init__(self, alg: LieAlgebra,
                  entries: Optional[Dict[Tuple[int, int], RatPoly]] = None) -> None:
@@ -82,21 +137,7 @@ class TwoCochain:
             if i >= j:
                 raise ValueError("entries are stored strictly upper-triangular")
             table[(i, j)] = _as_poly(p).coeffs
-        self.alg = alg
-        self._rows, self._den = _lowest_terms(table, 1)
-
-    @classmethod
-    def _of(cls, alg: LieAlgebra, rows: Dict[Tuple[int, int], Sequence],
-            den: int = 1) -> "TwoCochain":
-        """The cochain on `alg` with coefficients rows[(i, j)] / den, i < j."""
-        out = cls.__new__(cls)
-        out.alg = alg
-        out._rows, out._den = _lowest_terms(rows, den)
-        return out
-
-    @classmethod
-    def zero(cls, alg: LieAlgebra) -> "TwoCochain":
-        return cls(alg)
+        self._init(alg, table, 1)
 
     @classmethod
     def from_labels(cls, alg: LieAlgebra, entries: Dict[Tuple[str, str], object]) -> "TwoCochain":
@@ -114,20 +155,13 @@ class TwoCochain:
     # -- access --------------------------------------------------------
 
     def entry(self, i: int, j: int) -> RatPoly:
-        pair, den = ((i, j), self._den) if i < j else ((j, i), -self._den)
-        return RatPoly([Fraction(v, den) for v in self._rows.get(pair, ())])
+        return self._poly((i, j), self._den) if i < j else self._poly((j, i), -self._den)
 
     def entry_by_labels(self, l1: str, l2: str) -> RatPoly:
         return self.entry(self.alg.index(l1), self.alg.index(l2))
 
     def nonzero_entries(self) -> Dict[Tuple[int, int], RatPoly]:
         return {pair: self.entry(*pair) for pair in self._rows}
-
-    def is_zero(self) -> bool:
-        return not self._rows
-
-    def max_degree(self) -> int:
-        return max(map(len, self._rows.values()), default=0) - 1
 
     def pair_value(self, x: Sequence, y: Sequence) -> RatPoly:
         """Bilinear extension Xi(x, y) for coefficient vectors x, y."""
@@ -147,8 +181,7 @@ class TwoCochain:
     def __add__(self, other: "TwoCochain") -> "TwoCochain":
         if not isinstance(other, TwoCochain):
             return NotImplemented
-        if self.alg is not other.alg and self.alg.labels != other.alg.labels:
-            raise ValueError("cochains live on different algebras")
+        self._same_algebra(other)
         g = gcd(self._den, other._den)
         mine, theirs = other._den // g, self._den // g  # the cofactors of the lcm
         rows = {pair: [v * mine for v in cs] for pair, cs in self._rows.items()}
@@ -175,15 +208,6 @@ class TwoCochain:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TwoCochain):
-            return NotImplemented
-        return (self.alg.labels == other.alg.labels and self._den == other._den
-                and self._rows == other._rows)
-
-    def __hash__(self):
-        return hash((self.alg.labels, self._den, tuple(sorted(self._rows.items()))))
-
     # -- serialization -----------------------------------------------------
 
     def to_jsonable(self) -> List[dict]:
@@ -209,10 +233,11 @@ class TwoCochain:
         return "TwoCochain(%s, %d nonzero entries)" % (self.alg.name, len(self._rows))
 
 
-class OneCochain:
-    """Polynomial covector on the algebra basis, admissible for coboundaries."""
+class OneCochain(_Cochain):
+    """Polynomial covector on the algebra basis, admissible for coboundaries,
+    in the one form keyed by generator; `components` are RatPoly views."""
 
-    __slots__ = ("alg", "components")
+    __slots__ = ()
 
     def __init__(self, alg: LieAlgebra, components: Sequence) -> None:
         comps = tuple(_as_poly(p) for p in components)
@@ -223,15 +248,7 @@ class OneCochain:
             raise ValueError(
                 "the time-generator component must be constant in t, got %s"
                 % (comps[ti],))
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneCochain is immutable")
-
-    @classmethod
-    def zero(cls, alg: LieAlgebra) -> "OneCochain":
-        return cls(alg, (RatPoly.zero(),) * alg.dim)
+        self._init(alg, {k: p.coeffs for k, p in enumerate(comps)}, 1)
 
     @classmethod
     def from_labels(cls, alg: LieAlgebra, components: Dict[str, object]) -> "OneCochain":
@@ -240,14 +257,12 @@ class OneCochain:
             comps[alg.index(label)] = _as_poly(p)
         return cls(alg, comps)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OneCochain):
-            return NotImplemented
-        return self.alg.labels == other.alg.labels and self.components == other.components
+    @property
+    def components(self) -> Tuple[RatPoly, ...]:
+        return tuple(self._poly(k, self._den) for k in range(self.alg.dim))
 
     def __repr__(self) -> str:
-        nz = sum(1 for p in self.components if not p.is_zero())
-        return "OneCochain(%s, %d nonzero components)" % (self.alg.name, nz)
+        return "OneCochain(%s, %d nonzero components)" % (self.alg.name, len(self._rows))
 
 
 # -- the cochain complex as sparse integer operators ----------------------
@@ -402,13 +417,8 @@ class _Complex:
 
     def to_cochain(self, alg: LieAlgebra, row: Dict[int, object]) -> TwoCochain:
         """The two-cochain on `alg` whose coefficients are `row`."""
-        out: Dict[Tuple[int, int], list] = {}
-        for col, v in row.items():
-            pidx, power = pair_power(col)
-            coeffs = out.setdefault(self.pairs[pidx], [])
-            coeffs.extend([0] * (power + 1 - len(coeffs)))
-            coeffs[power] = v
-        return TwoCochain._of(alg, out)
+        rows = _coefficient_lists((pair_power(col), v) for col, v in row.items())
+        return TwoCochain._of(alg, {self.pairs[pidx]: cs for pidx, cs in rows.items()})
 
 
 def _complex(alg: LieAlgebra) -> _Complex:
@@ -418,21 +428,18 @@ def _complex(alg: LieAlgebra) -> _Complex:
 
 def coboundary(lam: OneCochain) -> TwoCochain:
     """d[Lam](a_i, a_j) = bold(a_i)Lam_j - bold(a_j)Lam_i - Lam([a_i, a_j]),
-    summed from the d1 templates of Lam's unit one-cochains, on Lam's
-    coefficients scaled once to integers by the lcm of their denominators."""
-    alg = lam.alg
-    cx = _complex(alg)
-    den = lcm(*{v.denominator for p in lam.components for v in p.coeffs})
-    width = max(len(p.coeffs) for p in lam.components)
+    summed from the d1 templates of Lam's unit one-cochains on Lam's integer
+    coefficients, over Lam's denominator."""
+    cx = _complex(lam.alg)
+    width = lam.max_degree() + 1
     rows: Dict[Tuple[int, int], list] = {}
-    for k, comp in enumerate(lam.components):
-        for u, v in enumerate(comp.coeffs):
+    for k, cs in lam._rows.items():
+        for u, v in enumerate(cs):
             if v:
-                v = v.numerator * (den // v.denominator)
                 for pidx, power, c in cx.d1_unit(k, u):
                     acc = rows.setdefault(cx.pairs[pidx], [0] * width)
                     acc[power] += c * v
-    return TwoCochain._of(alg, rows, den)
+    return TwoCochain._of(lam.alg, rows, lam._den)
 
 
 def jacobi_residual(xi: TwoCochain, i: int, j: int, k: int) -> RatPoly:

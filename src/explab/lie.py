@@ -223,10 +223,11 @@ class LieAlgebra:
         out = {}
         for triple in sorted(triples):
             i, j, k = triple
-            acc: Dict[Tuple[int, int], Fraction] = {}
+            acc: Dict[Tuple[int, int], object] = {}
             for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, c in self.bracket_basis(p, q):
                     if m != r:
+                        c = c.numerator if c.denominator == 1 else c
                         pair, s = ((m, r), c) if m < r else ((r, m), -c)
                         acc[pair] = acc.get(pair, 0) + s
             terms = tuple((a, b, c.numerator if c.denominator == 1 else c)
@@ -237,12 +238,16 @@ class LieAlgebra:
 
     def _jacobi_violations(self) -> List[JacobiViolation]:
         out: List[JacobiViolation] = []
+        # integral structure constants as ints: Fraction products are slow
+        table = {pair: [(l, c.numerator if c.denominator == 1 else c) for l, c in terms]
+                 for pair, terms in self._table.items()}
         for (i, j, k), terms in self.cyclic_sums().items():
-            acc: Dict[int, Fraction] = {}
+            acc: Dict[int, object] = {}
             for a, b, c in terms:
-                for l, c2 in self._table.get((a, b), ()):
+                for l, c2 in table.get((a, b), ()):
                     acc[l] = acc.get(l, 0) + c * c2
-            out.extend(JacobiViolation(i, j, k, l, v) for l, v in sorted(acc.items()) if v)
+            out.extend(JacobiViolation(i, j, k, l, Fraction(v))
+                       for l, v in sorted(acc.items()) if v)
         return out
 
     # -- serialization -----------------------------------------------

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import random
 import tracemalloc
 import weakref
@@ -324,6 +325,26 @@ class TestAreEquivalent:
         for x1, x2 in ((xi, other), (other, xi)):
             with pytest.raises(ValueError, match="different algebras"):
                 are_equivalent(x1, x2)
+
+    def test_algebras_that_share_only_labels_are_refused(self):
+        # the Heisenberg algebra and the abelian one, both on tau, x, y, z
+        labels = ["tau", "x", "y", "z"]
+        heisenberg = LieAlgebra(labels, {(1, 2): [(3, 1)]}, time_index=0)
+        abelian = LieAlgebra(labels, {}, time_index=0)
+        zero_a, zero_b = TwoCochain.zero(heisenberg), TwoCochain.zero(abelian)
+        c_b = TwoCochain.from_labels(abelian, {("x", "y"): 1})
+        for x1, x2 in ((zero_a, c_b), (c_b, zero_a), (zero_a, zero_b)):
+            for call in (are_equivalent, operator.add, operator.sub, operator.eq):
+                with pytest.raises(ValueError, match="different algebras"):
+                    call(x1, x2)
+        with pytest.raises(ValueError, match="different algebras"):
+            OneCochain.zero(heisenberg) == OneCochain.zero(abelian)
+        # an equal algebra built again is the same algebra
+        again = LieAlgebra.from_dict(heisenberg.to_dict())
+        c_a = TwoCochain.from_labels(heisenberg, {("tau", "x"): 1})
+        assert TwoCochain.zero(again) == zero_a and c_a + TwoCochain.zero(again) == c_a
+        result = are_equivalent(TwoCochain.zero(again), c_a)
+        assert result and coboundary(result.witness) == c_a
 
     def test_zero_delta(self):
         xi = classify(milne(1)).representatives[0]

@@ -8,9 +8,9 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from explab.classify import ColumnLimitError, classify
-from explab.cochain import (OneCochain, TwoCochain, _complex, _Complex, coboundary, is_cocycle,
-                            jacobi_residual)
+from explab.classify import ColumnLimitError, are_equivalent, classify
+from explab.cochain import (OneCochain, TwoCochain, _coefficient_lists, _complex, _Complex,
+                            coboundary, is_cocycle, jacobi_residual)
 from explab.lie import LieAlgebra, galilean, milne, phase_space
 from explab.ratpoly import RatPoly
 
@@ -206,6 +206,61 @@ class TestCanonicalForm:
         for z in forms:
             assert z == d and hash(z) == hash(d)
             assert (z._rows, z._den) == (d._rows, d._den)
+
+
+def assert_one_canonical(lam):
+    """Integer tuples per generator, no trailing zero and no zero
+    component, over a positive denominator in lowest terms (1 for zero)."""
+    assert lam._den > 0
+    assert gcd(lam._den, *itertools.chain.from_iterable(lam._rows.values())) == 1
+    for k, cs in lam._rows.items():
+        assert 0 <= k < lam.alg.dim and cs and cs[-1] and all(type(v) is int for v in cs)
+    if lam.is_zero():
+        assert lam._den == 1
+
+
+class TestOneCochainCanonicalForm:
+    ALGEBRAS = TestCanonicalForm.ALGEBRAS
+
+    @staticmethod
+    def forms(lam, scale, padding):
+        """lam built every other way: from its components, from labels and
+        from unit weights scaled by `scale` with `padding` zero powers on top."""
+        alg = lam.alg
+        comps = lam.components
+        weights = [((k, u), c * scale) for k, p in enumerate(comps) for u, c in enumerate(p.coeffs)]
+        weights += [((k, len(p.coeffs) + pad), 0) for k, p in enumerate(comps)
+                    for pad in range(padding)]
+        return [OneCochain(alg, comps),
+                OneCochain.from_labels(alg, {alg.labels[k]: p for k, p in enumerate(comps)
+                                             if p or k % 2}),
+                OneCochain._of(alg, _coefficient_lists(weights), scale)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_construction_gives_the_one_form(self, data):
+        alg = data.draw(st.sampled_from(self.ALGEBRAS))
+        comps = [data.draw(TestCanonicalForm.polys) for _ in range(alg.dim)]
+        if alg.time_index is not None:
+            comps[alg.time_index] = RatPoly.constant(comps[alg.time_index].coeff(0))
+        scale = data.draw(st.integers(min_value=1, max_value=12))
+        padding = data.draw(st.integers(min_value=0, max_value=2))
+        lam = OneCochain(alg, comps)
+        witness = are_equivalent(TwoCochain.zero(alg), coboundary(lam)).witness
+        zero = OneCochain.zero(alg)
+        assert zero == OneCochain(alg, [RatPoly.zero()] * alg.dim) and zero._den == 1
+        for x in (lam, witness, zero):
+            assert_one_canonical(x)
+            for z in self.forms(x, scale, padding):
+                assert_one_canonical(z)
+                assert z == x and hash(z) == hash(x)
+                assert (z._rows, z._den) == (x._rows, x._den)
+        assert lam.components == tuple(comps)
+        assert coboundary(witness) == coboundary(lam)
+        with pytest.raises(AttributeError):
+            lam.components = comps
+        with pytest.raises(AttributeError):
+            lam._den = 1
 
 
 class TestOneCochainConstraint:

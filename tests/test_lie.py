@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from explab.classify import classify
-from explab.lie import (LieAlgebra, Role, family_index, galilean, milne,
+from explab.lie import (JacobiViolation, LieAlgebra, Role, family_index, galilean, milne,
                         phase_space)
+from test_classify import rescaled_copy
 
 
 def unit(alg, label):
@@ -227,6 +228,57 @@ class TestValidateCatchesCorruption:
         # the defect must surface on a triple containing a rotation
         rot = {idx["a12"], idx["a13"], idx["a23"]}
         assert any({v.i, v.j, v.k} & rot for v in bad)
+
+
+def fraction_violations(alg):
+    """validate() from bracket() on basis vectors, in Fractions throughout:
+    per triple i < j < k and output l, the l-component of
+    [[a_i, a_j], a_k] + [[a_j, a_k], a_i] + [[a_k, a_i], a_j] where nonzero."""
+    def e(k):
+        return [Fraction(int(n == k)) for n in range(alg.dim)]
+
+    out = []
+    for i, j, k in itertools.combinations(range(alg.dim), 3):
+        cyc = [sum(col, Fraction(0)) for col in zip(
+            alg.bracket(alg.bracket(e(i), e(j)), e(k)),
+            alg.bracket(alg.bracket(e(j), e(k)), e(i)),
+            alg.bracket(alg.bracket(e(k), e(i)), e(j)))]
+        out.extend(JacobiViolation(i, j, k, l, v) for l, v in enumerate(cyc) if v)
+    return out
+
+
+def random_structure_constants(seed, denominators):
+    # Jacobi or not; coefficients over the given denominators
+    rng = random.Random(seed)
+    n = rng.randint(5, 8)
+    brackets = {pair: [(rng.randrange(n), Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                                  rng.choice(denominators)))
+                       for _ in range(rng.randint(1, 3))]
+                for pair in itertools.combinations(range(n), 2) if rng.random() < 0.5}
+    return LieAlgebra(["x%d" % k for k in range(n)], brackets,
+                      name="random-%d-%s" % (seed, max(denominators)))
+
+
+class TestValidateOracle:
+    # integral structure constants are multiplied as ints, rational ones
+    # as Fractions; every residual is reported as a Fraction either way
+    @pytest.mark.parametrize(
+        "alg",
+        [galilean(), milne(2), phase_space(2)]
+        + [random_structure_constants(seed, [1]) for seed in range(6)]
+        + [rescaled_copy(galilean()), rescaled_copy(milne(2))]
+        + [random_structure_constants(seed, [1, 2, 3]) for seed in range(6)],
+        ids=lambda alg: alg.name)
+    def test_validate_matches_a_fraction_oracle(self, alg):
+        got, want = alg.validate(), fraction_violations(alg)
+        assert got == want
+        assert all(type(v.residual) is Fraction for v in got)
+        assert [v.describe(alg) for v in got] == [v.describe(alg) for v in want]
+
+    def test_random_tables_break_jacobi(self):
+        # the oracle is compared on violations, not only on empty lists
+        assert all(random_structure_constants(seed, d).validate()
+                   for seed in range(6) for d in ([1], [1, 2, 3]))
 
 
 def all_triples_cyclic_sums(alg):
