@@ -18,17 +18,23 @@ m_grav = m_inertial; every other mass ratio leaves an O(|ratio-1|)
 defect that refinement cannot remove.  That asymmetry is what
 mass_equality_sweep scores.
 
-transform_wave and schrodinger_residuals work on ROWS_PER_BLOCK time
-slices at a time, as numpy calls over the block, with the stencils and
-operand order of a one-slice loop, so each value has the bits that loop
-gives; the block bound keeps whole-grid temporaries out of peak memory.
-The transform reads each interpolation tap of a row as a window of the
-padded row, since a row shifts by one whole number of nodes.  One
-stencil pass per block serves every gravitational mass of a
+sample_wave, transform_wave and schrodinger_residuals work on
+ROWS_PER_BLOCK time slices at a time, as numpy calls over the block, with
+the stencils and operand order of a one-slice loop, so each value has the
+bits that loop gives; the block bound keeps whole-grid temporaries out of
+peak memory.  sample_wave calls fn once per block, with x of shape
+(1, nx) and t of shape (rows, 1).  The transform checks the support of
+every block before any interpolation, derives the shift table (offsets,
+whole-node parts and Lagrange weights) once per call, and gathers each
+row's (nx + 7)-node window of the padded row once, reading its eight
+taps as slices of it, since a row shifts by one whole number of nodes.
+One stencil pass per block serves every gravitational mass of a
 schrodinger_residuals call: only m_grav * g(t) * x * psi differs between
-masses, and schrodinger_residual is its one-mass call.  sample_wave
-still calls fn(xs, t) once per slice, and a callable g is called once
-per interior slice with a float t per residual call, not once per mass.
+masses, and schrodinger_residual is its one-mass call.  A callable g is
+called once per interior slice with a float t per residual call, not
+once per mass.  gaussian_packet, transform_wave, schrodinger_residuals
+and mass_equality_sweep refuse a non-positive or non-finite mass with a
+ValueError before any grid work, and a WaveField refuses one too.
 """
 
 import math
@@ -42,10 +48,11 @@ from .groupexp import acceleration_phase_polys, milne_phase_value
 from .ratpoly import RatPoly
 
 SUPPORT_TOL = 1e-10
-# Time slices per block of the wave transform and the residual. Blocks keep
-# whole-grid temporaries out of peak memory: the schrodinger suite peaks at
-# 4.9 MB under tracemalloc, 10.9 MB with the whole grid as one block and
-# 6.4 MB with 64 rows; 16 rows save 0.7 MB but take 8% longer.
+# Time slices per block of the wave sampling, the transform and the
+# residual. Blocks keep whole-grid temporaries out of peak memory: the
+# schrodinger suite peaks at 4.98 MB under tracemalloc, 11.6 MB with the
+# whole grid as one block and 6.6 MB with 64 rows; 16 rows save 0.7 MB but
+# take 8% longer.
 ROWS_PER_BLOCK = 32
 # (space, time) nodes of the grid mass_equality_sweep scores on
 SWEEP_GRID = (641, 161)
@@ -53,6 +60,11 @@ SWEEP_GRID = (641, 161)
 
 class GridSupportError(ValueError):
     """Transformed wave needs non-negligible data from outside the grid."""
+
+
+def _require_mass(mass: float, name: str) -> None:
+    if not (math.isfinite(mass) and mass > 0):
+        raise ValueError("%s must be positive and finite" % name)
 
 
 def _uniform_spacing(arr, name):
@@ -80,8 +92,7 @@ class WaveField:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (ts.size, xs.size):
             raise ValueError("values must have shape (time, space)")
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
+        _require_mass(self.mass, "mass")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "values", vals)
@@ -98,23 +109,35 @@ class WaveField:
 def gaussian_packet(m: float, x0: float = 0.0, k0: float = 0.0,
                     width: float = 1.0) -> Callable:
     """Analytic spreading Gaussian solving i d_t psi = -(1/2m) d_xx psi."""
+    _require_mass(m, "m")
     if not width > 0:
         raise ValueError("width must be positive")
 
+    # the imaginary parts are real quotients times 1j: Python's complex
+    # division by a float rounds unlike numpy's, so this form gives a float
+    # t and an array of t the same bits
     def psi(x, t):
-        z = 1 + 1j * t / (2 * m * width ** 2)
+        z = 1 + 1j * (t / (2 * m * width ** 2))
         drift = x - x0 - k0 * t / m
         return ((2 * np.pi * width ** 2) ** -0.25 / np.sqrt(z)
-                * np.exp(1j * k0 * (x - x0) - 1j * k0 ** 2 * t / (2 * m)
+                * np.exp(1j * k0 * (x - x0) - 1j * (k0 ** 2 * t / (2 * m))
                          - drift ** 2 / (4 * width ** 2 * z)))
 
     return psi
 
 
 def sample_wave(fn: Callable, xs, ts, mass: float) -> WaveField:
+    """fn(x, t) on the grid, one call per block of ROWS_PER_BLOCK slices:
+    fn must broadcast x of shape (1, nx) against t of shape (rows, 1).
+    Each value has the bits of the call fn(xs, t) for its float t if fn
+    rounds alike on a float t and on an array of t, as gaussian_packet
+    does."""
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
-    values = np.array([fn(xs, t) for t in ts], dtype=complex)
+    values = np.empty((ts.size, xs.size), dtype=complex)
+    for start in range(0, ts.size, ROWS_PER_BLOCK):
+        rows = slice(start, start + ROWS_PER_BLOCK)
+        values[rows] = fn(xs[None, :], ts[rows, None])
     return WaveField(xs, ts, values, mass)
 
 
@@ -156,8 +179,12 @@ def _check_support(vals: np.ndarray, shifts: np.ndarray, ts: np.ndarray,
     too_far = ~(margins < nx)  # a non-finite shift is too far as well
     mags = np.abs(vals)
     last = np.where(too_far, nx, margins).astype(int)[:, None] - 1
-    lead = np.take_along_axis(np.maximum.accumulate(mags, axis=1), last, 1)[:, 0]
-    trail = np.take_along_axis(np.maximum.accumulate(mags[:, ::-1], axis=1), last, 1)[:, 0]
+    # running maxima over the widest margin of the block only: the rest of
+    # a row is never read
+    width = int(last.max()) + 1
+    lead = np.take_along_axis(np.maximum.accumulate(mags[:, :width], axis=1), last, 1)[:, 0]
+    trail = np.take_along_axis(
+        np.maximum.accumulate(mags[:, ::-1][:, :width], axis=1), last, 1)[:, 0]
     edge = np.where(shifts > 0, lead, trail)
     escapes = (shifts != 0.0) & (edge > support_tol * np.maximum(mags.max(axis=1), 1e-300))
     bad = np.flatnonzero(too_far | escapes)
@@ -177,34 +204,39 @@ def transform_wave(psi: WaveField, A: RatPoly, mass: Optional[float] = None,
     points are interpolated with an 8-point Lagrange stencil.  Values are
     taken as zero beyond the grid, which is legitimate only while the
     wave carries negligible amplitude there; the first slice about to pull
-    in non-negligible off-grid data raises GridSupportError.  Slices are
-    transformed ROWS_PER_BLOCK at a time, each value as the one-slice
-    stencil computes it.
+    in non-negligible off-grid data raises GridSupportError, before any
+    slice is interpolated.  Slices are transformed ROWS_PER_BLOCK at a
+    time, each value as the one-slice stencil computes it.
     """
     mass = psi.mass if mass is None else mass
+    _require_mass(mass, "mass")
     phase = milne_phase(mass, A)
     shifts = A(psi.ts)
     h = psi.dx
     nx = psi.xs.size
+    blocks = [slice(start, start + ROWS_PER_BLOCK)
+              for start in range(0, psi.ts.size, ROWS_PER_BLOCK)]
+    # every check first: a non-finite shift must raise, not reach the table
+    for rows in blocks:
+        _check_support(psi.values[rows], shifts[rows], psi.ts[rows], h, support_tol)
+    offset = -shifts / h
+    n0 = np.floor(offset)
+    weights = _lagrange_weights(offset - n0)
+    n0 = n0.astype(int)
     out = np.empty_like(psi.values)
-    for start in range(0, psi.ts.size, ROWS_PER_BLOCK):
-        rows = slice(start, start + ROWS_PER_BLOCK)
-        vals, ts = psi.values[rows], psi.ts[rows]
-        _check_support(vals, shifts[rows], ts, h, support_tol)
-        offset = -shifts[rows] / h
-        n0 = np.floor(offset)
-        weights = _lagrange_weights(offset - n0)
-        n0 = n0.astype(int)
-        pad = int(np.max(np.abs(n0))) + 4
+    for rows in blocks:
+        vals, starts = psi.values[rows], n0[rows]
+        pad = int(np.max(np.abs(starts))) + 4
         padded = np.zeros((vals.shape[0], nx + 2 * pad), dtype=complex)
         padded[:, pad:pad + nx] = vals
-        # row k's tap widx is the window of padded row k at n0[k] + widx - 3 + pad
-        windows = sliding_window_view(padded, nx, axis=1)
-        block_rows = np.arange(vals.shape[0])
+        # row k's tap widx is the slice [widx, widx + nx) of its window,
+        # which starts at node n0[k] - 3 of the row
+        window = sliding_window_view(padded, nx + 7, axis=1)[
+            np.arange(vals.shape[0]), starts + (pad - 3)]
         block = np.zeros_like(vals)
         for widx in range(weights.shape[1]):
-            block += weights[:, widx, None] * windows[block_rows, n0 + (widx - 3 + pad)]
-        out[rows] = np.exp(1j * phase(psi.xs, ts[:, None])) * block
+            block += weights[rows, widx, None] * window[:, widx:widx + nx]
+        out[rows] = np.exp(1j * phase(psi.xs, psi.ts[rows, None])) * block
     return WaveField(psi.xs, psi.ts, out, psi.mass)
 
 
@@ -236,8 +268,7 @@ def schrodinger_residuals(psi: WaveField, m_inertial: float, m_gravs: Sequence[f
     kinetic part and g(t) are computed once, and only the field term
     m_g * g(t) * x * psi once per mass.
     """
-    if not (math.isfinite(m_inertial) and m_inertial > 0):
-        raise ValueError("m_inertial must be positive and finite")
+    _require_mass(m_inertial, "m_inertial")
     g_of_t = g if callable(g) else (lambda t: g)
     if psi.xs.size < 5 or psi.ts.size < 3:
         raise ValueError("grid too small for the residual stencils")
@@ -252,10 +283,10 @@ def schrodinger_residuals(psi: WaveField, m_inertial: float, m_gravs: Sequence[f
               + 16 * rows[:, 3:-1] - rows[:, 4:]) / (12 * h * h)
         ddt = (v[start + 1:stop + 1, 2:-2] - v[start - 1:stop - 1, 2:-2]) / (2 * dt)
         base = 1j * ddt + d2 / (2 * m_inertial)
-        gs = [g_of_t(float(t)) for t in psi.ts[start:stop]]
+        gs = np.array([g_of_t(float(t)) for t in psi.ts[start:stop]])
         core = rows[:, 2:-2]
         for m_g, acc in zip(m_gravs, sums):
-            field = np.array([m_g * gt for gt in gs])
+            field = m_g * gs
             resid = base + field[:, None] * x_in * core
             acc.append(np.sum(np.abs(resid) ** 2, axis=1))
     reports = []
@@ -306,6 +337,7 @@ def mass_equality_sweep(A: RatPoly, m_inertial: float,
     degenerate instead of scored. A table with a non-finite entry is not
     scored either: best_ratio and margin are None.
     """
+    _require_mass(m_inertial, "m_inertial")
     ratios = [float(r) for r in ratios]
     if not any(r == 1.0 for r in ratios):
         raise ValueError("ratios must include 1")

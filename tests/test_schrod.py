@@ -53,8 +53,13 @@ def grid_norm(field, k):
 
 
 # -- per-slice oracle ----------------------------------------------------
-# The one-time-slice-at-a-time transform and residual that the blocked
-# versions replace. The blocked code must give the same bits.
+# The one-time-slice-at-a-time sampling, transform and residual that the
+# blocked versions replace. The blocked code must give the same bits.
+
+def slice_sample_wave(fn, xs, ts, mass):
+    values = np.array([fn(xs, t) for t in ts], dtype=complex)
+    return WaveField(xs, ts, values, mass)
+
 
 def slice_lagrange_weights(frac, width=8):
     nodes = np.arange(width) - (width // 2 - 1)
@@ -356,6 +361,26 @@ BLOCK_GRIDS = [(161, 41), (321, 81), (641, 161), (161, 3)]
 
 class TestBlocksMatchSliceOracle:
     @pytest.mark.parametrize("nx, nt", BLOCK_GRIDS)
+    @pytest.mark.parametrize("packet", [gaussian_packet(MASS, x0=0.0, k0=0.3),
+                                        gaussian_packet(2.0, x0=0.5, k0=1.25, width=0.8)])
+    def test_sample_wave_bits(self, nx, nt, packet):
+        xs, ts = np.linspace(-16, 16, nx), np.linspace(0, 0.8, nt)
+        seen = []
+
+        def fn(x, t):
+            seen.append((x.shape, t.copy()))
+            return packet(x, t)
+
+        got = sample_wave(fn, xs, ts, MASS)
+        assert same_bits(got.values, slice_sample_wave(packet, xs, ts, MASS).values)
+        # one call per block, in order, x as a row and t as a column
+        assert len(seen) == -(-nt // ROWS_PER_BLOCK)
+        for x_shape, t in seen:
+            assert x_shape == (1, nx)
+            assert t.ndim == 2 and t.shape[1] == 1 and 1 <= t.shape[0] <= ROWS_PER_BLOCK
+        assert same_bits(np.concatenate([t[:, 0] for _, t in seen]), ts)
+
+    @pytest.mark.parametrize("nx, nt", BLOCK_GRIDS)
     @pytest.mark.parametrize("profile", SHIFT_PROFILES, ids=str)
     def test_transform_and_residual_bits(self, nx, nt, profile):
         w = free_wave(xs=np.linspace(-16, 16, nx), ts=np.linspace(0, 0.8, nt))
@@ -480,6 +505,41 @@ class TestSharedStencil:
         with pytest.raises(ValueError, match="m_inertial must be positive and finite"):
             schrodinger_residuals(free_wave(), m_inertial, [MASS, 2 * MASS], g)
         assert seen == []
+
+
+BAD_MASSES = [0.0, -1.0, math.nan, math.inf]
+
+
+class TestMassChecks:
+    # a non-positive or non-finite mass is refused, by the functions of the
+    # wave layer before any grid work
+
+    @pytest.mark.parametrize("mass", BAD_MASSES)
+    def test_wave_field(self, mass):
+        with pytest.raises(ValueError, match="^mass must be positive and finite$"):
+            sample_wave(gaussian_packet(MASS), XS, TS, mass)
+        with pytest.raises(ValueError, match="^mass must be positive and finite$"):
+            WaveField(XS, TS, np.zeros((TS.size, XS.size)), mass)
+
+    @pytest.mark.parametrize("mass", BAD_MASSES)
+    def test_gaussian_packet(self, mass):
+        with pytest.raises(ValueError, match="^m must be positive and finite$"):
+            gaussian_packet(mass)
+
+    @pytest.mark.parametrize("mass", BAD_MASSES)
+    def test_transform_wave(self, mass):
+        # the shift exceeds this grid: the mass is refused before that check
+        w = free_wave(xs=np.linspace(-5, 5, 101), ts=np.linspace(0, 1, 11))
+        with pytest.raises(ValueError, match="^mass must be positive and finite$"):
+            transform_wave(w, RatPoly.constant(40), mass=mass)
+
+    @pytest.mark.parametrize("mass", BAD_MASSES)
+    def test_mass_equality_sweep(self, mass, monkeypatch):
+        calls = []
+        monkeypatch.setattr(schrod, "sample_wave", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="^m_inertial must be positive and finite$"):
+            mass_equality_sweep(QUAD, mass, [0.5, 1.0, 2.0])
+        assert calls == []
 
 
 def cubic_profile(seed):
