@@ -264,17 +264,18 @@ def _solve(alg: LieAlgebra, D: int, witness: int) -> _DegreeSolve:
     """The canonical solve at entry-degree bound D, modulo the coboundaries
     of witnesses of degree `witness` that land in V_D. The constraint rows
     enter one echelon power by power: the full rows of powers below D, then
-    those of power D without their derivative term. Reduced row echelon
-    form is canonical for a row space, so the rank-many echelon rows give
-    the cocycle basis that the whole constraint list would, and each cocycle
-    reduces against the coboundaries read from the d1 echelon (`landing`)
-    as against their RREF. dim((Z + B)/B) = dim Z - dim(Z & B), so the rank
-    check below holds iff those coboundaries B lie in the cocycles Z."""
+    those of power D without their derivative term. That echelon is
+    eliminated once: the cocycle basis is read from it by back-reduction
+    (`echelon_nullspace`), and reduced row echelon form is canonical for a
+    row space, so it is the basis that the whole constraint list would give.
+    Each cocycle reduces against the coboundaries read from the d1 echelon
+    (`landing`) as against their RREF. dim((Z + B)/B) = dim Z - dim(Z & B),
+    so the rank check below holds iff those coboundaries B lie in the
+    cocycles Z."""
     cx = _complex(alg)
     constraints = linalg.echelon_int(itertools.chain.from_iterable(
         cx.cocycle_rows(u, full=u < D) for u in range(D + 1)))
-    z_vecs = linalg.nullspace(list(constraints.values()), cx.columns(D))
-    del constraints
+    z_vecs = linalg.echelon_nullspace(constraints, cx.columns(D))  # empties it
     coboundary = _d1_solver(alg, witness, D).landing()
     reduced = [linalg.reduce_mod_rows(v, coboundary) for v in z_vecs]
     rep_rows = linalg.rref([r for r in reduced if r])

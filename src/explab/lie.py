@@ -9,9 +9,10 @@ algebras of order m, and the abelian phase-space translation algebras.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .ratpoly import as_fraction
@@ -186,13 +187,19 @@ class LieAlgebra:
 
     def validate(self) -> List[JacobiViolation]:
         """All structure-constant Jacobi violations; empty list means ok."""
-        return list(self.memo("validate", self._jacobi_violations))
+        return list(self.memo("validate", lambda: list(self._jacobi_violations())))
 
     def _require_valid(self) -> None:
         """Raise ValueError naming the first Jacobi violation, or else the
         first bracket with a time component: time acts on polynomials in t as
-        -d/dt, a representation (so d1 d1 = 0) only if no bracket yields it."""
-        bad = self.validate()
+        -d/dt, a representation (so d1 d1 = 0) only if no bracket yields it.
+        The Jacobi scan stops at its first violation; a clean scan is kept
+        as validate()'s empty list."""
+        bad = self._memo.get("validate")
+        if bad is None:
+            bad = list(itertools.islice(self._jacobi_violations(), 1))
+            if not bad:
+                self.memo("validate", list)
         if bad:
             raise ValueError(bad[0].describe(self))
         ti = self._time_index
@@ -236,8 +243,9 @@ class LieAlgebra:
                 out[triple] = terms
         return out
 
-    def _jacobi_violations(self) -> List[JacobiViolation]:
-        out: List[JacobiViolation] = []
+    def _jacobi_violations(self) -> Iterator[JacobiViolation]:
+        """The violations triple by triple, in `cyclic_sums` order, and by
+        output index within a triple."""
         # integral structure constants as ints: Fraction products are slow
         table = {pair: [(l, c.numerator if c.denominator == 1 else c) for l, c in terms]
                  for pair, terms in self._table.items()}
@@ -246,9 +254,9 @@ class LieAlgebra:
             for a, b, c in terms:
                 for l, c2 in table.get((a, b), ()):
                     acc[l] = acc.get(l, 0) + c * c2
-            out.extend(JacobiViolation(i, j, k, l, Fraction(v))
-                       for l, v in sorted(acc.items()) if v)
-        return out
+            for l, v in sorted(acc.items()):
+                if v:
+                    yield JacobiViolation(i, j, k, l, Fraction(v))
 
     # -- serialization -----------------------------------------------
 

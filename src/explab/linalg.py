@@ -2,11 +2,15 @@
 
 Rows are dicts mapping column index to a nonzero int or Fraction. Every row
 enters through `scale_to_int`, so elimination runs on integer-scaled rows
-(gcd-normalized after every combination) and no Fraction arithmetic happens
-in the hot path; reduced results are converted back to Fractions with unit
-pivots, except `reduce_mod_rows`, whose integer rows are only ever reduced
-again. Reduced row echelon form is canonical for a row space, which is what
-makes every downstream output deterministic.
+and no Fraction arithmetic happens in the hot path. A combination leaves its
+row a nonzero multiple of what it was; it strips the row's common factor
+only when it scaled the row. Every row an echelon stores is primitive with a
+positive lead, so the echelon is fixed by its rows and their order whatever
+the scales met on the way. Reduced results are converted back to Fractions
+with unit pivots, which no scale changes, except `reduce_mod_rows`, whose
+integer rows are only ever reduced again. Reduced row echelon form is
+canonical for a row space, which is what makes every downstream output
+deterministic.
 
 `solve_augmented` writes a target as a combination of given rows in two
 steps: `augment` eliminates the rows once, in their own order, each tagged
@@ -20,23 +24,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence
 
 IntRow = Dict[int, int]
 FracRow = Dict[int, Fraction]
 
-__all__ = ["scale_to_int", "echelon_int", "rref", "nullspace", "Augmented", "augment",
-           "solve_augmented", "reduce_mod_rows"]
+__all__ = ["scale_to_int", "echelon_int", "rref", "nullspace", "echelon_nullspace",
+           "Augmented", "augment", "solve_augmented", "reduce_mod_rows"]
 
 
 def scale_to_int(row: Dict[int, object]) -> IntRow:
     """Clear the denominators of int or Fraction values and strip the
-    common integer factor."""
-    lcm = 1
+    common integer factor; a row of ints needs no lcm."""
+    lcm, ints = 1, True
     for v in row.values():
-        lcm = lcm // gcd(lcm, v.denominator) * v.denominator
-    out = {c: v.numerator * (lcm // v.denominator) for c, v in row.items() if v}
+        if type(v) is not int:
+            ints = False
+            lcm = lcm // gcd(lcm, v.denominator) * v.denominator
+    if ints:
+        out = {c: v for c, v in row.items() if v}
+    else:
+        out = {c: v.numerator * (lcm // v.denominator) for c, v in row.items() if v}
     _strip(out)
     return out
 
@@ -59,7 +69,10 @@ def _strip(row: IntRow) -> None:
 
 
 def _combine(row: IntRow, pivot_row: IntRow, col: int) -> None:
-    """Eliminate row[col] using pivot_row (in place on row)."""
+    """Eliminate row[col] using pivot_row (in place on row): row becomes a
+    nonzero multiple of b * row - a * pivot_row, a and b their entries at
+    col. Only a row scaled by b / gcd(a, b) != 1 is stripped; any other
+    keeps its common factor and sign, which only a stored row must shed."""
     a = row[col]
     b = pivot_row[col]
     g = gcd(a, b)
@@ -74,7 +87,7 @@ def _combine(row: IntRow, pivot_row: IntRow, col: int) -> None:
         for c in list(row):
             if c not in pivot_row:
                 row[c] *= fr
-    _strip(row)
+        _strip(row)
 
 
 def _reduce(row: IntRow, pivots: Dict[int, IntRow]) -> Optional[int]:
@@ -138,8 +151,15 @@ def rref(rows: Iterable[Dict[int, object]]) -> List[FracRow]:
 def nullspace(rows: Iterable[Dict[int, object]], columns: Iterable[int]) -> List[FracRow]:
     """Canonical basis of {x : Ax = 0} for rows on the given columns, listed
     in ascending order: one vector per free column f, in that order (x_f = 1,
-    other free columns 0); not in echelon form."""
-    pivots = echelon_int(scale_to_int(r) for r in rows)
+    other free columns 0); not in echelon form. The rows are eliminated
+    once, by `echelon_int`, and the basis read off that echelon."""
+    return echelon_nullspace(echelon_int(scale_to_int(r) for r in rows), columns)
+
+
+def echelon_nullspace(pivots: Dict[int, IntRow], columns: Iterable[int]) -> List[FracRow]:
+    """`nullspace` of the rows of an integer echelon {pivot column: row}, as
+    `echelon_int` gives it: back-reduced and read off at its free columns.
+    The echelon is used up; its rows are changed and removed."""
     _back_reduce(pivots)
     basis: Dict[int, FracRow] = {f: {f: Fraction(1)} for f in columns
                                  if f not in pivots}
@@ -191,11 +211,22 @@ def solve_augmented(aug: Augmented, target: Dict[int, object]) -> Optional[FracR
 
 def reduce_mod_rows(vec: Dict[int, object], pivots: Dict[int, IntRow]) -> IntRow:
     """vec scaled to integers less a combination of an integer echelon's
-    rows {pivot column: row}, zero at every pivot column. Pivots are taken
-    in ascending order, so none is refilled once cleared; the result is the
-    unique such vector modulo the row space, up to a scalar."""
+    rows {pivot column: row}, zero at every pivot column: the unique such
+    vector modulo the row space, up to a nonzero scalar, not necessarily
+    primitive. Each pivot row's smallest column is its pivot, so clearing a
+    column touches none before it. The pivot columns the vector holds are
+    cleared in ascending order, those a clearing fills included; none is
+    refilled once cleared."""
     out = scale_to_int(vec)
-    for col in sorted(pivots):
-        if col in out:
-            _combine(out, pivots[col], col)
+    todo = [c for c in out if c in pivots]
+    heapify(todo)
+    while todo:
+        col = heappop(todo)
+        if col not in out:  # cleared on the way, or a repeat
+            continue
+        piv = pivots[col]
+        for c in piv:
+            if c not in out and c in pivots:
+                heappush(todo, c)
+        _combine(out, piv, col)
     return out

@@ -908,7 +908,7 @@ class TestDegreeBound:
         def fail(self):
             raise AssertionError("validate() ran before the column check")
         alg = milne(45)
-        monkeypatch.setattr(LieAlgebra, "validate", fail)
+        monkeypatch.setattr(LieAlgebra, "_jacobi_violations", fail)
         with pytest.raises(ColumnLimitError, match="degree 1 needs"):
             classify(alg)
 
@@ -1245,3 +1245,12 @@ class TestChangeOfBasis:
         c = classify(sheared)
         assert _k1(sheared) == 0
         assert report_bytes(classify(sheared, degree=c.degree_used)) == report_bytes(c)
+
+    # sha256 of report_bytes on a dense shear, recorded while every row
+    # combination stripped its row's common factor: the rows' coefficients
+    # grow here, which is where stripping only scaled rows could show
+    DENSE_SHEAR_DIGEST = "5f55d2f2f220779ca42e92b86844ed10143d6e1272d11ad6e8ffb08da60813d2"
+
+    def test_dense_shear_keeps_its_report(self):
+        c = classify(sheared_copy(milne(2), 1, entries=20))
+        assert hashlib.sha256(report_bytes(c).encode()).hexdigest() == self.DENSE_SHEAR_DIGEST

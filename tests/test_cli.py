@@ -224,7 +224,8 @@ class TestClassifyCommand:
         alg = LieAlgebra(labels, {}, time_index=0 if timed else None, name="wide.json")
         with pytest.raises(ColumnLimitError) as built:
             classify(alg, degree=degree if degree == "auto" else int(degree))
-        monkeypatch.setattr(LieAlgebra, "validate", lambda self: pytest.fail("validated"))
+        monkeypatch.setattr(LieAlgebra, "_jacobi_violations",
+                            lambda self: pytest.fail("validated"))
         code, out, err = run_cli(["classify", "--algebra", str(spec), "--degree", degree],
                                  capsys)
         assert code == 2 and out == "" and err == "error: %s\n" % built.value

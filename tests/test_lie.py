@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -230,21 +231,23 @@ class TestValidateCatchesCorruption:
         assert any({v.i, v.j, v.k} & rot for v in bad)
 
 
-def fraction_violations(alg):
+def iter_fraction_violations(alg):
     """validate() from bracket() on basis vectors, in Fractions throughout:
     per triple i < j < k and output l, the l-component of
     [[a_i, a_j], a_k] + [[a_j, a_k], a_i] + [[a_k, a_i], a_j] where nonzero."""
     def e(k):
         return [Fraction(int(n == k)) for n in range(alg.dim)]
 
-    out = []
     for i, j, k in itertools.combinations(range(alg.dim), 3):
         cyc = [sum(col, Fraction(0)) for col in zip(
             alg.bracket(alg.bracket(e(i), e(j)), e(k)),
             alg.bracket(alg.bracket(e(j), e(k)), e(i)),
             alg.bracket(alg.bracket(e(k), e(i)), e(j)))]
-        out.extend(JacobiViolation(i, j, k, l, v) for l, v in enumerate(cyc) if v)
-    return out
+        yield from (JacobiViolation(i, j, k, l, v) for l, v in enumerate(cyc) if v)
+
+
+def fraction_violations(alg):
+    return list(iter_fraction_violations(alg))
 
 
 def random_structure_constants(seed, denominators):
@@ -279,6 +282,67 @@ class TestValidateOracle:
         # the oracle is compared on violations, not only on empty lists
         assert all(random_structure_constants(seed, d).validate()
                    for seed in range(6) for d in ([1], [1, 2, 3]))
+
+
+def dense_invalid_table(n):
+    """The seeded dense table that CI refuses: n labels, every bracket with
+    all n outputs in +-{1, 2, 3}; it breaks Jacobi on its first triple."""
+    rng = random.Random(0)
+    labels = ["x%02d" % k for k in range(n)]
+    brackets = {(a, b): [(c, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))) for c in range(n)]
+                for a in range(n) for b in range(a + 1, n)}
+    return LieAlgebra(labels, brackets, name="dense-%d" % n)
+
+
+def require_valid_error(alg):
+    with pytest.raises(ValueError) as raised:
+        alg._require_valid()
+    return str(raised.value)
+
+
+class TestRequireValidStopsEarly:
+    # the refusal names validate()'s first violation without the others
+    @pytest.mark.parametrize(
+        "build",
+        [functools.partial(random_structure_constants, seed, d)
+         for seed in range(6) for d in ([1], [1, 2, 3])]
+        + [functools.partial(dense_invalid_table, 10)],
+        ids=lambda build: build().name)
+    def test_error_is_the_first_violation(self, build):
+        alg = build()
+        error = require_valid_error(alg)
+        assert alg.validate() == fraction_violations(alg)
+        assert error == alg.validate()[0].describe(alg)
+        fresh = build()
+        assert fresh.validate() == fraction_violations(fresh)
+        assert require_valid_error(fresh) == error
+
+    def test_dense_table_is_refused_at_its_first_triple(self, monkeypatch):
+        alg = dense_invalid_table(40)
+        first = next(iter_fraction_violations(alg))
+        assert (first.i, first.j, first.k) == (0, 1, 2)
+        contracted = []
+        violations = LieAlgebra._jacobi_violations
+
+        def spy(self):
+            for v in violations(self):
+                contracted.append(v)
+                yield v
+
+        monkeypatch.setattr(LieAlgebra, "_jacobi_violations", spy)
+        assert require_valid_error(alg) == first.describe(alg)
+        assert contracted == [first]
+
+    def test_a_clean_scan_is_kept_for_validate(self, monkeypatch):
+        calls = []
+        jacobi = LieAlgebra._jacobi_violations
+        monkeypatch.setattr(LieAlgebra, "_jacobi_violations",
+                            lambda alg: calls.append(alg) or jacobi(alg))
+        g = galilean()
+        g._require_valid()
+        g._require_valid()
+        assert g.validate() == []
+        assert calls == [g]
 
 
 def all_triples_cyclic_sums(alg):

@@ -2,7 +2,9 @@
 dense Fraction oracle that shares no code with it."""
 
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from explab import linalg
@@ -219,3 +221,189 @@ class TestReduceModRows:
             lead = min(want)
             assert {c: Fraction(v, got[lead]) for c, v in got.items()} \
                 == {c: v / want[lead] for c, v in want.items()}
+
+
+# -- reference: the kernel that strips after every combination ---------
+
+def eager_scale_to_int(row):
+    lcm = 1
+    for v in row.values():
+        lcm = lcm // gcd(lcm, v.denominator) * v.denominator
+    out = {c: v.numerator * (lcm // v.denominator) for c, v in row.items() if v}
+    eager_strip(out)
+    return out
+
+
+def eager_strip(row):
+    if not row:
+        return
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    if row[min(row)] < 0:
+        g = -g
+    for c in list(row):
+        row[c] //= g
+
+
+def eager_combine(row, pivot_row, col):
+    a, b = row[col], pivot_row[col]
+    g = gcd(a, b)
+    fr, fp = b // g, a // g
+    for c, v in pivot_row.items():
+        nv = row.get(c, 0) * fr - v * fp
+        if nv:
+            row[c] = nv
+        else:
+            row.pop(c, None)
+    for c in list(row):
+        if c not in pivot_row:
+            row[c] *= fr
+    eager_strip(row)
+
+
+def eager_reduce(row, pivots):
+    while row:
+        lead = min(row)
+        if lead not in pivots:
+            return lead
+        eager_combine(row, pivots[lead], lead)
+    return None
+
+
+def eager_echelon_int(rows):
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        lead = eager_reduce(row, pivots)
+        if lead is not None:
+            eager_strip(row)
+            pivots[lead] = row
+    return pivots
+
+
+def eager_back_reduce(pivots):
+    for col in sorted(pivots, reverse=True):
+        for other, row in pivots.items():
+            if other != col and col in row:
+                eager_combine(row, pivots[col], col)
+
+
+def eager_rref(rows):
+    pivots = eager_echelon_int(eager_scale_to_int(r) for r in rows)
+    eager_back_reduce(pivots)
+    return [{c: Fraction(v, pivots[p][p]) for c, v in pivots[p].items()}
+            for p in sorted(pivots)]
+
+
+def eager_nullspace(rows, columns):
+    pivots = eager_echelon_int(eager_scale_to_int(r) for r in rows)
+    eager_back_reduce(pivots)
+    basis = {f: {f: Fraction(1)} for f in columns if f not in pivots}
+    for p in sorted(pivots):
+        for f, v in pivots[p].items():
+            if f != p:
+                basis[f][p] = Fraction(-v, pivots[p][p])
+    return list(basis.values())
+
+
+def eager_solve(rows, target):
+    marker = 1 + max((c for r in rows for c in r), default=-1)
+    pivots = eager_echelon_int(eager_scale_to_int({**r, marker + 1 + i: 1})
+                                for i, r in enumerate(rows))
+    if any(c >= marker for c in target):
+        return None
+    reduced = eager_scale_to_int({**target, marker: 1})
+    if eager_reduce(reduced, pivots) != marker:
+        return None
+    a = reduced[marker]
+    return {c - marker - 1: Fraction(-v, a) for c, v in reduced.items() if c != marker}
+
+
+def eager_reduce_mod_rows(vec, pivots):
+    out = eager_scale_to_int(vec)
+    for col in sorted(pivots):
+        if col in out:
+            eager_combine(out, pivots[col], col)
+    return out
+
+
+big = st.integers(min_value=-10 ** 30, max_value=10 ** 30).filter(bool)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """matrices() with copies, negations and large-coefficient multiples
+    of its rows, and rows of large coefficients, put among them."""
+    rows, ncols = draw(matrices())
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(("duplicate", "negated", "multiple", "large")))
+        if kind == "large" or not rows:
+            row = {c: draw(big) for c in range(ncols) if draw(st.booleans())}
+        else:
+            src = draw(st.sampled_from(rows))
+            factor = {"duplicate": 1, "negated": -1, "multiple": draw(big)}[kind]
+            row = {c: factor * v for c, v in src.items()}
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
+    return rows, ncols
+
+
+def nearby_target(rows, ncols, data):
+    """A combination of the rows, sometimes moved off their row space."""
+    target = combine(rows, {i: data.draw(entries) for i in range(len(rows))})
+    if data.draw(st.booleans()):
+        col = data.draw(st.integers(min_value=0, max_value=ncols))
+        target[col] = target.get(col, 0) + data.draw(st.one_of(scales, big))
+    return {c: v for c, v in target.items() if v}
+
+
+class TestAgainstStripEveryCombination:
+    """The kernel strips a row only when a combination scales it; the one
+    that stripped after every combination gives the same outputs."""
+
+    @FIXED
+    @given(kernel_matrices())
+    def test_rref_nullspace_and_echelon_are_equal(self, mat):
+        rows, ncols = mat
+        assert linalg.rref(rows) == eager_rref(rows)
+        assert linalg.nullspace(rows, range(ncols)) == eager_nullspace(rows, range(ncols))
+        scaled = [linalg.scale_to_int(r) for r in rows]
+        assert scaled == [eager_scale_to_int(r) for r in rows]
+        got, want = linalg.echelon_int(scaled), eager_echelon_int(scaled)
+        assert list(got) == list(want)  # the same leads, in the same order
+        assert got == want
+
+    @FIXED
+    @given(kernel_matrices())
+    def test_nullspace_of_an_echelon_is_the_nullspace_of_its_rows(self, mat):
+        rows, ncols = mat
+        pivots = linalg.echelon_int(linalg.scale_to_int(r) for r in rows)
+        assert linalg.echelon_nullspace(pivots, range(ncols)) \
+            == linalg.nullspace(rows, range(ncols))
+
+    @FIXED
+    @given(kernel_matrices(), st.data())
+    def test_solve_weights_are_equal(self, mat, data):
+        rows, ncols = mat
+        aug = linalg.augment(rows)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            target = nearby_target(rows, ncols, data)
+            assert linalg.solve_augmented(aug, target) == eager_solve(rows, target)
+
+    @FIXED
+    @given(kernel_matrices(), st.data())
+    def test_reduce_mod_rows_is_equal_up_to_scale(self, mat, data):
+        rows, ncols = mat
+        pivots = linalg.echelon_int(linalg.scale_to_int(r) for r in rows)
+        vec = nearby_target(rows, ncols, data)
+        got, want = linalg.reduce_mod_rows(vec, pivots), eager_reduce_mod_rows(vec, pivots)
+        assert set(got) == set(want)
+        if want:
+            lead = min(want)
+            assert got[lead] and all(v * want[lead] == want[c] * got[lead]
+                                     for c, v in got.items())
+
+    def test_floats_are_refused(self):
+        for row in ({0: 1.5}, {0: 1, 1: 0.5}, {0: 2.0}):
+            with pytest.raises(AttributeError):
+                linalg.scale_to_int(row)
