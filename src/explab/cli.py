@@ -49,9 +49,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 SCHEMA_VERSION = 1
-# a suite's peak memory grows by about 1.7 KB per sample (tracemalloc:
-# milne:4 peaks at 17.5 MB with 10^4 samples), so this keeps a verify run
-# under about 200 MB
+# a suite's peak memory grows by about 1.7 KB per sample (tracemalloc
+# peaks with 10^4 samples: galilean 9.3 MB, milne:2 11.5 MB, milne:4
+# 17.4 MB), so this keeps a verify run under about 200 MB
 MAX_SAMPLES = 100_000
 
 

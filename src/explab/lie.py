@@ -218,38 +218,51 @@ class LieAlgebra:
         -(a_m, a_r) and (a_r, a_r) as zero, integral coefficients as ints; a
         triple whose sum vanishes is left out. Contracted with c_ab^l it is
         the Jacobi residual at l; on a two-cochain it is the bracket part of
-        the cocycle condition. Computed once per instance and kept until
-        `explab.cochain` has read it (`forget`)."""
-        return self.memo("cyclic sums", self._cyclic_sums)
+        the cocycle condition. Computed once per instance, or kept from a
+        Jacobi scan that ran to the end, until `explab.cochain` has read it
+        (`forget`)."""
+        return self.memo("cyclic sums", lambda: dict(self._iter_cyclic_sums()))
 
-    def _cyclic_sums(self) -> Dict[Tuple[int, int, int], Tuple[Tuple[int, int, object], ...]]:
+    def _iter_cyclic_sums(self) -> Iterator[Tuple[Tuple[int, int, int],
+                                                  Tuple[Tuple[int, int, object], ...]]]:
+        """The items of `cyclic_sums`, each summed when it is drawn."""
         # a triple's sum reads only the brackets of its three pairs, so only
         # triples holding a pair with a nonzero bracket are visited
         triples = {tuple(sorted((i, j, k))) for i, j in self._table
                    for k in range(self.dim) if k != i and k != j}
-        out = {}
+        # [a_p, a_q] for both orders of each pair, integral constants as ints
+        oriented: Dict[Tuple[int, int], List[Tuple[int, object]]] = {}
+        for (i, j), terms in self._table.items():
+            oriented[i, j] = [(m, c.numerator if c.denominator == 1 else c)
+                              for m, c in terms]
+            oriented[j, i] = [(m, -c) for m, c in oriented[i, j]]
         for triple in sorted(triples):
             i, j, k = triple
             acc: Dict[Tuple[int, int], object] = {}
             for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, c in self.bracket_basis(p, q):
+                for m, c in oriented.get((p, q), ()):
                     if m != r:
-                        c = c.numerator if c.denominator == 1 else c
                         pair, s = ((m, r), c) if m < r else ((r, m), -c)
                         acc[pair] = acc.get(pair, 0) + s
             terms = tuple((a, b, c.numerator if c.denominator == 1 else c)
                           for (a, b), c in acc.items() if c)
             if terms:
-                out[triple] = terms
-        return out
+                yield triple, terms
 
     def _jacobi_violations(self) -> Iterator[JacobiViolation]:
         """The violations triple by triple, in `cyclic_sums` order, and by
-        output index within a triple."""
+        output index within a triple.  Each triple's sum is built when the
+        scan reaches it, so a scan stopped at its first violation builds no
+        more; one that runs to the end keeps the sums for `cyclic_sums`."""
         # integral structure constants as ints: Fraction products are slow
         table = {pair: [(l, c.numerator if c.denominator == 1 else c) for l, c in terms]
                  for pair, terms in self._table.items()}
-        for (i, j, k), terms in self.cyclic_sums().items():
+        kept = self._memo.get("cyclic sums")
+        sums = {}
+        for triple, terms in (self._iter_cyclic_sums() if kept is None else kept.items()):
+            if kept is None:
+                sums[triple] = terms
+            i, j, k = triple
             acc: Dict[int, object] = {}
             for a, b, c in terms:
                 for l, c2 in table.get((a, b), ()):
@@ -257,6 +270,8 @@ class LieAlgebra:
             for l, v in sorted(acc.items()):
                 if v:
                     yield JacobiViolation(i, j, k, l, Fraction(v))
+        if kept is None:
+            self._memo["cyclic sums"] = sums
 
     # -- serialization -----------------------------------------------
 

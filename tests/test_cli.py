@@ -530,6 +530,31 @@ def test_more_classify_report_bytes_are_golden(args, capsys, monkeypatch, tmp_pa
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[args]
 
 
+# sha256 of `exponent --all-pairs --format json` reports with their timing
+# line removed; the extraction point is fixed, so the tables are
+# deterministic to the bit
+EXPONENT_GOLDEN = {
+    ("galilean", "galilean-mass:2"):
+        "99e3a275fdc701bee230eca69f815058893a5897d23c96af53ac74c92cac6d2e",
+    ("milne:2", "milne-schrodinger:1"):
+        "e6978714ed10b34a5cb347a9769eb5c670fb5423d8056fb1c79f6f7c05bedf16",
+}
+
+
+@pytest.mark.parametrize("group, theta", sorted(EXPONENT_GOLDEN), ids=" ".join)
+def test_exponent_table_bytes_are_golden(group, theta, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_tool_stamp",
+                        lambda: {"name": "explab", "version": "unknown"})
+    code, out, _ = run_cli(["exponent", "--group", group, "--theta", theta,
+                            "--all-pairs", "--format", "json"], capsys)
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    untimed = [line for line in lines if not line.startswith('  "timing": ')]
+    assert len(untimed) == len(lines) - 1
+    assert hashlib.sha256("".join(untimed).encode("utf-8")).hexdigest() == \
+        EXPONENT_GOLDEN[group, theta]
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "explab.cli", "classify",

@@ -652,3 +652,159 @@ class TestStackedSamples:
         # a time-shift gauge has a zero exponent
         assert xi.shape == (8,)
         assert np.max(np.abs(xi - finite_exponent(th, r, s, p))) <= 1e-12
+
+
+# -- layout: contiguous operands give the bits of the transposed views ------
+
+def _view_defect(R):
+    """_orthogonality_defect with the transposed view as left factor."""
+    with np.errstate(invalid="ignore"):
+        return float(np.abs(np.swapaxes(R, -1, -2) @ R - EYE).max(initial=0.0))
+
+
+def _view_compose(r, s):
+    """compose with the rotations multiplied as given, views included."""
+    return (r.R @ s.R, s.A @ np.swapaxes(r.R, -1, -2) + groupexp._divided_shift(r.A, s.b),
+            r.b + s.b)
+
+
+def _view_inverse(r):
+    return (np.swapaxes(r.R, -1, -2), -(groupexp._divided_shift(r.A, -r.b) @ r.R), -r.b)
+
+
+def _view_phase_polys(mass, A_rows):
+    """acceleration_phase_polys with the gram d @ d^T of a transposed view."""
+    A = np.asarray(A_rows)
+    k = max(A.shape[-2] - 1, 1)
+    if A.shape[-2] == 1:
+        d = A * 0
+    else:
+        d = np.stack([A[..., n + 1, :] / math.factorial(n) for n in range(k)], axis=-2)
+    gram = d @ np.swapaxes(d, -1, -2)
+    square = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            square[i + j] = square[i + j] + gram[..., i, j]
+    uniform = [square[0] * 0] + [square[n] / (n + 1) * mass / (-2)
+                                 for n in range(2 * k - 1)]
+    return np.swapaxes(d, -1, -2) * mass, np.stack(uniform, axis=-1)
+
+
+def _layout_stacks():
+    """(name, r, s) for stacks of every layout the group layer meets."""
+    rng = np.random.default_rng(21)
+    for order in (1, 2, 4):
+        kind = "galilean" if order == 1 else "milne"
+        r, s = (random_element(rng, kind, order, 1000) for _ in range(2))
+        yield "seeded-%d" % order, r, s
+        yield "inverse-left-%d" % order, inverse(r), s
+        yield "inverse-both-%d" % order, inverse(r), inverse(s)
+        levels = random_element(rng, kind, order, 30)
+        grid = MilneElement(levels.R.reshape(5, 6, 3, 3),
+                            levels.A.reshape((5, 6) + levels.A.shape[-2:]),
+                            levels.b.reshape(5, 6))
+        yield "pairs-levels-%d" % order, grid, inverse(grid)
+        eye = MilneElement(np.broadcast_to(EYE, (1000, 3, 3)),
+                           rng.uniform(-1, 1, (1000, order + 1, 3)), 0.0)
+        yield "stride-0-%d" % order, eye, r
+        yield "stride-0-right-%d" % order, inverse(r), eye
+    for kind in ("galilean", "milne"):
+        r, s = (_exact_stack(rng, kind, 64) for _ in range(2))
+        yield "fractions-" + kind, r, s
+        yield "fractions-inverse-" + kind, inverse(r), s
+
+
+LAYOUT_STACKS = list(_layout_stacks())
+
+
+class TestContiguousLayout:
+    """The contiguous operands of the stacked matrix products give the bits
+    (or, for Fractions, the exact values) of the transposed views."""
+
+    @pytest.mark.parametrize("name, r, s", LAYOUT_STACKS,
+                             ids=[case[0] for case in LAYOUT_STACKS])
+    def test_products_equal_the_view_formulas(self, name, r, s):
+        for R in (r.R, s.R):
+            assert groupexp._orthogonality_defect(R) == _view_defect(R)
+        rs = compose(r, s)
+        for got, want in zip((rs.R, rs.A, rs.b), _view_compose(r, s)):
+            assert np.array_equal(got, want)
+        ri = inverse(r)
+        for got, want in zip((ri.R, ri.A, ri.b), _view_inverse(r)):
+            assert np.array_equal(got, want)
+        for mass in (1.3, F(3, 2)):
+            for A in (r.A, rs.A, ri.A):
+                for got, want in zip(groupexp.acceleration_phase_polys(mass, A),
+                                     _view_phase_polys(mass, A)):
+                    assert np.array_equal(got, want)
+        if name.startswith("fractions"):
+            assert all(isinstance(v, numbers.Rational)
+                       for v in itertools.chain(rs.R.flat, rs.A.flat, ri.A.flat))
+
+    def test_non_orthogonal_views_are_refused(self):
+        M = np.arange(9.0).reshape(3, 3) / 10 + EYE
+        A = np.zeros((3, 3))
+        stack = random_element(np.random.default_rng(5), "milne", size=50).R.copy()
+        stack[17] = M
+        for R in (M.T, np.broadcast_to(M, (8, 3, 3)),
+                  np.broadcast_to(M.T, (8, 3, 3)), stack.swapaxes(-1, -2)):
+            assert not R.flags.c_contiguous
+            with pytest.raises(ValueError, match="orthogonal"):
+                MilneElement(R, A, 0.0)
+
+
+def _stacked_per_pair_table(theta, alg, pairs, p, tau0=0.1, levels=6):
+    """extraction_table with each chunk's subgroups broadcast and stacked per pair."""
+    kind = theta.group
+    taus = tau0 * 2.0 ** -np.arange(levels)
+    roles = [(alg.roles[alg.index(a)], alg.roles[alg.index(b)]) for a, b in pairs]
+    orders = [max([1] + [r.level for r in both if r is not None]) for both in roles]
+    S = [None] * len(pairs)
+    for order in sorted(set(orders)):
+        members = [k for k, o in enumerate(orders) if o == order]
+        subgroup = {role: exp_generator(kind, role, taus, order)
+                    for k in members for role in roles[k]}
+        for start in range(0, len(members), groupexp.MAX_STACKED_PAIRS):
+            chunk = members[start:start + groupexp.MAX_STACKED_PAIRS]
+            u, w = (groupexp._stack([subgroup[roles[k][side]] for k in chunk], taus.shape)
+                    for side in (0, 1))
+            total = np.broadcast_to(
+                np.asarray(groupexp._commutator_phase(theta, u, w, p), dtype=float),
+                (len(chunk),) + taus.shape)
+            for k, row in zip(chunk, total / taus ** 2):
+                S[k] = row
+    return [groupexp._extrapolate(row, a, b) for row, (a, b) in zip(S, pairs)]
+
+
+@pytest.mark.parametrize("alg, theta", [(GALILEAN, theta_galilean(2.0)),
+                                        (MILNE2, theta_milne(1.0)),
+                                        (milne(8), theta_milne(1.3))],
+                         ids=["galilean", "milne:2", "milne:8"])
+def test_gathered_table_equals_the_stacked_per_pair_table(alg, theta):
+    p = event([0.3, -0.4, 0.25], 0.0)
+    pairs = _shuffled_pairs(alg)
+    assert extraction_table(theta, alg, pairs, p) == \
+        _stacked_per_pair_table(theta, alg, pairs, p)
+
+
+# -- the sampler: Gram-Schmidt gives QR's rotations to rounding --------------
+
+def _qr_rotation(rng, size=None):
+    """The QR-plus-sign-fix sampler that random_rotation replaced."""
+    q, rr = np.linalg.qr(rng.normal(size=(() if size is None else (size,)) + (3, 3)))
+    d = np.diagonal(rr, axis1=-2, axis2=-1)
+    q = q * np.where(d == 0, 1.0, np.sign(d))[..., None, :]
+    q[..., :, 0] *= np.sign(np.linalg.det(q))[..., None]
+    return q
+
+
+@pytest.mark.parametrize("size", [None, 1, 200, 1000, 10 ** 5])
+def test_random_rotation_is_the_qr_rotation(size):
+    for seed in range(10):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        R, Q = groupexp.random_rotation(rng, size), _qr_rotation(oracle, size)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert R.shape == Q.shape == (() if size is None else (size,)) + (3, 3)
+        assert np.max(np.abs(R - Q)) <= 1e-12
+        assert np.max(np.abs(np.linalg.det(R) - 1)) <= 1e-12
+        assert groupexp._orthogonality_defect(R) <= 4e-15

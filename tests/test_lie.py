@@ -391,6 +391,81 @@ class TestCyclicSums:
         assert "cyclic sums" not in alg._memo
 
 
+def collected_cyclic_sums(alg):
+    """The cyclic sums as one dict, summed before any is read: the form
+    that the streamed scan replaced."""
+    triples = {tuple(sorted((i, j, k))) for i, j in alg._table
+               for k in range(alg.dim) if k != i and k != j}
+    out = {}
+    for triple in sorted(triples):
+        i, j, k = triple
+        acc = {}
+        for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in alg.bracket_basis(p, q):
+                if m != r:
+                    c = c.numerator if c.denominator == 1 else c
+                    pair, s = ((m, r), c) if m < r else ((r, m), -c)
+                    acc[pair] = acc.get(pair, 0) + s
+        terms = tuple((a, b, c.numerator if c.denominator == 1 else c)
+                      for (a, b), c in acc.items() if c)
+        if terms:
+            out[triple] = terms
+    return out
+
+
+def count_drawn_sums(monkeypatch):
+    """Patch LieAlgebra._iter_cyclic_sums to count the scans and the sums drawn."""
+    drawn = {"scans": 0, "sums": 0}
+    stream = LieAlgebra._iter_cyclic_sums
+
+    def counted(alg):
+        drawn["scans"] += 1
+        for item in stream(alg):
+            drawn["sums"] += 1
+            yield item
+
+    monkeypatch.setattr(LieAlgebra, "_iter_cyclic_sums", counted)
+    return drawn
+
+
+class TestStreamedJacobiScan:
+    @pytest.mark.parametrize("build", [galilean, functools.partial(milne, 3)]
+                             + [functools.partial(random_structure_constants, seed, d)
+                                for seed in range(6) for d in ([1], [1, 2, 3])],
+                             ids=lambda build: build().name)
+    def test_sums_equal_the_collected_form(self, build):
+        want = collected_cyclic_sums(build())
+        got = build().cyclic_sums()
+        assert got == want and list(got) == list(want)
+        # and the same dict when a full Jacobi scan collected it
+        scanned = build()
+        scanned.validate()
+        assert list(scanned._memo["cyclic sums"].items()) == list(want.items())
+
+    def test_a_clean_scan_keeps_the_sums_it_built(self, monkeypatch):
+        drawn = count_drawn_sums(monkeypatch)
+        alg = milne(2)
+        alg._require_valid()
+        assert alg._memo["cyclic sums"] == collected_cyclic_sums(alg)
+        kept = alg._memo["cyclic sums"]
+        assert alg.cyclic_sums() is kept and alg.validate() == []
+        assert drawn == {"scans": 1, "sums": len(kept)}
+
+    def test_the_kept_sums_serve_a_second_scan(self, monkeypatch):
+        alg = random_structure_constants(3, [1, 2, 3])
+        want = alg.cyclic_sums()
+        drawn = count_drawn_sums(monkeypatch)
+        assert alg.validate() == fraction_violations(alg)
+        assert alg.cyclic_sums() is want and drawn["scans"] == 0
+
+    def test_dense_table_builds_only_its_first_triple(self, monkeypatch):
+        drawn = count_drawn_sums(monkeypatch)
+        alg = dense_invalid_table(40)
+        assert require_valid_error(alg).startswith("jacobi fails on (x00,x01,x02)")
+        assert drawn == {"scans": 1, "sums": 1}
+        assert "cyclic sums" not in alg._memo
+
+
 class TestSerialization:
     def test_roundtrip(self):
         for alg in (galilean(), milne(2), phase_space(2)):
