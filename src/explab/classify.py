@@ -262,10 +262,10 @@ class _DegreeSolve:
 
 def _solve(alg: LieAlgebra, D: int, witness: int) -> _DegreeSolve:
     """The canonical solve at entry-degree bound D, modulo the coboundaries
-    of witnesses of degree `witness` that land in V_D. The constraint rows
-    enter one echelon power by power: the full rows of powers below D, then
-    those of power D without their derivative term. That echelon is
-    eliminated once: the cocycle basis is read from it by back-reduction
+    of witnesses of degree `witness` that land in V_D. h's echelon at power
+    0, moved u columns, spans h's rows at power u, so D + 1 such copies
+    start the constraint echelon; the rows of the triples holding tau enter
+    it power by power. The cocycle basis is read from it by back-reduction
     (`echelon_nullspace`), and reduced row echelon form is canonical for a
     row space, so it is the basis that the whole constraint list would give.
     Each cocycle reduces against the coboundaries read from the d1 echelon
@@ -273,8 +273,11 @@ def _solve(alg: LieAlgebra, D: int, witness: int) -> _DegreeSolve:
     so the rank check below holds iff those coboundaries B lie in the
     cocycles Z."""
     cx = _complex(alg)
+    h = linalg.echelon_int(cx.triple_rows(timed=False))
     constraints = linalg.echelon_int(itertools.chain.from_iterable(
-        cx.cocycle_rows(u, full=u < D) for u in range(D + 1)))
+        cx.triple_rows(True, u, full=u < D) for u in range(D + 1)),
+        {lead + u: {c + u: v for c, v in row.items()} for u in range(D + 1)
+         for lead, row in h.items()})
     z_vecs = linalg.echelon_nullspace(constraints, cx.columns(D))  # empties it
     coboundary = _d1_solver(alg, witness, D).landing()
     reduced = [linalg.reduce_mod_rows(v, coboundary) for v in z_vecs]
@@ -342,6 +345,7 @@ def classify(alg: LieAlgebra, degree="auto") -> Classification:
     alg._require_valid()
     if degree != "auto" or alg.time_index is None:
         return _classification(alg, _solve(alg, first, first))
+    _columns(alg, 2 + _k1(alg))  # D >= 2: refuse before the certificate builds the complex
     q, N = _certificate(alg)
     D = max(2, N)
     witness = D + _k1(alg)

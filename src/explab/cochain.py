@@ -298,9 +298,10 @@ class _Complex:
 
     * the cocycle condition, one row per basis triple i < j < k and power
       of t: the triple's cyclic bracket sum (`LieAlgebra.cyclic_sums`), plus
-      -bold(tau) = +d/dt on the pair opposite the time generator. Each
-      triple's template is scaled to integers once, which changes neither
-      the kernel nor the test row . xi = 0;
+      -bold(tau) = +d/dt on the pair opposite the time generator, which a
+      triple of h lacks, so its rows are one row shifted. Each triple's
+      template is scaled to integers once, which changes neither the kernel
+      nor the test row . xi = 0;
     * d1 of each unit one-cochain t^u e_k: -c_k^{ij} t^u on every pair,
       plus bold(tau) t^u = -u t^(u-1) on the pair of e_k with the time
       generator, signed by the time generator's slot.
@@ -380,19 +381,22 @@ class _Complex:
         return [{column(pidx, power): c for pidx, power, c in self.d1_unit(k, u)}
                 for k, u in self.units(D)]
 
-    def cocycle_rows(self, u: int, full: bool) -> List[Dict[int, int]]:
-        """The cocycle condition's integer rows at power u of t. A full row
-        adds the derivative term, which reads power u + 1; at degree bound D
-        the constraints are the full rows of powers below D and the rows of
-        power D without it. xi is a cocycle at bound D iff each of them
-        . xi = 0."""
+    def triple_rows(self, timed: bool, u: int = 0, full: bool = False) -> List[Dict[int, int]]:
+        """The cocycle condition's integer rows at power u of t of the
+        triples holding the time generator if `timed`, else of h's triples,
+        whose rows at power u are those at power 0 moved u columns. A full
+        row adds the derivative term, which reads power u + 1. At bound D
+        the constraints are h's rows at every power <= D and the timed rows,
+        full below D and without that term at D; xi is a cocycle at bound D
+        iff each of them . xi = 0."""
         rows: List[Dict[int, int]] = []
         for bracket, deriv, _ in self.triples.values():
-            row = {column(pidx, u): c for pidx, c in bracket}
-            if full and deriv is not None:
-                row[column(deriv[0], u + 1)] = deriv[1] * (u + 1)
-            if row:
-                rows.append(row)
+            if (deriv is not None) == timed:
+                row = {column(pidx, u): c for pidx, c in bracket}
+                if full and timed:
+                    row[column(deriv[0], u + 1)] = deriv[1] * (u + 1)
+                if row:
+                    rows.append(row)
         return rows
 
     def residual(self, triple, rows: Dict[Tuple[int, int], tuple]) -> Dict[int, object]:

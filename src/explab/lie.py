@@ -194,7 +194,7 @@ class LieAlgebra:
         first bracket with a time component: time acts on polynomials in t as
         -d/dt, a representation (so d1 d1 = 0) only if no bracket yields it.
         The Jacobi scan stops at its first violation; a clean scan is kept
-        as validate()'s empty list."""
+        as validate()'s empty list, and the time bracket scan beside it."""
         bad = self._memo.get("validate")
         if bad is None:
             bad = list(itertools.islice(self._jacobi_violations(), 1))
@@ -203,13 +203,14 @@ class LieAlgebra:
         if bad:
             raise ValueError(bad[0].describe(self))
         ti = self._time_index
-        for (i, j), terms in sorted(self._table.items()):
-            if any(k == ti for k, _ in terms):
-                lb = self._labels
-                raise ValueError(
-                    "bracket [%s, %s] has a component along the time generator %s, "
-                    "so polynomials in t are not a module of the algebra"
-                    % (lb[i], lb[j], lb[ti]))
+        pair = self.memo("time bracket", lambda: min(
+            (p for p, terms in self._table.items() if ti in dict(terms)), default=None))
+        if pair is not None:
+            lb = self._labels
+            raise ValueError(
+                "bracket [%s, %s] has a component along the time generator %s, "
+                "so polynomials in t are not a module of the algebra"
+                % (lb[pair[0]], lb[pair[1]], lb[ti]))
 
     def cyclic_sums(self) -> Dict[Tuple[int, int, int], Tuple[Tuple[int, int, object], ...]]:
         """Per basis triple i < j < k, in lexicographic order, the cyclic sum

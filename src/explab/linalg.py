@@ -103,11 +103,12 @@ def _reduce(row: IntRow, pivots: Dict[int, IntRow]) -> Optional[int]:
     return None
 
 
-def echelon_int(rows: Iterable[IntRow]) -> Dict[int, IntRow]:
+def echelon_int(rows: Iterable[IntRow], pivots: Optional[dict] = None) -> Dict[int, IntRow]:
     """Forward elimination of the rows in order; returns {pivot column:
-    row}, each row's smallest column its pivot. The input rows are copied,
-    never changed."""
-    pivots: Dict[int, IntRow] = {}
+    row}, each row's smallest column its pivot. Given `pivots`, such an
+    echelon of primitive rows with positive leads, it continues that one in
+    place. The input rows are copied, never changed."""
+    pivots = {} if pivots is None else pivots
     for row in rows:
         row = dict(row)
         lead = _reduce(row, pivots)

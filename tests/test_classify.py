@@ -1254,3 +1254,102 @@ class TestChangeOfBasis:
     def test_dense_shear_keeps_its_report(self):
         c = classify(sheared_copy(milne(2), 1, entries=20))
         assert hashlib.sha256(report_bytes(c).encode()).hexdigest() == self.DENSE_SHEAR_DIGEST
+
+
+# -- the shifted h echelon against the whole constraint list ----------------
+
+def oracle_cocycle_rows(cx, u, full):
+    """Every triple's cocycle row at power u of t, h's and tau's alike; a
+    full row adds the derivative term, which reads power u + 1."""
+    rows = []
+    for bracket, deriv, _ in cx.triples.values():
+        row = {column(pidx, u): c for pidx, c in bracket}
+        if full and deriv is not None:
+            row[column(deriv[0], u + 1)] = deriv[1] * (u + 1)
+        if row:
+            rows.append(row)
+    return rows
+
+
+def oracle_solve(alg, D, witness):
+    """The solve with every cocycle row of every power in one echelon: the
+    full rows of powers below D, then those of power D without their
+    derivative term, each h row eliminated again at every power."""
+    cx = _complex(alg)
+    constraints = linalg.echelon_int(itertools.chain.from_iterable(
+        oracle_cocycle_rows(cx, u, full=u < D) for u in range(D + 1)))
+    z_vecs = linalg.echelon_nullspace(constraints, cx.columns(D))
+    coboundary = _d1_solver(alg, witness, D).landing()
+    reduced = [linalg.reduce_mod_rows(v, coboundary) for v in z_vecs]
+    return _DegreeSolve(D, z_vecs, len(coboundary), linalg.rref([r for r in reduced if r]))
+
+
+# ad tau scales a by +1 and b by -1, c is central: not nilpotent on H^2(h)
+EXPANDING = {"labels": ["tau", "a", "b", "c"], "time_generator": "tau",
+             "brackets": [{"lhs": "a", "rhs": "tau", "out": [["a", "1"]]},
+                          {"lhs": "b", "rhs": "tau", "out": [["b", "-1"]]}]}
+
+TIMED_DEGREES = ("auto", 0, 1, 3, 5)
+SHIFTED_SOLVE_CASES = (
+    [("galilean", galilean, d) for d in TIMED_DEGREES]
+    + [("milne:%d" % m, functools.partial(milne, m), d)
+       for m in range(1, 6) for d in TIMED_DEGREES]
+    + [("phase-space:%d" % n, functools.partial(phase_space, n), d)
+       for n in (1, 2, 3) for d in (0, 2)]
+    + [("central-heisenberg", functools.partial(LieAlgebra.from_dict, CENTRAL_TIME), d)
+       for d in TIMED_DEGREES]
+    + [("expanding", functools.partial(LieAlgebra.from_dict, EXPANDING), d)
+       for d in TIMED_DEGREES]
+    + [("sheared-milne:2", lambda: sheared_copy(milne(2), 1, entries=20), "auto")])
+
+
+class TestShiftedHEchelon:
+    @pytest.mark.parametrize("name, build, degree", SHIFTED_SOLVE_CASES,
+                             ids=["%s-%s" % (name, d) for name, _, d in SHIFTED_SOLVE_CASES])
+    def test_solve_matches_the_whole_constraint_list(self, name, build, degree):
+        alg = build()
+        if degree == "auto":
+            D = classify(alg).degree_used
+            witness = D + _k1(alg)
+        else:
+            D = witness = degree
+        got, want = _solve(alg, D, witness), oracle_solve(alg, D, witness)
+        assert got.cocycle_rows == want.cocycle_rows
+        assert got.rep_rows == want.rep_rows
+        assert got.coboundary_dim == want.coboundary_dim
+
+    def test_h_rows_repeat_at_every_power(self):
+        # an h triple's row at power u is its power-0 row moved u columns,
+        # and the timed rows are the rest of the whole list
+        cx = _complex(milne(2))
+        h = cx.triple_rows(timed=False)
+        assert h and h == cx.triple_rows(False, 0, full=True)
+        for u in (0, 1, 4):
+            assert cx.triple_rows(False, u) == [{c + u: v for c, v in row.items()} for row in h]
+            for full in (True, False):
+                shifted = [{c + u: v for c, v in row.items()} for row in h]
+                got = shifted + cx.triple_rows(True, u, full)
+                key = lambda row: sorted(row.items())  # noqa: E731
+                assert sorted(got, key=key) == sorted(oracle_cocycle_rows(cx, u, full), key=key)
+
+    def test_expanding_algebra_has_one_polynomial_class(self):
+        # the classes along exp(+-t) are not polynomial
+        c = classify(LieAlgebra.from_dict(EXPANDING))
+        assert (c.quotient_dim, _certificate(c.alg)[0]) == (1, 1)
+
+
+class TestAutoBoundRefusedEarly:
+    def test_bound_above_the_limit_is_refused_before_the_certificate(self, monkeypatch):
+        # 100 bracket-free labels with tau pass the check at degree 1; the
+        # certified bound is at least 2 + k1 = 3, refused before the
+        # certificate builds the complex
+        def build(self, alg):
+            raise AssertionError("the complex was built")
+
+        monkeypatch.setattr(_Complex, "__init__", build)
+        alg = LieAlgebra(["x%03d" % k for k in range(99)] + ["tau"], {}, time_index=99)
+        with pytest.raises(ColumnLimitError,
+                           match="^degree 3 needs 19800 coefficient columns on custom; "
+                                 "the limit is 10000$"):
+            classify(alg)
+        assert _k1(alg) == 1

@@ -344,6 +344,34 @@ class TestRequireValidStopsEarly:
         assert g.validate() == []
         assert calls == [g]
 
+    @pytest.mark.parametrize("build, error", [
+        (galilean, None),
+        (lambda: LieAlgebra(["tau", "x", "y"], {(1, 2): [(0, 1)]}, time_index=0),
+         "bracket [x, y] has a component along the time generator tau, "
+         "so polynomials in t are not a module of the algebra")],
+        ids=["clean", "time-component"])
+    def test_a_second_call_does_not_scan_the_table_again(self, build, error):
+        class Table(dict):
+            def items(self):
+                scans.append(self)
+                return super().items()
+
+        def refusal(alg):
+            if error is None:
+                alg._require_valid()
+                return None
+            return require_valid_error(alg)
+
+        alg = build()
+        scans = []
+        alg._table = Table(alg._table)
+        assert refusal(alg) == error
+        assert scans  # the first call scans for a time component
+        del scans[:]
+        assert [refusal(alg) for _ in range(3)] == [error] * 3
+        assert scans == []
+        assert refusal(build()) == error
+
 
 def all_triples_cyclic_sums(alg):
     """The cyclic sums from a visit of every triple i < j < k."""

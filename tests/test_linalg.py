@@ -383,6 +383,17 @@ class TestAgainstStripEveryCombination:
 
     @FIXED
     @given(kernel_matrices(), st.data())
+    def test_a_continued_echelon_is_the_echelon_of_all_rows(self, mat, data):
+        rows, ncols = mat
+        scaled = [linalg.scale_to_int(r) for r in rows]
+        split = data.draw(st.integers(min_value=0, max_value=len(scaled)))
+        start = linalg.echelon_int(scaled[:split])
+        got = linalg.echelon_int(scaled[split:], start)
+        assert got is start
+        assert list(got.items()) == list(linalg.echelon_int(scaled).items())
+
+    @FIXED
+    @given(kernel_matrices(), st.data())
     def test_solve_weights_are_equal(self, mat, data):
         rows, ncols = mat
         aug = linalg.augment(rows)
