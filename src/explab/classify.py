@@ -80,7 +80,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import linalg
 from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _coefficient_lists, _complex,
-                      coboundary, is_cocycle, pair_power)
+                      coboundary, column, is_cocycle, pair_power)
 from .lie import LieAlgebra, family_dim
 from .ratpoly import RatPoly
 
@@ -187,18 +187,28 @@ def _k1(alg: LieAlgebra) -> int:
     return alg.memo("k1", build)
 
 
+def _h_echelon(alg: LieAlgebra) -> Dict[int, Dict[int, int]]:
+    """The integer echelon of the cocycle rows of h's triples at power 0 of
+    t, in `column` numbering, eliminated once per algebra and kept with it.
+    Its readers copy what they change."""
+    return alg.memo("h echelon",
+                    lambda: linalg.echelon_int(_complex(alg).triple_rows(timed=False)))
+
+
 def _certificate(alg: LieAlgebra) -> Tuple[int, int]:
     """(q*, N): the dimension and nilpotency index of the generalized kernel
     of L on H^2(h), from the power-0 rows of g's templates. Z^2(h) is the
-    kernel of the cocycle rows of the triples of h, B^2(h) the span of the
+    kernel of the cocycle rows of the triples of h (`_h_echelon`, whose
+    column(p, 0) is pair p: the order is the same), B^2(h) the span of the
     d1 images of h's units restricted to pairs of h; columns are pair
     numbers."""
     cx = _complex(alg)
     ti = alg.time_index
     h_pairs = [p for p, pair in enumerate(cx.pairs) if ti not in pair]
     in_h = set(h_pairs)
-    z2 = linalg.nullspace([dict(bracket) for triple, (bracket, _, _) in cx.triples.items()
-                           if ti not in triple], h_pairs)
+    h = {lead: dict(row) for lead, row in _h_echelon(alg).items()}
+    z2 = [{pair_power(c)[0]: v for c, v in vec.items()}
+          for vec in linalg.echelon_nullspace(h, [column(p, 0) for p in h_pairs])]
     b2 = linalg.echelon_int(linalg.scale_to_int({p: v for p, v in cx.lowered.get(k, ())
                                                  if p in in_h})
                             for k in range(alg.dim) if k != ti)
@@ -273,7 +283,7 @@ def _solve(alg: LieAlgebra, D: int, witness: int) -> _DegreeSolve:
     so the rank check below holds iff those coboundaries B lie in the
     cocycles Z."""
     cx = _complex(alg)
-    h = linalg.echelon_int(cx.triple_rows(timed=False))
+    h = _h_echelon(alg)
     constraints = linalg.echelon_int(itertools.chain.from_iterable(
         cx.triple_rows(True, u, full=u < D) for u in range(D + 1)),
         {lead + u: {c + u: v for c, v in row.items()} for u in range(D + 1)

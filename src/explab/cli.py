@@ -15,10 +15,11 @@ table's checks and every tolerance live in the check catalogue,
 
 JSON output is the stable contract (schema_version field, canonical key
 order); text output is for humans and may change.  Exit codes: 0 when
-every executed check passed, 1 for check failures and numeric aborts,
-2 for unusable input (bad flags or values, malformed, unreadable or
-inconsistent algebra files, an unwritable --out path), reported as one
-`error:` line on stderr.  `--samples` is bounded by MAX_SAMPLES and
+every executed check passed, 1 for check failures, numeric aborts and a
+report cut short by a closed stdout (`explab ... | head`, which ends
+quietly, without a traceback), 2 for unusable input (bad flags or
+values, malformed, unreadable or inconsistent algebra files, an
+unwritable --out path), reported as one `error:` line on stderr.  `--samples` is bounded by MAX_SAMPLES and
 `--seed` must be nonnegative; an algebra too large for classify's column
 limit (a family or a JSON file) or for exponent's pair limit is refused
 before it is built or validated.
@@ -321,11 +322,18 @@ def main(argv=None) -> int:
     try:
         report, passed = args.run(args)
         _emit(report, args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except (UsageError, ColumnLimitError, PairLimitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ExtrapolationError as exc:
         print("error: extrapolation did not converge: %s" % exc, file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except BrokenPipeError:
+        # the reader closed stdout before the report was written; point it
+        # at devnull so that the flush at exit is quiet (the SIGPIPE note
+        # of the `signal` module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CHECK_FAILED
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 

@@ -36,6 +36,21 @@ The sampled checks draw all their samples in one call, so a seed maps to
 other samples than it did when they were drawn one at a time; their gates
 and tolerances are unchanged, and a NaN anywhere fails them.
 
+Gates.  Every element from outside passes the gates of `MilneElement`:
+rotations orthogonal to ORTHOGONALITY_TOL (a NaN or inf fails), A of
+shape (..., k+1, 3), sample axes that broadcast.  The doors are the
+public constructor, `milne_identity`, `exp_generator` and
+`random_element`, and through them every CLI and JSON input.  The four
+derived paths, `compose`, `inverse`, `MilneElement.take` and `_stack`,
+build their results with `MilneElement._derived` and skip the gates:
+`inverse` stores a transposed view and `take` and `_stack` gather or
+stack values that passed them, so only `compose` makes new rotations,
+and a product of gated rotations is orthogonal to rounding (at 10^5
+samples: 1.3e-15 for one product, 1.8e-15 for two and for r r^-1,
+2.4e-15 for nine, against 1e-12; the package nests products two deep).
+`compose` still refuses other orders and sample axes that do not
+broadcast.
+
 Layout.  Every stacked matrix-matrix product takes C-contiguous operands:
 the orthogonality gate R^T R, the rotations and the A R^T of `compose`,
 and the gram d d^T of `acceleration_phase_polys`, a transpose copied by
@@ -155,6 +170,14 @@ class MilneElement:
         object.__setattr__(self, "A", A)
         self.batch  # raises ValueError unless the sample axes broadcast
 
+    @classmethod
+    def _derived(cls, R: np.ndarray, A: np.ndarray, b) -> "MilneElement":
+        """The element (R, A, b) without the gates of `__post_init__`, for
+        fields derived from elements that passed them (see Gates)."""
+        element = object.__new__(cls)
+        vars(element).update(R=R, A=A, b=b)
+        return element
+
     @property
     def order(self) -> int:
         return self.A.shape[-2] - 1
@@ -171,9 +194,9 @@ class MilneElement:
         """The sample at `index` of the sample axes `batch`; an index
         list along the first axis gathers a stack."""
         batch = self.batch
-        return MilneElement(np.broadcast_to(self.R, batch + (3, 3))[index],
-                            np.broadcast_to(self.A, batch + self.A.shape[-2:])[index],
-                            np.broadcast_to(self.b, batch)[index])
+        return MilneElement._derived(np.broadcast_to(self.R, batch + (3, 3))[index],
+                                     np.broadcast_to(self.A, batch + self.A.shape[-2:])[index],
+                                     np.broadcast_to(self.b, batch)[index])
 
 
 def _order(kind: str, order: int) -> int:
@@ -213,11 +236,13 @@ def compose(r: MilneElement, s: MilneElement) -> MilneElement:
     if r.order != s.order:
         raise OrderMismatchError("cannot compose orders %d and %d" % (r.order, s.order))
     R = np.ascontiguousarray(r.R) @ np.ascontiguousarray(s.R)
-    return MilneElement(R, s.A @ _Tc(r.R) + _divided_shift(r.A, s.b), r.b + s.b)
+    rs = MilneElement._derived(R, s.A @ _Tc(r.R) + _divided_shift(r.A, s.b), r.b + s.b)
+    rs.batch  # raises ValueError unless the sample axes broadcast
+    return rs
 
 
 def inverse(r: MilneElement) -> MilneElement:
-    return MilneElement(_T(r.R), -(_divided_shift(r.A, -r.b) @ r.R), -r.b)
+    return MilneElement._derived(_T(r.R), -(_divided_shift(r.A, -r.b) @ r.R), -r.b)
 
 
 def act(r: MilneElement, x, t):
@@ -578,10 +603,10 @@ MAX_STACKED_PAIRS = 64
 def _stack(elements, batch) -> MilneElement:
     """One element whose leading axis runs over `elements`, each of them
     broadcast to the sample axes `batch` first."""
-    return MilneElement(np.stack([np.broadcast_to(e.R, batch + (3, 3)) for e in elements]),
-                        np.stack([np.broadcast_to(e.A, batch + e.A.shape[-2:])
-                                  for e in elements]),
-                        np.stack([np.broadcast_to(e.b, batch) for e in elements]))
+    return MilneElement._derived(
+        np.stack([np.broadcast_to(e.R, batch + (3, 3)) for e in elements]),
+        np.stack([np.broadcast_to(e.A, batch + e.A.shape[-2:]) for e in elements]),
+        np.stack([np.broadcast_to(e.b, batch) for e in elements]))
 
 
 def _commutator_phase(theta: PhaseFunction, u, w, p: Event):

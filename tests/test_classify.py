@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from explab import linalg
 from explab.classify import (MAX_COLUMNS, Classification, ColumnLimitError,
                              EquivalenceResult, _certificate, _classification,
-                             _column_count, _columns, _d1_solver, _DegreeSolve, _k1,
+                             _column_count, _columns, _d1_solver, _DegreeSolve,
+                             _generalized_kernel, _h_echelon, _k1,
                              _solve, are_equivalent,
                              check_family_columns, classify, realizable_subspace,
                              verify_milne_structure)
@@ -1336,6 +1337,87 @@ class TestShiftedHEchelon:
         # the classes along exp(+-t) are not polynomial
         c = classify(LieAlgebra.from_dict(EXPANDING))
         assert (c.quotient_dim, _certificate(c.alg)[0]) == (1, 1)
+
+
+def oracle_certificate(alg):
+    """_certificate with Z^2(h) from its own nullspace of h's cocycle rows
+    in pair columns, not from the algebra's h echelon."""
+    cx = _complex(alg)
+    ti = alg.time_index
+    h_pairs = [p for p, pair in enumerate(cx.pairs) if ti not in pair]
+    in_h = set(h_pairs)
+    z2 = linalg.nullspace([dict(bracket) for triple, (bracket, _, _) in cx.triples.items()
+                           if ti not in triple], h_pairs)
+    b2 = linalg.echelon_int(linalg.scale_to_int({p: v for p, v in cx.lowered.get(k, ())
+                                                 if p in in_h})
+                            for k in range(alg.dim) if k != ti)
+    ad = {}
+    for a in range(alg.dim):
+        for i, c in alg.bracket_basis(ti, a):
+            ad.setdefault(i, []).append((a, c))
+
+    def act(omega):
+        out = {}
+
+        def add(a, b, v):
+            if a != b:
+                p, v = (cx.rank[a, b], v) if a < b else (cx.rank[b, a], -v)
+                out[p] = out.get(p, 0) + v
+
+        for p, w in omega.items():
+            i, j = cx.pairs[p]
+            for a, c in ad.get(i, ()):
+                add(a, j, -c * w)
+            for b, c in ad.get(j, ()):
+                add(i, b, -c * w)
+        return out
+
+    return _generalized_kernel(z2, act, b2)
+
+
+ONE_H_ECHELON_CASES = (
+    [("galilean", galilean)]
+    + [("milne:%d" % m, functools.partial(milne, m)) for m in range(1, 9)]
+    + [("phase-space:%d" % n, functools.partial(phase_space, n)) for n in (1, 2, 3)]
+    + [("central-heisenberg", functools.partial(LieAlgebra.from_dict, CENTRAL_TIME)),
+       ("expanding", functools.partial(LieAlgebra.from_dict, EXPANDING)),
+       ("sheared-milne:2", lambda: sheared_copy(milne(2), 1, entries=20))])
+
+
+class TestOneHEchelon:
+    """The certificate and the solve read one h echelon per algebra, and
+    give what each gave with its own elimination."""
+
+    @pytest.mark.parametrize("name, build", ONE_H_ECHELON_CASES,
+                             ids=[name for name, _ in ONE_H_ECHELON_CASES])
+    def test_certificate_and_solve_match_their_own_eliminations(self, name, build):
+        alg = build()
+        fresh = linalg.echelon_int(_complex(alg).triple_rows(timed=False))
+        if alg.time_index is not None:  # the certificate needs a time generator
+            assert _certificate(alg) == oracle_certificate(build())
+            assert _h_echelon(alg) == fresh  # its copy is used up, not the echelon
+        D = classify(alg).degree_used
+        witness = D + _k1(alg)
+        assert _h_echelon(alg) == fresh
+        solve, want = _solve(alg, D, witness), oracle_solve(alg, D, witness)
+        assert solve.cocycle_rows == want.cocycle_rows
+        assert solve.rep_rows == want.rep_rows
+        assert solve.coboundary_dim == want.coboundary_dim
+        assert _h_echelon(alg) == fresh
+
+    def test_h_rows_are_eliminated_once_per_algebra(self, monkeypatch):
+        calls = []
+        triple_rows = _Complex.triple_rows
+
+        def counted(self, timed, u=0, full=False):
+            calls.append(timed)
+            return triple_rows(self, timed, u, full)
+
+        monkeypatch.setattr(_Complex, "triple_rows", counted)
+        alg = milne(3)
+        classify(alg)  # the certificate, then the solve
+        classify(alg, degree=4)
+        assert calls.count(False) == 1 and calls.count(True) > 1
 
 
 class TestAutoBoundRefusedEarly:

@@ -555,6 +555,30 @@ def test_exponent_table_bytes_are_golden(group, theta, capsys, monkeypatch):
         EXPONENT_GOLDEN[group, theta]
 
 
+# sha256 of `verify --seed 1 --format json` reports with their timing line
+# removed: the sampled violations are pinned to the bit, so a change to
+# the group layer that keeps the arithmetic keeps these bytes
+VERIFY_GOLDEN = {
+    "galilean": "5f9d72e4f2232528f2e45ecb05604d74bcf1e7d3c7eebee156203fc28d73b067",
+    "milne:2": "9079361341d1b4559bb389d4b62095e368e546e410642b7bc7482879fbd8d6ff",
+    "h-group": "90e1b5f4b4b94be901947d0430fda96b71e19a3daf27af1627a222beb39e52a6",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_GOLDEN))
+def test_verify_report_bytes_are_golden(suite, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_tool_stamp",
+                        lambda: {"name": "explab", "version": "unknown"})
+    code, out, _ = run_cli(["verify", "--suite", suite, "--seed", "1",
+                            "--format", "json"], capsys)
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    untimed = [line for line in lines if not line.startswith('  "timing": ')]
+    assert len(untimed) == len(lines) - 1
+    assert hashlib.sha256("".join(untimed).encode("utf-8")).hexdigest() == \
+        VERIFY_GOLDEN[suite]
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "explab.cli", "classify",
@@ -562,6 +586,19 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["quotient_dim"] == 1
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the milne:7 report (about 184 KB) outgrows a pipe buffer, so the
+    # write meets the closed pipe, as in `explab classify ... | head -c 100`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "explab.cli", "classify", "--algebra", "milne:7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == cli.EXIT_CHECK_FAILED
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
 
 
 class TestOneParser:

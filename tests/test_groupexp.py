@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from explab import checks, groupexp
+from explab import checks, cli, groupexp
 from explab.groupexp import (ExtrapolationError, HElement, MilneElement,
                              OrderMismatchError, PhaseFunction, _act_inverse, act,
                              check_cocycle_identities, compose,
@@ -808,3 +808,69 @@ def test_random_rotation_is_the_qr_rotation(size):
         assert np.max(np.abs(R - Q)) <= 1e-12
         assert np.max(np.abs(np.linalg.det(R) - 1)) <= 1e-12
         assert groupexp._orthogonality_defect(R) <= 4e-15
+
+
+# -- gates at the doors: derived elements inherit their factors' gate --------
+
+class TestGates:
+    """Every element from outside passes the orthogonality gate; products,
+    inverses and gathers of gated elements skip it, and stay within 1e-14
+    of orthogonal at the largest admitted sample count."""
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_derived_rotations_stay_orthogonal(self, order):
+        kind = "galilean" if order == 1 else "milne"
+        rng = np.random.default_rng(order)
+        r, s, g = (random_element(rng, kind, order, cli.MAX_SAMPLES) for _ in range(3))
+        rs = compose(r, s)
+        for element in (rs, compose(rs, g), inverse(r), compose(r, inverse(r))):
+            assert element.batch == (cli.MAX_SAMPLES,)
+            assert groupexp._orthogonality_defect(element.R) <= 1e-14
+
+    def test_derived_elements_skip_the_gate(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        r, s = (random_element(rng, "milne", 2, 50) for _ in range(2))
+        subgroups = [exp_generator("milne", role, np.linspace(0.1, 0.2, 4), 2)
+                     for role in MILNE2.roles[:3]]
+        gated = []
+        check = groupexp._check_rotation
+        monkeypatch.setattr(groupexp, "_check_rotation",
+                            lambda R: gated.append(np.shape(R)) or check(R))
+        stack = groupexp._stack(subgroups, (4,))
+        compose(inverse(r), s).take(7)
+        stack.take([2, 0, 2])
+        assert gated == []
+        milne_identity(2)
+        random_element(rng, "milne", 2, 5)
+        exp_generator("milne", MILNE2.roles[0], 0.3, 2)
+        assert gated == [(3, 3), (5, 3, 3), (3, 3)]
+
+    def test_sample_axes_that_do_not_broadcast_raise(self):
+        rng = np.random.default_rng(4)
+        r, s = random_element(rng, "milne", 2, 4), random_element(rng, "milne", 2, 5)
+        with pytest.raises(ValueError):  # numpy's matmul of the rotations
+            compose(r, s)
+        # rotations that broadcast, with 5 translations against 7 rotations
+        moved = MilneElement(EYE, rng.uniform(-1, 1, (5, 3, 3)), 0.0)
+        turned = MilneElement(random_element(rng, "milne", 2, 7).R, np.zeros((3, 3)), 0.0)
+        with pytest.raises(ValueError):
+            compose(moved, turned)
+
+    def test_exp_generator_gates_its_rotation(self):
+        role = MILNE2.roles[MILNE2.index("a12")]
+        with pytest.raises(ValueError, match="orthogonal"):
+            exp_generator("milne", role, math.nan, 2)
+        with pytest.raises(ValueError, match="orthogonal"):
+            exp_generator("galilean", GALILEAN.roles[GALILEAN.index("a12")],
+                          np.array([0.1, math.nan]))
+
+    def test_random_element_gates_its_rotation(self, monkeypatch):
+        def skewed(rng, size=None):
+            return np.broadcast_to(np.eye(3) * 1.001, groupexp._shape(size) + (3, 3))
+
+        monkeypatch.setattr(groupexp, "random_rotation", skewed)
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="orthogonal"):
+            random_element(rng, "milne", 2, 10)
+        with pytest.raises(ValueError, match="orthogonal"):
+            random_element(rng, "galilean")
