@@ -19,10 +19,11 @@ every executed check passed, 1 for check failures, numeric aborts and a
 report cut short by a closed stdout (`explab ... | head`, which ends
 quietly, without a traceback), 2 for unusable input (bad flags or
 values, malformed, unreadable or inconsistent algebra files, an
-unwritable --out path), reported as one `error:` line on stderr.  `--samples` is bounded by MAX_SAMPLES and
-`--seed` must be nonnegative; an algebra too large for classify's column
-limit (a family or a JSON file) or for exponent's pair limit is refused
-before it is built or validated.
+unwritable --out path), reported as one `error:` line on stderr.
+`--samples` is bounded by MAX_SAMPLES and `--seed` must be nonnegative;
+an algebra too large for classify's column limit (a family or a JSON
+file) or for exponent's pair limit is refused before it is built or
+validated.
 Classify reports carry no timing so identical inputs produce
 byte-identical bytes; the stochastic commands echo (seed, samples) and
 report wall time.

@@ -46,8 +46,9 @@ build their results with `MilneElement._derived` and skip the gates:
 `inverse` stores a transposed view and `take` and `_stack` gather or
 stack values that passed them, so only `compose` makes new rotations,
 and a product of gated rotations is orthogonal to rounding (at 10^5
-samples: 1.3e-15 for one product, 1.8e-15 for two and for r r^-1,
-2.4e-15 for nine, against 1e-12; the package nests products two deep).
+samples: 1.3e-15 for one product, 1.8e-15 for two and for r r^-1, up
+to 7e-15 for a chain of nine, against 1e-12; the tests hold them to
+1e-14, and the package nests products two deep).
 `compose` still refuses other orders and sample axes that do not
 broadcast.
 
