@@ -76,7 +76,7 @@ import itertools
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import linalg
 from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _coefficient_lists, _complex,
@@ -144,20 +144,29 @@ def check_family_columns(family: str, index: int, degree="auto") -> None:
 
 # -- the certificate ------------------------------------------------------
 
-def _generalized_kernel(rows: Iterable[Dict[int, object]], act: Callable,
+def _generalized_kernel(rows: Iterable[Dict[int, object]], table: Dict[int, list],
                         modulo: Dict[int, Dict[int, int]]) -> Tuple[int, int]:
     """(dimension, nilpotency index) of the generalized kernel of a linear
-    map `act` on the span of `rows` modulo the integer echelon `modulo`,
-    which it only reads. The rank of the k-th power is that of the k-th image,
-    which falls strictly until the generalized kernel is used up."""
+    map on the span of `rows` modulo the integer echelon `modulo`, which it
+    only reads. The map is its column table {c: [(row, value), ...]}: ad tau
+    on h from `_k1`, L as `_certificate` reads it off the templates. The rank
+    of the k-th power is that of the k-th image, which falls strictly until
+    the generalized kernel is used up."""
     def image(vectors):
         return list(linalg.echelon_int(linalg.reduce_mod_rows(v, modulo)
                                        for v in vectors).values())
 
+    def apply(v):
+        out: Dict[int, object] = {}
+        for c, w in v.items():
+            for r, x in table.get(c, ()):
+                out[r] = out.get(r, 0) + x * w
+        return out
+
     space = image(rows)
     dim, index = len(space), 0
     while space:
-        nxt = image(act(v) for v in space)
+        nxt = image(apply(v) for v in space)
         if len(nxt) == len(space):
             break
         space, index = nxt, index + 1
@@ -175,15 +184,8 @@ def _k1(alg: LieAlgebra) -> int:
         h = [k for k in range(alg.dim) if k != ti]
         derived = linalg.echelon_int(linalg.scale_to_int(dict(alg.bracket_basis(i, j)))
                                      for i, j in alg.pairs() if ti not in (i, j))
-
-        def act(x):  # [tau, x]
-            out: Dict[int, Fraction] = {}
-            for a, w in x.items():
-                for i, c in alg.bracket_basis(ti, a):
-                    out[i] = out.get(i, 0) + c * w
-            return out
-
-        return _generalized_kernel(({a: 1} for a in h), act, derived)[1]
+        ad = {a: alg.bracket_basis(ti, a) for a in h}  # column a: [tau, e_a]
+        return _generalized_kernel(({a: 1} for a in h), ad, derived)[1]
     return alg.memo("k1", build)
 
 
@@ -201,7 +203,10 @@ def _certificate(alg: LieAlgebra) -> Tuple[int, int]:
     kernel of the cocycle rows of the triples of h (`_h_echelon`, whose
     column(p, 0) is pair p: the order is the same), B^2(h) the span of the
     d1 images of h's units restricted to pairs of h; columns are pair
-    numbers."""
+    numbers. L is read off the templates: the one of tau and a pair p of h
+    is (Delta xi_h - d_h eta)(p), Delta = -d/dt + L, times minus its
+    derivative coefficient, so its terms on pairs of h over minus that
+    coefficient are row p of L."""
     cx = _complex(alg)
     ti = alg.time_index
     h_pairs = [p for p, pair in enumerate(cx.pairs) if ti not in pair]
@@ -212,29 +217,13 @@ def _certificate(alg: LieAlgebra) -> Tuple[int, int]:
     b2 = linalg.echelon_int(linalg.scale_to_int({p: v for p, v in cx.lowered.get(k, ())
                                                  if p in in_h})
                             for k in range(alg.dim) if k != ti)
-    ad: Dict[int, List[Tuple[int, Fraction]]] = {}  # i: (a, e_i-component of [tau, e_a])
-    for a in range(alg.dim):
-        for i, c in alg.bracket_basis(ti, a):
-            ad.setdefault(i, []).append((a, c))
-    rank = cx.rank
-
-    def act(omega):  # (L omega)(a, b) = -omega([tau, a], b) - omega(a, [tau, b])
-        out: Dict[int, Fraction] = {}
-
-        def add(a, b, v):
-            if a != b:
-                p, v = (rank[a, b], v) if a < b else (rank[b, a], -v)
-                out[p] = out.get(p, 0) + v
-
-        for p, w in omega.items():
-            i, j = cx.pairs[p]
-            for a, c in ad.get(i, ()):
-                add(a, j, -c * w)
-            for b, c in ad.get(j, ()):
-                add(i, b, -c * w)
-        return out
-
-    return _generalized_kernel(z2, act, b2)
+    L: Dict[int, List[Tuple[int, Fraction]]] = {}  # column: [(row, value), ...]
+    for bracket, deriv, _ in cx.triples.values():
+        if deriv is not None:
+            for p, c in bracket:
+                if p in in_h:
+                    L.setdefault(p, []).append((deriv[0], Fraction(-c, deriv[1])))
+    return _generalized_kernel(z2, L, b2)
 
 
 # -- classification -----------------------------------------------------

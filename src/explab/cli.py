@@ -34,6 +34,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from typing import Optional, Tuple
@@ -83,15 +84,14 @@ def _report(args: argparse.Namespace, input_echo: dict, results: dict,
     }
 
 
-def load_algebra(spec: str, check=None, degree="auto") -> LieAlgebra:
+def load_algebra(spec: str, degree="auto") -> LieAlgebra:
     """Resolve a builtin algebra name or load and validate a JSON file.
 
     A `milne:<m>` or `phase-space:<n>` spec, or a JSON file, that classify
     at `degree` would refuse for its column count raises that
     ColumnLimitError before the algebra is built or validated; a file is
     sized from its label count and time generator, since validation
-    visits every triple of labels.  For a family, `check(family, index)`
-    runs first.
+    visits every triple of labels.
     """
     if spec == "galilean":
         return galilean()
@@ -101,8 +101,6 @@ def load_algebra(spec: str, check=None, degree="auto") -> LieAlgebra:
         except ValueError as exc:
             raise UsageError(str(exc))
         if index is not None:
-            if check is not None:
-                check(family, index)
             check_family_columns(family, index, degree)
             return build(index)
     if not os.path.exists(spec):
@@ -131,13 +129,14 @@ def load_algebra(spec: str, check=None, degree="auto") -> LieAlgebra:
 
 
 def load_theta(spec: str):
+    """(theta, mass) of a spec; the mass is a plain ASCII decimal literal."""
     for prefix, factory in (("galilean-mass:", theta_galilean),
                             ("milne-schrodinger:", theta_milne)):
         if spec.startswith(prefix):
-            try:
-                mass = float(spec[len(prefix):])
-            except ValueError:
+            text = spec[len(prefix):]
+            if not re.fullmatch(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", text, re.ASCII):
                 raise UsageError("bad mass in %r" % spec)
+            mass = float(text)
             if not (mass > 0 and math.isfinite(mass)):
                 raise UsageError("mass must be positive and finite")
             return factory(mass), mass
@@ -177,10 +176,15 @@ def cmd_verify(args: argparse.Namespace) -> Tuple[dict, bool]:
 
 def cmd_exponent(args: argparse.Namespace) -> Tuple[dict, bool]:
     theta, mass = load_theta(args.theta)
-    if args.group != "galilean" and not args.group.startswith("milne:"):
-        raise UsageError("unknown group spec %r (use galilean or milne:<m>)"
-                         % args.group)
-    alg = load_algebra(args.group, check_table_pairs)
+    try:
+        m = family_index(args.group, "milne")
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    if m is None and args.group != "galilean":
+        raise UsageError("unknown group spec %r (use galilean or milne:<m>)" % args.group)
+    if m is not None:
+        check_table_pairs("milne", m)
+    alg = galilean() if m is None else milne(m)
     if theta.group != args.group.partition(":")[0]:
         raise UsageError("theta %r does not act on group %r"
                          % (args.theta, args.group))

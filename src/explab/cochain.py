@@ -307,7 +307,8 @@ class _Complex:
       generator, signed by the time generator's slot.
 
     They are the only formulas for d1, the cocycle condition and the time
-    grading: the functions below apply them, and `explab.classify` solves.
+    grading: the functions below apply them, and `explab.classify` solves
+    with them and reads ad tau on the two-cochains of h off them.
 
     The templates hold no reference to the algebra, which holds them
     (`_complex`), so they are freed with it and never shared with another.
@@ -348,12 +349,11 @@ class _Complex:
             for pidx in set(bracket) | ({deriv[0]} if deriv else set()):
                 self.triples_at.setdefault(pidx, []).append(triple)
 
-        # d1: per generator k, ((pair, -c_k^{ij}), ...), integral values as ints
+        # d1: per generator k, ((pair, -c_k^{ij}), ...)
         self.lowered: Dict[int, List[Tuple[int, object]]] = {}
         for n, (i, j) in enumerate(self.pairs):
             for k, c in alg.bracket_basis(i, j):
-                self.lowered.setdefault(k, []).append(
-                    (n, -c.numerator if c.denominator == 1 else -c))
+                self.lowered.setdefault(k, []).append((n, -c))
         # (pair, sign) of the time-grading term of each generator
         self.time_pair = {} if ti is None else \
             {k: signed(ti, k, -1) for k in range(alg.dim) if k != ti}

@@ -28,7 +28,7 @@ __all__ = [
     "family_dim",
 ]
 
-Terms = Tuple[Tuple[int, Fraction], ...]
+Terms = Tuple[Tuple[int, object], ...]
 
 
 class Role(NamedTuple):
@@ -64,12 +64,14 @@ class JacobiViolation:
 
 
 def _normalize_terms(terms: Iterable[Tuple[int, object]], dim: int) -> Terms:
+    # integral constants as ints, once: Fraction products are slow
     acc: Dict[int, Fraction] = {}
     for k, c in terms:
         if not 0 <= k < dim:
             raise ValueError("bracket term index %r out of range" % (k,))
         acc[k] = acc.get(k, Fraction(0)) + as_fraction(c)
-    return tuple(sorted((k, c) for k, c in acc.items() if c != 0))
+    return tuple(sorted((k, c.numerator if c.denominator == 1 else c)
+                        for k, c in acc.items() if c != 0))
 
 
 class LieAlgebra:
@@ -144,7 +146,8 @@ class LieAlgebra:
     # -- bracket -----------------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> Terms:
-        """[a_i, a_j] as ((k, coeff), ...); antisymmetry handled here."""
+        """[a_i, a_j] as ((k, coeff), ...), an integral coeff as an int;
+        antisymmetry handled here."""
         if i == j:
             return ()
         if i < j:
@@ -231,12 +234,10 @@ class LieAlgebra:
         # triples holding a pair with a nonzero bracket are visited
         triples = {tuple(sorted((i, j, k))) for i, j in self._table
                    for k in range(self.dim) if k != i and k != j}
-        # [a_p, a_q] for both orders of each pair, integral constants as ints
-        oriented: Dict[Tuple[int, int], List[Tuple[int, object]]] = {}
+        # [a_p, a_q] for both orders of each pair
+        oriented: Dict[Tuple[int, int], Terms] = dict(self._table)
         for (i, j), terms in self._table.items():
-            oriented[i, j] = [(m, c.numerator if c.denominator == 1 else c)
-                              for m, c in terms]
-            oriented[j, i] = [(m, -c) for m, c in oriented[i, j]]
+            oriented[j, i] = tuple((m, -c) for m, c in terms)
         for triple in sorted(triples):
             i, j, k = triple
             acc: Dict[Tuple[int, int], object] = {}
@@ -255,10 +256,7 @@ class LieAlgebra:
         output index within a triple.  Each triple's sum is built when the
         scan reaches it, so a scan stopped at its first violation builds no
         more; one that runs to the end keeps the sums for `cyclic_sums`."""
-        # integral structure constants as ints: Fraction products are slow
-        table = {pair: [(l, c.numerator if c.denominator == 1 else c) for l, c in terms]
-                 for pair, terms in self._table.items()}
-        kept = self._memo.get("cyclic sums")
+        table, kept = self._table, self._memo.get("cyclic sums")
         sums = {}
         for triple, terms in (self._iter_cyclic_sums() if kept is None else kept.items()):
             if kept is None:
@@ -293,18 +291,30 @@ class LieAlgebra:
 
     @classmethod
     def from_dict(cls, data: dict, name: str = "custom") -> "LieAlgebra":
-        try:
-            labels = list(data["labels"])
-            raw = data["brackets"]
-            tgen = data.get("time_generator")
-        except (KeyError, TypeError) as e:
-            raise ValueError("malformed algebra spec: %s" % (e,))
+        """The algebra of a JSON spec (`to_dict`), validated. `labels` is a
+        list of strings, `time_generator` a string or null, and `brackets` a
+        list of {"lhs": label, "rhs": label, "out": [[label, coefficient],
+        ...]}; a ValueError names the first field of another type."""
+        if not isinstance(data, dict):
+            raise ValueError("malformed algebra spec: expected an object")
+        labels, raw, tgen = (data.get(k) for k in ("labels", "brackets", "time_generator"))
+        if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
+            raise ValueError("labels must be a list of strings")
+        if not (tgen is None or isinstance(tgen, str)):
+            raise ValueError("time_generator must be a string or null")
+        if not isinstance(raw, list):
+            raise ValueError("brackets must be a list")
         index = {s: i for i, s in enumerate(labels)}
         if len(index) != len(labels):
             raise ValueError("duplicate basis labels")
         brackets: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
-        seen = set()
-        for entry in raw:
+        for n, entry in enumerate(raw):
+            if not (isinstance(entry, dict) and isinstance(entry.get("lhs"), str)
+                    and isinstance(entry.get("rhs"), str) and isinstance(entry.get("out"), list)
+                    and all(isinstance(t, list) and len(t) == 2 and isinstance(t[0], str)
+                            for t in entry["out"])):
+                raise ValueError('brackets[%d] must be {"lhs": label, "rhs": label, '
+                                 '"out": [[label, coefficient], ...]}' % n)
             try:
                 li, ri = index[entry["lhs"]], index[entry["rhs"]]
                 out = [(index[lab], lab, c) for lab, c in entry["out"]]
@@ -320,18 +330,14 @@ class LieAlgebra:
             if li == ri:
                 raise ValueError("bracket with equal generators %r" % (entry["lhs"],))
             key = (min(li, ri), max(li, ri))
-            if key in seen:
+            if key in brackets:
                 raise ValueError("pair (%s, %s) listed twice" % (entry["lhs"], entry["rhs"]))
-            seen.add(key)
             if li > ri:
                 terms = [(k, -c) for k, c in terms]
             brackets[key] = terms
-        ti = None
-        if tgen is not None:
-            if tgen not in index:
-                raise ValueError("time_generator %r not a basis label" % (tgen,))
-            ti = index[tgen]
-        alg = cls(labels, brackets, time_index=ti, name=name)
+        if tgen is not None and tgen not in index:
+            raise ValueError("time_generator %r not a basis label" % (tgen,))
+        alg = cls(labels, brackets, time_index=index.get(tgen), name=name)
         alg._require_valid()
         return alg
 
@@ -453,15 +459,15 @@ def family_index(spec: str, family: str) -> Optional[int]:
     """The index n of a `<family>:<n>` spec such as `milne:3`.
 
     None when spec does not start with `<family>:`; ValueError when the
-    index is not an integer or is below 1.
+    index is not written in ASCII decimal digits alone, or is below 1.
     """
     prefix = family + ":"
     if not spec.startswith(prefix):
         return None
-    try:
-        value = int(spec[len(prefix):])
-    except ValueError:
+    digits = spec[len(prefix):]
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError("bad index in %r: expected %s:<integer>" % (spec, family))
+    value = int(digits)
     if value < 1:
         raise ValueError("%s index must be >= 1" % family)
     return value

@@ -1341,7 +1341,8 @@ class TestShiftedHEchelon:
 
 def oracle_certificate(alg):
     """_certificate with Z^2(h) from its own nullspace of h's cocycle rows
-    in pair columns, not from the algebra's h echelon."""
+    in pair columns, not from the algebra's h echelon, and L from the
+    explicit formula for ad tau on two-forms, not from the templates."""
     cx = _complex(alg)
     ti = alg.time_index
     h_pairs = [p for p, pair in enumerate(cx.pairs) if ti not in pair]
@@ -1351,29 +1352,69 @@ def oracle_certificate(alg):
     b2 = linalg.echelon_int(linalg.scale_to_int({p: v for p, v in cx.lowered.get(k, ())
                                                  if p in in_h})
                             for k in range(alg.dim) if k != ti)
-    ad = {}
+    ad = {}  # i: (a, e_i-component of [tau, e_a])
     for a in range(alg.dim):
         for i, c in alg.bracket_basis(ti, a):
             ad.setdefault(i, []).append((a, c))
-
-    def act(omega):
-        out = {}
-
-        def add(a, b, v):
+    # (L omega)(a, b) = -omega([tau, a], b) - omega(a, [tau, b]), by column
+    L = {}
+    for p in h_pairs:
+        i, j = cx.pairs[p]
+        for a, b, v in ([(a, j, -c) for a, c in ad.get(i, ())]
+                        + [(i, b, -c) for b, c in ad.get(j, ())]):
             if a != b:
-                p, v = (cx.rank[a, b], v) if a < b else (cx.rank[b, a], -v)
-                out[p] = out.get(p, 0) + v
+                L.setdefault(p, []).append((cx.rank[a, b], v) if a < b else (cx.rank[b, a], -v))
+    return _generalized_kernel(z2, L, b2)
 
-        for p, w in omega.items():
-            i, j = cx.pairs[p]
-            for a, c in ad.get(i, ()):
-                add(a, j, -c * w)
-            for b, c in ad.get(j, ()):
-                add(i, b, -c * w)
+
+def oracle_k1(alg):
+    """k1 from dense ranks over Fraction: the number of times ad tau must
+    be applied to h before dim(ad_tau^k h + [h, h]) stops falling."""
+    ti = alg.time_index
+    if ti is None:
+        return 0
+    h = [k for k in range(alg.dim) if k != ti]
+
+    def vector(terms):
+        out = [Fraction(0)] * alg.dim
+        for k, c in terms:
+            out[k] += c
         return out
 
-    return _generalized_kernel(z2, act, b2)
+    derived = [vector(alg.bracket_basis(i, j)) for i, j in itertools.combinations(h, 2)]
+    space = [vector([(a, 1)]) for a in h]
+    rank, k = dense_rank(derived + space), 0
+    while True:
+        space = [vector((i, c * w) for a, w in enumerate(v) if w
+                        for i, c in alg.bracket_basis(ti, a)) for v in space]
+        nxt = dense_rank(derived + space)
+        if nxt == rank:
+            return k
+        rank, k = nxt, k + 1
 
+
+def random_semidirect(seed, diagonal):
+    """h = R^n abelian, with tau acting as diag(`diagonal`) plus a seeded
+    strictly upper triangular rational matrix, seen in a seeded basis of h
+    that is neither upper nor lower triangular: a `sheared_copy`, its
+    labels reversed, sheared again. Its constants are fractions, and ad
+    tau is not triangular in the label order."""
+    rng = random.Random(seed)
+    n = len(diagonal)
+    matrix = [[diagonal[i] if i == j else
+               Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) if j > i else 0
+               for j in range(n)] for i in range(n)]
+    spec = sheared_copy(abelian_extension(matrix), seed, entries=n).to_dict()
+    spec["labels"].reverse()
+    return sheared_copy(LieAlgebra.from_dict(spec), seed, entries=n)
+
+
+# seeded semidirect products R tau x| R^4: two with ad tau nilpotent and one,
+# with eigenvalues 1, -1, 0 and 0, not
+RANDOM_SEMIDIRECT_CASES = (
+    [("random-nilpotent:%d" % seed, functools.partial(random_semidirect, seed, (0, 0, 0, 0)))
+     for seed in (1, 2)]
+    + [("random-mixed:3", functools.partial(random_semidirect, 3, (1, -1, 0, 0)))])
 
 ONE_H_ECHELON_CASES = (
     [("galilean", galilean)]
@@ -1381,7 +1422,8 @@ ONE_H_ECHELON_CASES = (
     + [("phase-space:%d" % n, functools.partial(phase_space, n)) for n in (1, 2, 3)]
     + [("central-heisenberg", functools.partial(LieAlgebra.from_dict, CENTRAL_TIME)),
        ("expanding", functools.partial(LieAlgebra.from_dict, EXPANDING)),
-       ("sheared-milne:2", lambda: sheared_copy(milne(2), 1, entries=20))])
+       ("sheared-milne:2", lambda: sheared_copy(milne(2), 1, entries=20))]
+    + RANDOM_SEMIDIRECT_CASES)
 
 
 class TestOneHEchelon:
@@ -1396,6 +1438,7 @@ class TestOneHEchelon:
         if alg.time_index is not None:  # the certificate needs a time generator
             assert _certificate(alg) == oracle_certificate(build())
             assert _h_echelon(alg) == fresh  # its copy is used up, not the echelon
+        assert _k1(alg) == oracle_k1(build())
         D = classify(alg).degree_used
         witness = D + _k1(alg)
         assert _h_echelon(alg) == fresh
@@ -1404,6 +1447,15 @@ class TestOneHEchelon:
         assert solve.rep_rows == want.rep_rows
         assert solve.coboundary_dim == want.coboundary_dim
         assert _h_echelon(alg) == fresh
+
+    @pytest.mark.parametrize("name, build", RANDOM_SEMIDIRECT_CASES,
+                             ids=[name for name, _ in RANDOM_SEMIDIRECT_CASES])
+    def test_random_semidirect_products_have_fractional_timed_templates(self, name, build):
+        # L is a template's h terms over its derivative coefficient, which
+        # is the template's scale up to sign: the cases must exercise it
+        alg = build()
+        assert any(deriv is not None and scale > 1
+                   for _, deriv, scale in _complex(alg).triples.values())
 
     def test_h_rows_are_eliminated_once_per_algebra(self, monkeypatch):
         calls = []

@@ -239,6 +239,34 @@ class TestClassifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: invalid algebra in %s: " % spec)
 
+    ENTRY = ('brackets[%d] must be {"lhs": label, "rhs": label, '
+             '"out": [[label, coefficient], ...]}')
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"labels": [None, 2, "tau"]}, "labels must be a list of strings"),
+        ({"labels": "abc"}, "labels must be a list of strings"),
+        ({"labels": "x" * 500}, "labels must be a list of strings"),
+        ({"time_generator": 0}, "time_generator must be a string or null"),
+        ({"time_generator": ["tau"]}, "time_generator must be a string or null"),
+        ({"brackets": {"lhs": "x", "rhs": "y", "out": [["z", "1"]]}},
+         "brackets must be a list"),
+        ({"brackets": [["x", "y", [["z", "1"]]]]}, ENTRY % 0),
+        ({"brackets": [{"lhs": "x", "rhs": 1, "out": []}]}, ENTRY % 0),
+        ({"brackets": [{"lhs": "x", "rhs": "y"}]}, ENTRY % 0),
+        ({"brackets": [{"lhs": "x", "rhs": "y", "out": {"z": "1"}}]}, ENTRY % 0),
+        ({"brackets": [{"lhs": "x", "rhs": "y", "out": [["z", "1", "2"]]}]}, ENTRY % 0),
+        ({"brackets": [{"lhs": "x", "rhs": "z", "out": []},
+                       {"lhs": "x", "rhs": "y", "out": [[None, "1"]]}]}, ENTRY % 1)])
+    def test_untyped_field_is_refused(self, fields, message, capsys, tmp_path):
+        # JSON values of another type are not read as strings or lists
+        data = {"labels": ["x", "y", "z"], "brackets": [], "time_generator": None}
+        data.update(fields)
+        spec = tmp_path / "untyped.json"
+        spec.write_text(json.dumps(data))
+        code, out, err = run_cli(["classify", "--algebra", str(spec)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: invalid algebra in %s: %s\n" % (spec, message)
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(["classify", "--algebra", "galilean",
                                 "--format", "text"], capsys)
@@ -424,6 +452,27 @@ class TestExponentCommand:
         assert code == 1 and out == ""
         assert "no convergence on a12,d1:" in err
 
+    @pytest.mark.parametrize("mass", ["1_0", " 2", "+2", "\u0663", "2 ", "nan", "0x1", ""])
+    def test_mass_is_a_plain_decimal_literal(self, mass, capsys):
+        code, out, err = run_cli(["exponent", "--group", "galilean",
+                                  "--theta", "galilean-mass:" + mass,
+                                  "--pair", "b1,d1"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: bad mass in %r\n" % ("galilean-mass:" + mass)
+
+    @pytest.mark.parametrize("mass, value", [("2", 2.0), ("0.5", 0.5), (".5", 0.5),
+                                             ("5.", 5.0), ("1e3", 1000.0), ("25E-1", 2.5)])
+    def test_decimal_masses_are_read(self, mass, value):
+        assert cli.load_theta("galilean-mass:" + mass)[1] == value
+
+    @pytest.mark.parametrize("group", ["phase-space:2", "milne", "heisenberg"])
+    def test_unknown_group_spec(self, group, capsys):
+        code, out, err = run_cli(["exponent", "--group", group,
+                                  "--theta", "milne-schrodinger:1", "--all-pairs"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: unknown group spec %r (use galilean or milne:<m>)\n"
+                       % group)
+
     def test_bad_theta_spec(self, capsys):
         code, _, err = run_cli(["exponent", "--group", "galilean",
                                 "--theta", "newton-mass:1",
@@ -433,7 +482,11 @@ class TestExponentCommand:
 
 @pytest.mark.parametrize("spec, message", [
     ("milne:0", "milne index must be >= 1"),
-    ("milne:x", "bad index in 'milne:x': expected milne:<integer>")])
+    ("milne:x", "bad index in 'milne:x': expected milne:<integer>"),
+    ("milne:1_0", "bad index in 'milne:1_0': expected milne:<integer>"),
+    ("milne: 2", "bad index in 'milne: 2': expected milne:<integer>"),
+    ("milne:+2", "bad index in 'milne:+2': expected milne:<integer>"),
+    ("milne:\u0663", "bad index in 'milne:\u0663': expected milne:<integer>")])
 def test_family_spec_errors_agree_across_commands(spec, message, capsys):
     # one parser reads milne:<m> for classify, exponent and verify
     errors = set()

@@ -554,3 +554,12 @@ class TestFamilySpecs:
             family_index("phase-space:0", "phase-space")
         with pytest.raises(ValueError, match=r"expected phase-space:<integer>"):
             family_index("phase-space:two", "phase-space")
+
+    @pytest.mark.parametrize("index", ["1_0", " 2", "2 ", "+2", "\u0663", "\u00b2", "", "-1"])
+    def test_index_is_ascii_digits_only(self, index):
+        # int() would read these as 10, 2, 2, 2, 3, an error, an error and -1
+        with pytest.raises(ValueError, match=r"^bad index in .*: expected milne:<integer>$"):
+            family_index("milne:" + index, "milne")
+
+    def test_leading_zeros_are_digits(self):
+        assert family_index("milne:03", "milne") == 3
