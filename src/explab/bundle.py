@@ -116,12 +116,6 @@ class BundleMap:
         object.__setattr__(self, "matrices", mats)
 
 
-def identity_bundle_map(grid: TimeGrid, dim: int) -> BundleMap:
-    n = grid.size
-    return BundleMap(np.arange(n), np.broadcast_to(np.eye(dim, dtype=complex),
-                                                   (n, dim, dim)).copy())
-
-
 def phase_bundle_map(grid: TimeGrid, dim: int, phases) -> BundleMap:
     """U_k = exp(i*phases[k]) * identity: a pure gauge transformation."""
     phases = np.asarray(phases, dtype=float)
@@ -171,18 +165,3 @@ def ray_equivalent(s1: Section, s2: Section, tol: float = DEFAULT_RAY_TOL) -> Ra
         phases[k] = phi % (2 * np.pi)
     return RayResult(True, phases)
 
-
-def section_to_jsonable(s: Section) -> dict:
-    return {
-        "nodes": s.grid.nodes.tolist(),
-        "weights": s.grid.weights.tolist(),
-        "fibers": [[[float(z.real), float(z.imag)] for z in fiber]
-                   for fiber in s.fibers],
-    }
-
-
-def section_from_jsonable(data: dict) -> Section:
-    grid = TimeGrid(np.asarray(data["nodes"]), np.asarray(data["weights"]))
-    fibers = np.array([[complex(re, im) for re, im in fiber]
-                       for fiber in data["fibers"]])
-    return Section(grid, fibers)

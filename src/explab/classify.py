@@ -481,13 +481,6 @@ class MilneStructureReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_jsonable(self) -> dict:
-        return {
-            "order": self.order,
-            "ok": self.ok,
-            "checks": {name: self.failures.get(name, []) for name in self.CHECKS},
-        }
-
 
 def _acceleration_index(alg: LieAlgebra, m: int) -> Dict[Tuple[int, int], int]:
     """(level n, axis i) -> index of d_i^(n); a ValueError unless m is the

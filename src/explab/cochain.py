@@ -163,19 +163,6 @@ class TwoCochain(_Cochain):
     def nonzero_entries(self) -> Dict[Tuple[int, int], RatPoly]:
         return {pair: self.entry(*pair) for pair in self._rows}
 
-    def pair_value(self, x: Sequence, y: Sequence) -> RatPoly:
-        """Bilinear extension Xi(x, y) for coefficient vectors x, y."""
-        if len(x) != self.alg.dim or len(y) != self.alg.dim:
-            raise ValueError("vector length does not match algebra dimension")
-        x = [as_fraction(c) for c in x]
-        y = [as_fraction(c) for c in y]
-        out = RatPoly.zero()
-        for (i, j), p in self.nonzero_entries().items():
-            w = x[i] * y[j] - x[j] * y[i]
-            if w != 0:
-                out = out + p * w
-        return out
-
     # -- linear structure ------------------------------------------------
 
     def __add__(self, other: "TwoCochain") -> "TwoCochain":

@@ -489,11 +489,9 @@ def check_cocycle_identities(theta: Optional[PhaseFunction] = None, *,
 
 
 def exponent_time_variance(theta: PhaseFunction, samples: int = 100, seed: int = 0,
-                           times=None, order: int = 2) -> float:
-    """Max variance of xi(r, s, (x, .)) over a time grid; 0 when xi is static."""
-    if times is None:
-        times = np.linspace(-10.0, 10.0, 21)
-    times = np.asarray(times)
+                           order: int = 2) -> float:
+    """Max variance of xi(r, s, (x, .)) over 21 times in [-10, 10]; 0 if static."""
+    times = np.linspace(-10.0, 10.0, 21)
     rng = np.random.default_rng(seed)
     r = random_element(rng, theta.group, order, samples)
     s = random_element(rng, theta.group, order, samples)
@@ -507,14 +505,13 @@ def _gauge_phase(group: str, zeta: Callable) -> PhaseFunction:
     return PhaseFunction("gauge", group, lambda r, x, t: zeta(r, (x, t)))
 
 
-def equivalence_transform(theta: PhaseFunction, zeta: Callable,
-                          tag: Optional[str] = None) -> PhaseFunction:
+def equivalence_transform(theta: PhaseFunction, zeta: Callable) -> PhaseFunction:
     """theta' = theta + zeta for a gauge zeta(r, p) with zeta(e, p) = 0.
 
     zeta receives elements and events with their sample axes and returns
     one value per sample, or a constant.
     """
-    return PhaseFunction(tag or theta.tag + "+gauge", theta.group,
+    return PhaseFunction(theta.tag + "+gauge", theta.group,
                          lambda r, x, t: theta(r, x, t) + zeta(r, (x, t)))
 
 

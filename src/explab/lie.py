@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 Terms = Tuple[Tuple[int, object], ...]
+# Significant digits that family_index reads. Every admitted index has two; a larger
+# one of up to nine is refused by the column or pair limit, which names its size.
+MAX_INDEX_DIGITS = 9
 
 
 class Role(NamedTuple):
@@ -81,7 +84,9 @@ class LieAlgebra:
                  brackets: Dict[Tuple[int, int], Iterable[Tuple[int, object]]],
                  time_index: Optional[int] = None,
                  name: str = "custom") -> None:
-        labels = tuple(str(s) for s in labels)
+        labels = tuple(labels)
+        if not all(isinstance(s, str) for s in labels):
+            raise ValueError("labels must be strings")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate basis labels")
         if not labels:
@@ -256,11 +261,9 @@ class LieAlgebra:
         output index within a triple.  Each triple's sum is built when the
         scan reaches it, so a scan stopped at its first violation builds no
         more; one that runs to the end keeps the sums for `cyclic_sums`."""
-        table, kept = self._table, self._memo.get("cyclic sums")
-        sums = {}
-        for triple, terms in (self._iter_cyclic_sums() if kept is None else kept.items()):
-            if kept is None:
-                sums[triple] = terms
+        table, sums = self._table, {}
+        for triple, terms in self._iter_cyclic_sums():
+            sums[triple] = terms
             i, j, k = triple
             acc: Dict[int, object] = {}
             for a, b, c in terms:
@@ -269,8 +272,7 @@ class LieAlgebra:
             for l, v in sorted(acc.items()):
                 if v:
                     yield JacobiViolation(i, j, k, l, Fraction(v))
-        if kept is None:
-            self._memo["cyclic sums"] = sums
+        self._memo["cyclic sums"] = sums
 
     # -- serialization -----------------------------------------------
 
@@ -459,7 +461,7 @@ def family_index(spec: str, family: str) -> Optional[int]:
     """The index n of a `<family>:<n>` spec such as `milne:3`.
 
     None when spec does not start with `<family>:`; ValueError when the
-    index is not written in ASCII decimal digits alone, or is below 1.
+    index is not written in ASCII decimal digits alone, is too long, or is below 1.
     """
     prefix = family + ":"
     if not spec.startswith(prefix):
@@ -467,6 +469,9 @@ def family_index(spec: str, family: str) -> Optional[int]:
     digits = spec[len(prefix):]
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError("bad index in %r: expected %s:<integer>" % (spec, family))
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > MAX_INDEX_DIGITS:
+        raise ValueError("%s index has more than %d digits" % (family, MAX_INDEX_DIGITS))
     value = int(digits)
     if value < 1:
         raise ValueError("%s index must be >= 1" % family)

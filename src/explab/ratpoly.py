@@ -198,13 +198,6 @@ class RatPoly:
     def differentiate(self) -> "RatPoly":
         return RatPoly(tuple(k * self._coeffs[k] for k in range(1, len(self._coeffs))))
 
-    def antiderivative(self, constant: RationalLike = 0) -> "RatPoly":
-        """The q with dq/dt = self and q(0) = constant."""
-        out = [as_fraction(constant)]
-        for k, c in enumerate(self._coeffs):
-            out.append(c / (k + 1))
-        return RatPoly(out)
-
     # -- serialization -----------------------------------------------
 
     def to_strings(self) -> list:

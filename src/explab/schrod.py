@@ -32,9 +32,9 @@ One stencil pass per block serves every gravitational mass of a
 schrodinger_residuals call: only m_grav * g(t) * x * psi differs between
 masses, and schrodinger_residual is its one-mass call.  A callable g is
 called once per interior slice with a float t per residual call, not
-once per mass.  gaussian_packet, transform_wave, schrodinger_residuals
-and mass_equality_sweep refuse a non-positive or non-finite mass with a
-ValueError before any grid work, and a WaveField refuses one too.
+once per mass.  gaussian_packet, schrodinger_residuals, mass_equality_sweep
+and a WaveField, whose mass transform_wave uses, refuse a non-positive or
+non-finite mass with a ValueError, the functions before any grid work.
 """
 
 import math
@@ -169,11 +169,10 @@ def _lagrange_weights(frac: np.ndarray, width: int = 8) -> np.ndarray:
     return w
 
 
-def _check_support(vals: np.ndarray, shifts: np.ndarray, ts: np.ndarray,
-                   h: float, support_tol: float) -> None:
+def _check_support(vals: np.ndarray, shifts: np.ndarray, ts: np.ndarray, h: float) -> None:
     """Raise GridSupportError for the first row of the block that shifts
-    past the grid or would pull non-negligible data in from beyond it;
-    on one row the margin error comes first."""
+    past the grid or would pull data above SUPPORT_TOL times the row's
+    peak in from beyond it; on one row the margin error comes first."""
     nx = vals.shape[1]
     margins = np.minimum(nx, np.ceil(np.abs(shifts) / h) + 4)
     too_far = ~(margins < nx)  # a non-finite shift is too far as well
@@ -186,7 +185,7 @@ def _check_support(vals: np.ndarray, shifts: np.ndarray, ts: np.ndarray,
     trail = np.take_along_axis(
         np.maximum.accumulate(mags[:, ::-1][:, :width], axis=1), last, 1)[:, 0]
     edge = np.where(shifts > 0, lead, trail)
-    escapes = (shifts != 0.0) & (edge > support_tol * np.maximum(mags.max(axis=1), 1e-300))
+    escapes = (shifts != 0.0) & (edge > SUPPORT_TOL * np.maximum(mags.max(axis=1), 1e-300))
     bad = np.flatnonzero(too_far | escapes)
     if bad.size:
         k = bad[0]
@@ -196,8 +195,7 @@ def _check_support(vals: np.ndarray, shifts: np.ndarray, ts: np.ndarray,
             "wave support escapes the grid at t=%g (shift %.3g)" % (ts[k], shifts[k]))
 
 
-def transform_wave(psi: WaveField, A: RatPoly, mass: Optional[float] = None,
-                   support_tol: float = SUPPORT_TOL) -> WaveField:
+def transform_wave(psi: WaveField, A: RatPoly) -> WaveField:
     """Move psi into the frame x -> x + A(t), with the matching phase.
 
     psi'(x, t) = exp(i*theta(x, t)) * psi(x - A(t), t); off-node source
@@ -208,9 +206,7 @@ def transform_wave(psi: WaveField, A: RatPoly, mass: Optional[float] = None,
     slice is interpolated.  Slices are transformed ROWS_PER_BLOCK at a
     time, each value as the one-slice stencil computes it.
     """
-    mass = psi.mass if mass is None else mass
-    _require_mass(mass, "mass")
-    phase = milne_phase(mass, A)
+    phase = milne_phase(psi.mass, A)
     shifts = A(psi.ts)
     h = psi.dx
     nx = psi.xs.size
@@ -218,7 +214,7 @@ def transform_wave(psi: WaveField, A: RatPoly, mass: Optional[float] = None,
               for start in range(0, psi.ts.size, ROWS_PER_BLOCK)]
     # every check first: a non-finite shift must raise, not reach the table
     for rows in blocks:
-        _check_support(psi.values[rows], shifts[rows], psi.ts[rows], h, support_tol)
+        _check_support(psi.values[rows], shifts[rows], psi.ts[rows], h)
     offset = -shifts / h
     n0 = np.floor(offset)
     weights = _lagrange_weights(offset - n0)

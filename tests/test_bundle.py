@@ -4,9 +4,8 @@ import pytest
 from explab import bundle, checks
 from explab.bundle import (BundleMap, DegenerateSectionError, Section,
                            TimeGrid, apply_bundle_map, direct_integral_norm,
-                           fiber_inner, identity_bundle_map, phase_bundle_map,
-                           ray_equivalent, section_from_jsonable,
-                           section_to_jsonable, uniform_grid)
+                           fiber_inner, phase_bundle_map, ray_equivalent,
+                           uniform_grid)
 
 
 def random_section(rng, grid, d):
@@ -33,14 +32,6 @@ class TestGridAndSection:
         grid = uniform_grid(0, 1, 4)
         with pytest.raises(ValueError):
             Section(grid, np.zeros((3, 2)))
-
-    def test_serialization_roundtrip(self):
-        rng = np.random.default_rng(0)
-        s = random_section(rng, uniform_grid(0, 2, 5), 3)
-        back = section_from_jsonable(section_to_jsonable(s))
-        assert np.allclose(back.fibers, s.fibers)
-        assert np.allclose(back.grid.nodes, s.grid.nodes)
-        assert np.allclose(back.grid.weights, s.grid.weights)
 
 
 class TestInnerProducts:
@@ -89,7 +80,7 @@ class TestBundleMaps:
         rng = np.random.default_rng(4)
         grid = uniform_grid(0, 1, 5)
         s = random_section(rng, grid, 3)
-        out = apply_bundle_map(identity_bundle_map(grid, 3), s)
+        out = apply_bundle_map(phase_bundle_map(grid, 3, np.zeros(grid.size)), s)
         assert np.allclose(out.fibers, s.fibers)
 
     def test_non_unitary_rejected(self):
@@ -146,7 +137,7 @@ class TestBundleMaps:
         grid = uniform_grid(0, 1, 3)
         s = random_section(rng, grid, 2)
         with pytest.raises(ValueError):
-            apply_bundle_map(identity_bundle_map(grid, 3), s)
+            apply_bundle_map(phase_bundle_map(grid, 3, np.zeros(grid.size)), s)
 
 
 class TestRayEquivalence:

@@ -4,6 +4,8 @@ import itertools
 import json
 import operator
 import random
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -1487,3 +1489,15 @@ class TestAutoBoundRefusedEarly:
                                  "the limit is 10000$"):
             classify(alg)
         assert _k1(alg) == 1
+
+
+def test_the_exact_core_imports_no_numpy():
+    # classification and equivalence are exact: numpy belongs to the group
+    # and wave layers alone, and must not load with the package
+    script = ("import sys, explab\n"
+              "c = explab.classify(explab.milne(2))\n"
+              "r = c.representatives\n"
+              "assert not explab.are_equivalent(r[0], r[0] + r[1])\n"
+              "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -15,7 +15,7 @@ import explab.checks as checks
 import explab.cli as cli
 from explab.classify import MAX_COLUMNS, ColumnLimitError, classify
 from explab.groupexp import ExtrapolationError, PhaseFunction
-from explab.lie import LieAlgebra
+from explab.lie import MAX_INDEX_DIGITS, LieAlgebra
 
 # sha256 of each built-in `classify --format json` report, recorded with
 # the benchmark; read here, never rewritten by the tests
@@ -486,7 +486,11 @@ class TestExponentCommand:
     ("milne:1_0", "bad index in 'milne:1_0': expected milne:<integer>"),
     ("milne: 2", "bad index in 'milne: 2': expected milne:<integer>"),
     ("milne:+2", "bad index in 'milne:+2': expected milne:<integer>"),
-    ("milne:\u0663", "bad index in 'milne:\u0663': expected milne:<integer>")])
+    ("milne:\u0663", "bad index in 'milne:\u0663': expected milne:<integer>"),
+    # int() refuses more than 4300 digits with a message that names neither
+    # the spec nor the family
+    *(pytest.param("milne:" + digits, "milne index has more than %d digits" % MAX_INDEX_DIGITS,
+                   id="milne:<5000 digits>") for digits in ("9" * 5000, "1" + "0" * 4999))])
 def test_family_spec_errors_agree_across_commands(spec, message, capsys):
     # one parser reads milne:<m> for classify, exponent and verify
     errors = set()
@@ -495,7 +499,7 @@ def test_family_spec_errors_agree_across_commands(spec, message, capsys):
                   "--all-pairs"],
                  ["verify", "--suite", spec]):
         code, out, err = run_cli(argv, capsys)
-        assert code == 2 and out == ""
+        assert code == 2 and out == "" and "int_max_str_digits" not in err
         errors.add(err)
     assert errors == {"error: %s\n" % message}
 
@@ -531,6 +535,20 @@ def test_oversized_exponent_group_is_refused_before_it_is_built(m, capsys):
     assert err == ("error: the exponent table of milne:%d has %d generator pairs; "
                    "the limit is %d\n" % (m, dim * (dim - 1) // 2, checks.MAX_TABLE_PAIRS))
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--algebra"], ["verify", "--samples", "20", "--suite"],
+    ["exponent", "--theta", "milne-schrodinger:1", "--pair", "tau,d1_1", "--group"]])
+def test_leading_zeros_of_an_index_are_not_counted(argv, capsys):
+    results = []
+    for spec in ("milne:2", "milne:" + "0" * 5000 + "2"):
+        code, out, err = run_cli(argv + [spec], capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)["results"]
+        report.pop("suite", None)
+        results.append(report)
+    assert results[0] == results[1]
 
 
 def test_pair_limit_admits_milne_16():

@@ -62,16 +62,6 @@ class TestTwoCochainBasics:
         xi = TwoCochain.from_labels(galilean(), {("b1", "d1"): 0})
         assert xi.is_zero()
 
-    def test_pair_value_bilinear(self):
-        g = galilean()
-        xi = mass_family(RatPoly.constant(2))
-        x = [Fraction(0)] * g.dim
-        y = [Fraction(0)] * g.dim
-        x[g.index("b1")] = Fraction(3)
-        y[g.index("d1")] = Fraction(1, 2)
-        assert xi.pair_value(x, y) == RatPoly.constant(3)
-        assert xi.pair_value(y, x) == RatPoly.constant(-3)
-
     def test_linear_ops(self):
         xi = mass_family(RatPoly.t())
         assert (xi + xi) == 2 * xi

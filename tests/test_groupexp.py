@@ -287,10 +287,10 @@ class TestEquivalenceTransform:
 
     def test_transform_returns_shifted_phase(self):
         th = theta_galilean(1.0)
-        shifted = equivalence_transform(th, lambda r, p: 2.0 * r.b, tag="shifted")
+        shifted = equivalence_transform(th, lambda r, p: 2.0 * r.b)
         r = MilneElement(EYE, [np.zeros(3), np.zeros(3)], 1.5)
         assert shifted(r, np.zeros(3), 0.0) == pytest.approx(3.0)
-        assert shifted.tag == "shifted" and shifted.group == "galilean"
+        assert shifted.tag == th.tag + "+gauge" and shifted.group == "galilean"
 
 
 class TestHGroup:

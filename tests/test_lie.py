@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from explab.classify import classify
-from explab.lie import (JacobiViolation, LieAlgebra, Role, family_index, galilean, milne,
-                        phase_space)
+from explab.lie import (MAX_INDEX_DIGITS, JacobiViolation, LieAlgebra, Role, family_index,
+                        galilean, milne, phase_space)
 from test_classify import rescaled_copy
 
 
@@ -479,12 +479,13 @@ class TestStreamedJacobiScan:
         assert alg.cyclic_sums() is kept and alg.validate() == []
         assert drawn == {"scans": 1, "sums": len(kept)}
 
-    def test_the_kept_sums_serve_a_second_scan(self, monkeypatch):
+    def test_a_scan_after_cyclic_sums_streams_again(self, monkeypatch):
         alg = random_structure_constants(3, [1, 2, 3])
         want = alg.cyclic_sums()
         drawn = count_drawn_sums(monkeypatch)
         assert alg.validate() == fraction_violations(alg)
-        assert alg.cyclic_sums() is want and drawn["scans"] == 0
+        assert drawn == {"scans": 1, "sums": len(want)}
+        assert alg.cyclic_sums() == want
 
     def test_dense_table_builds_only_its_first_triple(self, monkeypatch):
         drawn = count_drawn_sums(monkeypatch)
@@ -525,6 +526,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="twice"):
             LieAlgebra.from_dict(data)
 
+    @pytest.mark.parametrize("labels", [[None, 2, "tau"], ["x", b"y"], ["x", 1.5]])
+    def test_non_string_labels_rejected_at_both_doors(self, labels):
+        # the library door refuses what from_dict refuses, not str() of it
+        with pytest.raises(ValueError, match="^labels must be strings$"):
+            LieAlgebra(labels, {}, time_index=len(labels) - 1)
+        with pytest.raises(ValueError, match="^labels must be a list of strings$"):
+            LieAlgebra.from_dict({"labels": labels, "brackets": []})
+
     def test_unknown_labels_rejected(self):
         data = {"labels": ["x"], "brackets": [], "time_generator": "nope"}
         with pytest.raises(ValueError):
@@ -563,3 +572,14 @@ class TestFamilySpecs:
 
     def test_leading_zeros_are_digits(self):
         assert family_index("milne:03", "milne") == 3
+        assert family_index("milne:" + "0" * 5000 + "3", "milne") == 3
+        with pytest.raises(ValueError, match=r"^milne index must be >= 1$"):
+            family_index("milne:" + "0" * 5000, "milne")
+
+    def test_index_digits_are_bounded_before_int_reads_them(self):
+        largest = "9" * MAX_INDEX_DIGITS
+        assert family_index("milne:" + largest, "milne") == int(largest)
+        for digits in ("1" + "0" * MAX_INDEX_DIGITS, "9" * 5000):
+            with pytest.raises(ValueError) as raised:
+                family_index("phase-space:" + digits, "phase-space")
+            assert str(raised.value) == "phase-space index has more than 9 digits"
