@@ -33,9 +33,10 @@ class TimeGrid:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("need at least two time nodes")
-        if np.any(np.diff(nodes) <= 0):
+        # the good case asserted, so that NaN fails; finite before diff (inf - inf warns)
+        if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
             raise ValueError("nodes must be strictly increasing")
-        if weights.shape != nodes.shape or np.any(weights <= 0):
+        if weights.shape != nodes.shape or not np.all(np.isfinite(weights) & (weights > 0)):
             raise ValueError("need one positive weight per node")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)

@@ -73,6 +73,7 @@ All arithmetic in this module is exact; no floats anywhere.
 from __future__ import annotations
 
 import itertools
+import numbers
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -124,8 +125,14 @@ def _columns(alg: LieAlgebra, degree: int) -> int:
 def _first_degree(timed: bool, degree) -> int:
     """Degree bound that classify checks before it validates: an explicit
     degree, 0 without a time generator, and 1 in auto mode with one, below
-    the certified bound (at least 2) that it checks once it has it."""
-    return (1 if timed else 0) if degree == "auto" else int(degree)
+    the certified bound (at least 2) that it checks once it has it.
+    ValueError for a degree that is neither "auto" nor an integer (a bool
+    is not one)."""
+    if isinstance(degree, str) and degree == "auto":
+        return 1 if timed else 0
+    if not isinstance(degree, numbers.Integral) or isinstance(degree, bool):
+        raise ValueError('degree must be "auto" or an integer, not %r' % (degree,))
+    return int(degree)
 
 
 def check_columns(name: str, dim: int, timed: bool, degree="auto") -> None:

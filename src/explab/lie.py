@@ -5,6 +5,12 @@ as lists of (index, coefficient) terms, and an optional designated
 time-translation generator. Built-in constructors cover the kinematical
 algebras used throughout: the Galilean algebra, the polynomial-acceleration
 algebras of order m, and the abelian phase-space translation algebras.
+
+The kinematical algebras follow two rules. The rotation a_ij (i < j) acts
+on R^3 as E_ij - E_ji, the generator of `explab.groupexp`'s rotation in the
+(i, j) plane: [a_ij, v_j] = v_i and [a_ij, v_i] = -v_j for every vector
+v^(n), and the rotations close into so(3) as the matrix commutators do.
+Time lowers the level of a vector: [v_i^(n), tau] = v_i^(n-1), v^(-1) = 0.
 """
 
 from __future__ import annotations
@@ -351,6 +357,10 @@ class LieAlgebra:
 
 _ROT = ((1, 2), (1, 3), (2, 3))
 _AXES = (1, 2, 3)
+# so(3): [a_ij, a_kl] for the three pairs of _ROT, each one rotation times a sign
+_SO3 = {((1, 2), (1, 3)): ((2, 3), -1),
+        ((1, 2), (2, 3)): ((1, 3), 1),
+        ((1, 3), (2, 3)): ((1, 2), -1)}
 
 
 def _role_label(role: Role) -> str:
@@ -363,48 +373,6 @@ def _role_label(role: Role) -> str:
     return ("b%d" if role.kind == "translation" else "d%d") % role.axes
 
 
-def _rotation_rotation(brackets, at):
-    # [a_ij, a_kl] = d_jk a_il - d_ik a_jl + d_il a_jk - d_jl a_ik
-    def a(i, j):
-        if i == j:
-            return ()
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -sign
-        return ((at[Role("rotation", (i, j))], Fraction(sign)),)
-
-    for n1, (i, j) in enumerate(_ROT):
-        for (k, l) in _ROT[n1 + 1:]:
-            terms = []
-            if j == k:
-                terms.extend(a(i, l))
-            if i == k:
-                terms.extend((t, -c) for t, c in a(j, l))
-            if i == l:
-                terms.extend(a(j, k))
-            if j == l:
-                terms.extend((t, -c) for t, c in a(i, k))
-            if terms:
-                brackets[(at[Role("rotation", (i, j))],
-                          at[Role("rotation", (k, l))])] = terms
-
-
-def _rotation_vector(brackets, at, kind, level):
-    # [a_ij, v_k] = d_jk v_i - d_ik v_j for the vectors v of one kind and level
-    def v(i):
-        return at[Role(kind, (i,), level)]
-
-    for (i, j) in _ROT:
-        for k in _AXES:
-            terms = []
-            if j == k:
-                terms.append((v(i), Fraction(1)))
-            if i == k:
-                terms.append((v(j), Fraction(-1)))
-            if terms:
-                brackets[(at[Role("rotation", (i, j))], v(k))] = terms
-
-
 def _polynomial_translations(kinds: Sequence[str], name: str) -> LieAlgebra:
     """Rotations, the vectors v_i^(n) of levels n = 0..len(kinds)-1 and
     time, with [v_i^(n), tau] = v_i^(n-1) and v^(-1) = 0; the vectors
@@ -413,14 +381,17 @@ def _polynomial_translations(kinds: Sequence[str], name: str) -> LieAlgebra:
              + [Role(kind, (i,), n) for n, kind in enumerate(kinds) for i in _AXES]
              + [Role("time")])
     at = {r: k for k, r in enumerate(roles)}
-    brackets: dict = {}
-    _rotation_rotation(brackets, at)
+    rot = {p: at[Role("rotation", p)] for p in _ROT}
+    brackets: dict = {(rot[p], rot[q]): [(rot[r], c)] for (p, q), (r, c) in _SO3.items()}
     for n, kind in enumerate(kinds):
-        _rotation_vector(brackets, at, kind, n)
+        v = {i: at[Role(kind, (i,), n)] for i in _AXES}
+        for i, j in _ROT:
+            # a_ij acts on R^3 as E_ij - E_ji
+            brackets[rot[i, j], v[i]] = [(v[j], -1)]
+            brackets[rot[i, j], v[j]] = [(v[i], 1)]
         if n >= 1:
             for i in _AXES:
-                brackets[(at[Role(kind, (i,), n)], at[Role("time")])] = [
-                    (at[Role(kinds[n - 1], (i,), n - 1)], Fraction(1))]
+                brackets[v[i], at[Role("time")]] = [(at[Role(kinds[n - 1], (i,), n - 1)], 1)]
     alg = LieAlgebra([_role_label(r) for r in roles], brackets,
                      time_index=roles.index(Role("time")), name=name)
     alg._roles = tuple(roles)

@@ -71,8 +71,10 @@ def _uniform_spacing(arr, name):
     arr = np.asarray(arr, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("%s must hold at least two nodes" % name)
-    steps = np.diff(arr)
-    if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-12 * abs(steps[0]):
+    # a non-finite node reads as a NaN step (inf - inf would warn), which the
+    # good case asserted below refuses
+    steps = np.diff(arr) if np.all(np.isfinite(arr)) else np.array([np.nan])
+    if not (np.all(steps > 0) and np.max(np.abs(steps - steps[0])) <= 1e-12 * steps[0]):
         raise ValueError("%s must be uniformly increasing" % name)
     return arr, float(steps[0])
 

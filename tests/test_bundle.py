@@ -28,6 +28,16 @@ class TestGridAndSection:
         with pytest.raises(ValueError):
             TimeGrid([0.0, 1.0], [1.0, -1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_grid_refuses_non_finite_nodes_and_weights(self, bad):
+        # NaN compares False both ways, so only a gate that asserts the good case stops it
+        for nodes in ([0.0, bad, 2.0], [bad, 1.0, 2.0], [0.0, 1.0, bad], [bad, bad, bad]):
+            with pytest.raises(ValueError, match="^nodes must be strictly increasing$"):
+                TimeGrid(nodes, [1.0, 1.0, 1.0])
+        for weights in ([1.0, bad, 1.0], [bad, bad, bad]):
+            with pytest.raises(ValueError, match="^need one positive weight per node$"):
+                TimeGrid([0.0, 1.0, 2.0], weights)
+
     def test_section_shape_validation(self):
         grid = uniform_grid(0, 1, 4)
         with pytest.raises(ValueError):

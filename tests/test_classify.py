@@ -4,6 +4,7 @@ import itertools
 import json
 import operator
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,7 @@ from explab.classify import (MAX_COLUMNS, Classification, ColumnLimitError,
                              EquivalenceResult, _certificate, _classification,
                              _column_count, _columns, _d1_solver, _DegreeSolve,
                              _generalized_kernel, _h_echelon, _k1,
-                             _solve, are_equivalent,
+                             _solve, are_equivalent, check_columns,
                              check_family_columns, classify, realizable_subspace,
                              verify_milne_structure)
 from explab.cochain import (OneCochain, TwoCochain, _complex, _Complex, coboundary, column,
@@ -925,6 +926,16 @@ class TestDegreeBound:
         with pytest.raises(ColumnLimitError) as unbuilt:
             check_family_columns(family, index, degree)
         assert str(unbuilt.value) == str(built.value)
+
+    @pytest.mark.parametrize("degree", [2.7, -0.5, True, False, "3", None, "AUTO", 2.0])
+    def test_non_integer_degree_refused_at_every_door(self, degree):
+        # int() would read these as 2, 0, 1, 0, 3, an error, an error and 2
+        message = '^degree must be "auto" or an integer, not %s$' % re.escape(repr(degree))
+        for door in (lambda: classify(milne(1), degree=degree),
+                     lambda: check_columns("milne:1", 10, True, degree),
+                     lambda: check_family_columns("milne", 1, degree)):
+            with pytest.raises(ValueError, match=message):
+                door()
 
     @pytest.mark.parametrize("family, build", [("milne", milne),
                                                ("phase-space", phase_space)])

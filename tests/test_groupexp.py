@@ -105,6 +105,39 @@ class TestGroupStructure:
                 assert max(np.max(np.abs(x1 - x2)), abs(t1 - t2)) <= 1e-12
 
 
+class TestRotationConvention:
+    """lie's rotation brackets are the matrix commutators of groupexp's
+    rotation generators, and its brackets of a rotation with a vector are
+    the generator applied to that vector: one so(3) convention in both."""
+
+    @staticmethod
+    def generator(kind, role, order):
+        # d/dtheta exp(theta a).R at 0 by a central difference, rounded to its integer entries
+        h = 1e-6
+        G = (exp_generator(kind, role, h, order).R - exp_generator(kind, role, -h, order).R) / (2 * h)
+        assert np.max(np.abs(G - np.rint(G))) < 1e-9
+        return np.rint(G).astype(int)
+
+    @pytest.mark.parametrize("kind, order, alg", [("galilean", 1, GALILEAN)]
+                             + [("milne", m, milne(m)) for m in (1, 2, 3)],
+                             ids=lambda v: getattr(v, "name", None))
+    def test_brackets_are_the_generators(self, kind, order, alg):
+        roles = alg.roles
+        rots = [k for k, r in enumerate(roles) if r.kind == "rotation"]
+        G = {a: self.generator(kind, roles[a], order) for a in rots}
+        for a, b in itertools.combinations(rots, 2):
+            got = sum((c * G[m] for m, c in alg.bracket_basis(a, b)), np.zeros((3, 3), int))
+            assert np.array_equal(got, G[a] @ G[b] - G[b] @ G[a])
+        vectors = [k for k, r in enumerate(roles) if r.kind not in ("rotation", "time")]
+        assert len(vectors) == 3 * (order + 1)
+        for a, k in itertools.product(rots, vectors):
+            got = np.zeros(3, int)
+            for m, c in alg.bracket_basis(a, k):
+                assert roles[m]._replace(axes=roles[k].axes) == roles[k]  # same kind and level
+                got[roles[m].axes[0] - 1] += c
+            assert np.array_equal(got, G[a][:, roles[k].axes[0] - 1])
+
+
 class TestPhases:
     def test_identity_phase_zero(self):
         assert theta_galilean(2.0)(milne_identity(1), np.ones(3), 1.5) == 0

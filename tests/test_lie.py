@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -143,6 +145,47 @@ class TestRoles:
     def test_other_algebras_have_no_roles(self):
         for alg in (phase_space(2), LieAlgebra.from_dict(milne(1).to_dict())):
             assert alg.roles == (None,) * alg.dim
+
+
+class TestBuiltinTables:
+    """The built-in bracket tables and roles, byte for byte."""
+
+    # sha256 of json.dumps(alg.to_dict(), sort_keys=True) and of json.dumps(alg.roles)
+    DIGESTS = {
+        "galilean": ("fa9b949fbfc837bed3155b634322dee0aca7d0509347b333103bc76c9b912667",
+                     "2776f297554cad2a72852306461bf032864472d75831b3c99daec9660f605cf5"),
+        "milne:1": ("e1604f794f47a10f382f25a6397fc4d994dae6719caabc617ae2f2af66db79b0",
+                    "1d80668c766e6c6db913a801a6c07ae5cfcc693ce5b7d360b787e0de61ec129e"),
+        "milne:2": ("3a646d8e1c59a79a5beb1d07781b118307e2a0f427f4098cdbb83859461b6a2d",
+                    "1f7c5beb857f5c8cbb193c54bf0a5ca362ad01d0376459f9f8bb02a7757b6768"),
+        "milne:3": ("b9d496be0635cd7165b29af6b8b1c8e6fe425475726ae8cf0c3db96fb4d0c776",
+                    "2aa76ec2504283823df1671f9bf510b35f533475fb44c8721f249091018bdd20"),
+        "milne:4": ("d29e72c4a7394930858edaf9c64c251a30fda3d6da6bb838ff115b8473b2cf5a",
+                    "b3a07102c129d17c239d699f6c82322c64fb52753b106f61530b83f71e6d1c2b"),
+        "milne:5": ("25bfac9dbe2280d2b21cc4af96fdff9033ad4f4bb88e796bb2fd724212c86a2e",
+                    "808bc3cdf451943c991dcb0d14749fd53635b38b3aec40957190b36e88ce06fd"),
+        "milne:6": ("cfb36e3c49c93dce566e7119726ab80c10ebcd4e6c6ac49adfa37e1253ddb2fc",
+                    "812907a9a181c85bfa83e4a696999a5ad30ebec4963b1b30cc5e1bd87e080aa4"),
+        "milne:7": ("7ced3e580ecd455a8539059c0d1d9d03af82f8c876c881a686057515ae2278d2",
+                    "379b90270f226363231607d6e76bada03deaa5cb7a86a29e9cfd77eead797ae4"),
+        "milne:8": ("8046068cc9b7f30ca68c44ab426a4d325d41cdcf0ffa2bac74913144929207e9",
+                    "6eca34e24fe0d457474faeb1053ac20a43d6621e12ea155961d711122f20dfb3"),
+        "phase-space:1": ("314650e64d851a2afe03411973fbc7fb4025fd87fcf902e3c3efa331a477de98",
+                          "6d9695b0f6f0de8c737c15a199b1658001af6e4ef0d756109efffbd0c69ad4c9"),
+        "phase-space:2": ("9f89962eeb0d6d72389451e13c4cc3d74dfc8b33204977f25f422316c5b20bd8",
+                          "f941396140911b25bb57bb73145aa6b5fc9c7954a7511fada4baac97bf9ad6d0"),
+        "phase-space:3": ("d46deabde10b07a8c10f666682854a01d1cb1aba86d610fea249e34a8c953f90",
+                          "bab8e165016b9e9afecb2009351f146d2b1d4e9df427f621eb9d7eca0328f0e9"),
+    }
+
+    @pytest.mark.parametrize("alg", [galilean()] + [milne(m) for m in range(1, 9)]
+                             + [phase_space(n) for n in range(1, 4)], ids=lambda alg: alg.name)
+    def test_table_and_roles_are_pinned(self, alg):
+        def digest(value, **kw):
+            return hashlib.sha256(json.dumps(value, **kw).encode()).hexdigest()
+        assert (digest(alg.to_dict(), sort_keys=True), digest(alg.roles)) == self.DIGESTS[alg.name]
+        # to_dict prints Fraction(1) as 1 too: the table itself holds ints
+        assert all(type(c) is int for i, j in alg.pairs() for _, c in alg.bracket_basis(i, j))
 
 
 class TestPhaseSpace:

@@ -164,6 +164,15 @@ class TestWaveField:
         with pytest.raises(ValueError, match="uniform"):
             WaveField(xs, np.array([0.0, 1.0]), np.zeros((2, 3)), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_nodes(self, bad):
+        # a ValueError, not a pass (NaN) or a RuntimeWarning from inf - inf
+        for nodes in ([0.0, bad, 2.0], [bad, 1.0, 2.0], [0.0, 1.0, bad], [0.0, bad, bad]):
+            with pytest.raises(ValueError, match="^spatial grid must be uniformly increasing$"):
+                WaveField(np.array(nodes), np.array([0.0, 1.0]), np.zeros((2, 3)), 1.0)
+            with pytest.raises(ValueError, match="^time grid must be uniformly increasing$"):
+                WaveField(np.arange(4.0), np.array(nodes), np.zeros((3, 4)), 1.0)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             WaveField(np.arange(4.0), np.arange(3.0), np.zeros((4, 3)), 1.0)
