@@ -8,6 +8,7 @@ whether two sections differ only by a time-dependent phase, which is the
 notion of physical indistinguishability the rest of the package feeds.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,8 +34,10 @@ class TimeGrid:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("need at least two time nodes")
-        # the good case asserted, so that NaN fails; finite before diff (inf - inf warns)
-        if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
+        # the good case asserted, so that NaN fails; increasing with a finite span
+        # (a Python float difference overflows silently) holds every step finite
+        if not (np.all(nodes[1:] > nodes[:-1])
+                and math.isfinite(float(nodes[-1]) - float(nodes[0]))):
             raise ValueError("nodes must be strictly increasing")
         if weights.shape != nodes.shape or not np.all(np.isfinite(weights) & (weights > 0)):
             raise ValueError("need one positive weight per node")

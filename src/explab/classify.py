@@ -81,7 +81,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import linalg
 from .cochain import (MAX_COLUMNS, OneCochain, TwoCochain, _coefficient_lists, _complex,
-                      coboundary, column, is_cocycle, pair_power)
+                      column, is_cocycle, pair_power)
 from .lie import LieAlgebra, family_dim
 from .ratpoly import RatPoly
 
@@ -435,13 +435,14 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     The images are eliminated once per algebra instance and degree, cut at
     that degree, by the first query or a classify that shares it, and kept
     with the algebra (`LieAlgebra.memo`); each query reduces only its own
-    target. Both inputs are cocycle-checked on their integer coefficients.
-    Both degrees of cochain hold integers over one denominator, so the
-    target is diff = x2 - x1 as an integer row, diff times its denominator;
-    the weights over that denominator are the witness's coefficients, and
-    it must satisfy coboundary(witness) == diff, the zero witness when
-    x2 == x1. An input of degree MAX_COLUMNS or more is refused before any
-    row is numbered, since its top power would wrap into the next pair's
+    target. Both inputs are cocycle-checked on their integer coefficients
+    before any solve. Both degrees of cochain hold integers over one
+    denominator, so the target is diff = x2 - x1 as an integer row, diff
+    times its denominator; the weights over that denominator are the
+    witness's coefficients, and the d1 images of its units, summed on them,
+    must equal the target row, cross-multiplied by the two denominators, the
+    zero witness when x2 == x1. An input of degree MAX_COLUMNS or more is
+    refused before any row is numbered, since its top power would wrap into the next pair's
     columns. Results are immutable and shared: every negative verdict is
     one object, and a positive result with a witness equal to one a caller
     still holds, on the same algebra and bound, is that object. The
@@ -460,13 +461,21 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     _columns(alg, lam_degree)
     cx = _complex(alg)
     solver = _d1_solver(alg, lam_degree, lam_degree)
-    weights = linalg.solve_augmented(solver.echelon, cx.to_row(diff))
+    target = cx.to_row(diff)
+    weights = linalg.solve_augmented(solver.echelon, target)
     if weights is None:
         return _INEQUIVALENT
     units = cx.units(lam_degree)
     witness = OneCochain._of(alg, _coefficient_lists((units[ucol], v)
                                                      for ucol, v in weights.items()), diff._den)
-    if coboundary(witness) != diff:
+    image: Dict[int, object] = {}  # d1(witness) times its denominator
+    for k, cs in witness._rows.items():
+        for u, v in enumerate(cs):
+            for pidx, power, c in cx.d1_unit(k, u) if v else ():
+                col = column(pidx, power)
+                image[col] = image.get(col, 0) + c * v
+    if ({col: v * diff._den for col, v in image.items() if v}
+            != {col: v * witness._den for col, v in target.items()}):
         raise AssertionError("witness verification failed")
     return solver.shared(witness)
 

@@ -165,12 +165,11 @@ class TwoCochain(_Cochain):
 
     # -- linear structure ------------------------------------------------
 
-    def __add__(self, other: "TwoCochain") -> "TwoCochain":
-        if not isinstance(other, TwoCochain):
-            return NotImplemented
+    def _merge(self, other: "TwoCochain", sign: int) -> "TwoCochain":
+        """self + sign * other over the lcm of the denominators."""
         self._same_algebra(other)
         g = gcd(self._den, other._den)
-        mine, theirs = other._den // g, self._den // g  # the cofactors of the lcm
+        mine, theirs = other._den // g, self._den // g * sign  # the cofactors of the lcm
         rows = {pair: [v * mine for v in cs] for pair, cs in self._rows.items()}
         for pair, cs in other._rows.items():
             acc = rows.setdefault(pair, [])
@@ -179,10 +178,15 @@ class TwoCochain(_Cochain):
                 acc[u] += v * theirs
         return TwoCochain._of(self.alg, rows, mine * self._den)
 
+    def __add__(self, other: "TwoCochain") -> "TwoCochain":
+        if not isinstance(other, TwoCochain):
+            return NotImplemented
+        return self._merge(other, 1)
+
     def __sub__(self, other: "TwoCochain") -> "TwoCochain":
         if not isinstance(other, TwoCochain):
             return NotImplemented
-        return self + -other
+        return self._merge(other, -1)
 
     def __neg__(self) -> "TwoCochain":
         return self * -1
@@ -288,14 +292,15 @@ class _Complex:
       -bold(tau) = +d/dt on the pair opposite the time generator, which a
       triple of h lacks, so its rows are one row shifted. Each triple's
       template is scaled to integers once, which changes neither the kernel
-      nor the test row . xi = 0;
+      nor the test row . xi = 0. `readers` lists these terms by pair read;
     * d1 of each unit one-cochain t^u e_k: -c_k^{ij} t^u on every pair,
       plus bold(tau) t^u = -u t^(u-1) on the pair of e_k with the time
       generator, signed by the time generator's slot.
 
     They are the only formulas for d1, the cocycle condition and the time
     grading: the functions below apply them, and `explab.classify` solves
-    with them and reads ad tau on the two-cochains of h off them.
+    with them, checks its witnesses on d1's rows and reads ad tau on the
+    two-cochains of h off them.
 
     The templates hold no reference to the algebra, which holds them
     (`_complex`), so they are freed with it and never shared with another.
@@ -312,9 +317,9 @@ class _Complex:
 
         # per triple with a nonzero template: ((pair, c), ...) of the bracket
         # sum, (pair, c) of the derivative term or None, and the integer
-        # scale; triples_at lists the triples reading a pair
+        # scale; readers lists per pair (triple slot, c, derivative term?)
         self.triples: Dict[Tuple[int, int, int], tuple] = {}
-        self.triples_at: Dict[int, List[Tuple[int, int, int]]] = {}
+        self.readers: Dict[int, List[Tuple[int, int, bool]]] = {}
         sums = alg.cyclic_sums()
         # their other reader, the Jacobi check, runs before every solve
         alg.forget("cyclic sums")
@@ -330,11 +335,14 @@ class _Complex:
             if not bracket and deriv is None:
                 continue
             scale = lcm(*(c.denominator for c in bracket.values()))
-            self.triples[triple] = (
-                tuple((pidx, int(c * scale)) for pidx, c in bracket.items()),
-                None if deriv is None else (deriv[0], deriv[1] * scale), scale)
-            for pidx in set(bracket) | ({deriv[0]} if deriv else set()):
-                self.triples_at.setdefault(pidx, []).append(triple)
+            slot = len(self.triples)
+            terms = tuple((pidx, int(c * scale)) for pidx, c in bracket.items())
+            deriv = None if deriv is None else (deriv[0], deriv[1] * scale)
+            self.triples[triple] = (terms, deriv, scale)
+            for pidx, c in terms:
+                self.readers.setdefault(pidx, []).append((slot, c, False))
+            if deriv is not None:
+                self.readers.setdefault(deriv[0], []).append((slot, deriv[1], True))
 
         # d1: per generator k, ((pair, -c_k^{ij}), ...)
         self.lowered: Dict[int, List[Tuple[int, object]]] = {}
@@ -453,7 +461,15 @@ def jacobi_residual(xi: TwoCochain, i: int, j: int, k: int) -> RatPoly:
 
 def is_cocycle(xi: TwoCochain) -> bool:
     """True iff every triple's template, which is integral, annihilates
-    xi's integer coefficients, whatever its degree."""
+    xi's integer coefficients, whatever its degree: each is scattered
+    through its pair's readers into one sum per triple and power of t."""
     cx = _complex(xi.alg)
-    touched = {t for pair in xi._rows for t in cx.triples_at.get(cx.rank[pair], ())}
-    return not any(any(cx.residual(t, xi._rows).values()) for t in touched)
+    sums: Dict[Tuple[int, int], int] = {}
+    for pair, cs in xi._rows.items():
+        for slot, c, deriv in cx.readers.get(cx.rank[pair], ()):
+            # the derivative term reads power u at power u - 1, times u
+            for u, v in enumerate(cs[deriv:], deriv):
+                if v:
+                    key = (slot, u - deriv)
+                    sums[key] = sums.get(key, 0) + (c * u * v if deriv else c * v)
+    return not any(sums.values())

@@ -71,12 +71,13 @@ def _uniform_spacing(arr, name):
     arr = np.asarray(arr, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("%s must hold at least two nodes" % name)
-    # a non-finite node reads as a NaN step (inf - inf would warn), which the
-    # good case asserted below refuses
-    steps = np.diff(arr) if np.all(np.isfinite(arr)) else np.array([np.nan])
-    if not (np.all(steps > 0) and np.max(np.abs(steps - steps[0])) <= 1e-12 * steps[0]):
-        raise ValueError("%s must be uniformly increasing" % name)
-    return arr, float(steps[0])
+    # the good case asserted, so that NaN fails; increasing with a finite span
+    # (a Python float difference overflows silently) holds every step finite
+    if np.all(arr[1:] > arr[:-1]) and math.isfinite(float(arr[-1]) - float(arr[0])):
+        steps = np.diff(arr)
+        if np.max(np.abs(steps - steps[0])) <= 1e-12 * steps[0]:
+            return arr, float(steps[0])
+    raise ValueError("%s must be uniformly increasing" % name)
 
 
 @dataclass(frozen=True, eq=False)

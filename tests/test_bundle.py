@@ -38,6 +38,17 @@ class TestGridAndSection:
             with pytest.raises(ValueError, match="^need one positive weight per node$"):
                 TimeGrid([0.0, 1.0, 2.0], weights)
 
+    @pytest.mark.parametrize("nodes", [[-1e308, 1e308], [-1e308, 0.0, 1e308],
+                                       [0.0, 1e308, -1e308, 1.0]])
+    def test_grid_refuses_a_span_that_overflows(self, nodes):
+        # finite nodes whose difference overflows: a ValueError, not the
+        # RuntimeWarning of an overflowing subtraction
+        with pytest.raises(ValueError, match="^nodes must be strictly increasing$"):
+            TimeGrid(nodes, [1.0] * len(nodes))
+
+    def test_grid_admits_a_wide_finite_span(self):
+        assert TimeGrid([-8e307, 0.0, 8e307], [1.0, 1.0, 1.0]).size == 3
+
     def test_section_shape_validation(self):
         grid = uniform_grid(0, 1, 4)
         with pytest.raises(ValueError):

@@ -79,6 +79,7 @@ class TestTwoCochainBasics:
             return RatPoly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                             for _ in range(rng.randint(1, 3))])
 
+        unequal_denominators = 0
         for _ in range(20):
             x = TwoCochain(g, {p: poly() for p in rng.sample(pairs, 8)})
             y = TwoCochain(g, {p: poly() for p in rng.sample(pairs, 8)})
@@ -87,13 +88,15 @@ class TestTwoCochainBasics:
                                **{p: x.nonzero_entries()[p] for p in shared[:2]},
                                shared[2]: -x.nonzero_entries()[shared[2]]})
             before = (x.nonzero_entries(), y.nonzero_entries())
-            assert x - y == x + (-y)
-            assert (x - x).is_zero() and (x + (-x)).is_zero()
+            unequal_denominators += x._den != y._den
+            assert x - y == x + (-y) == x + (-1) * y
+            assert x - x == TwoCochain.zero(g) and (x + (-x)).is_zero()
             for z, sign in ((x + y, 1), (x - y, -1)):
                 assert all(not p.is_zero() for p in z.nonzero_entries().values())
                 for i, j in pairs:
                     assert z.entry(i, j) == x.entry(i, j) + sign * y.entry(i, j)
             assert (x.nonzero_entries(), y.nonzero_entries()) == before
+        assert unequal_denominators
 
     def test_serialization_roundtrip(self):
         g = milne(2)
@@ -361,9 +364,79 @@ class TestIsCocycle:
         xi = TwoCochain.from_labels(galilean(), {("b1", "d1"): 1})
         assert not is_cocycle(xi)
 
+    def test_a_defect_in_the_derivative_term_alone_fails(self):
+        # no bracket sum reads the pair (a12, a13) of galilean, so a
+        # constant there is a cocycle; t^2 there fails on one triple only,
+        # (a12, a13, tau), by the derivative term -bold(tau) t^2 = 2t
+        g = galilean()
+        assert is_cocycle(TwoCochain.from_labels(g, {("a12", "a13"): 5}))
+        bad = TwoCochain.from_labels(g, {("a12", "a13"): RatPoly.monomial(2)})
+        assert not is_cocycle(bad)
+        defects = {t: jacobi_residual(bad, *t)
+                   for t in itertools.combinations(range(g.dim), 3)}
+        a12, a13, tau = g.index("a12"), g.index("a13"), g.index("tau")
+        assert {t: r for t, r in defects.items() if not r.is_zero()} == \
+            {(a12, a13, tau): RatPoly((0, 2))}
+        rep = classify(g).representatives[0]
+        for x1, x2 in ((bad, rep), (rep, bad), (bad, bad)):
+            with pytest.raises(ValueError, match="^input is not a cocycle$"):
+                are_equivalent(x1, x2)
+
+
+def extension_spec(alg, omega, D):
+    """The spec of g + V_D, V_D = span(t^0 .. t^D) labelled t0..tD: g's
+    brackets plus omega's coefficients on t^k, and [tau, t^k] = -k t^(k-1),
+    tau acting on polynomials as -d/dt. A standard fact, independent of the
+    cochain templates: it satisfies Jacobi iff omega is a cocycle."""
+    t = ["t%d" % k for k in range(D + 1)]
+    assert not set(t) & set(alg.labels)
+    brackets = {(b["lhs"], b["rhs"]): list(b["out"]) for b in alg.to_dict()["brackets"]}
+    for (i, j), poly in omega.nonzero_entries().items():
+        out = brackets.setdefault((alg.labels[i], alg.labels[j]), [])
+        out += [[t[k], str(c)] for k, c in enumerate(poly.coeffs) if c]
+    if alg.time_index is not None:
+        for k in range(1, D + 1):
+            brackets[alg.labels[alg.time_index], t[k]] = [[t[k - 1], str(-k)]]
+    return {"labels": list(alg.labels) + t, "time_generator": None,
+            "brackets": [{"lhs": a, "rhs": b, "out": out} for (a, b), out in brackets.items()]}
+
+
+def jacobi_accepts(spec):
+    """Whether `lie`'s Jacobi scan accepts the algebra of `spec`."""
+    try:
+        LieAlgebra.from_dict(spec)
+    except ValueError as e:
+        assert str(e).startswith("jacobi fails on ")
+        return False
+    return True
+
+
+class TestExtensionAlgebraOracle:
+    """Every representative omega builds an extension g + V_D that the
+    Jacobi scan accepts; one entry moved by 1 breaks it wherever a time
+    generator acts, and is_cocycle agrees with the scan each time."""
+
+    @pytest.mark.parametrize("alg", [galilean()] + [milne(m) for m in range(1, 5)]
+                             + [phase_space(n) for n in range(1, 4)],
+                             ids=lambda alg: alg.name)
+    def test_representatives_extend_and_perturbations_break(self, alg):
+        reps = classify(alg).representatives
+        D = max(max(rep.max_degree() for rep in reps), 0)
+        refused = 0
+        for rep in reps:
+            assert is_cocycle(rep) and jacobi_accepts(extension_spec(alg, rep, D))
+            entries = rep.nonzero_entries()
+            pair = min(entries)
+            moved = TwoCochain(alg, {**entries, pair: entries[pair] + RatPoly((1,))})
+            accepted = jacobi_accepts(extension_spec(alg, moved, D))
+            assert is_cocycle(moved) == accepted
+            refused += not accepted
+        # phase space is abelian with no time generator: every cochain is a cocycle
+        assert refused == (0 if alg.time_index is None else len(reps))
+
 
 def all_triples_templates(alg):
-    """The complex's (triples, triples_at) from a visit of every triple
+    """The complex's (triples, readers) from a visit of every triple
     i < j < k."""
     ti = alg.time_index
     rank = {p: n for n, p in enumerate(alg.pairs())}
@@ -372,7 +445,7 @@ def all_triples_templates(alg):
         return (rank[(a, b)], c) if a < b else (rank[(b, a)], -c)
 
     sums = alg.cyclic_sums()
-    triples, triples_at = {}, {}
+    triples, readers = {}, {}
     for triple in itertools.combinations(range(alg.dim), 3):
         i, j, k = triple
         bracket = {rank[a, b]: c for a, b, c in sums.get(triple, ())}
@@ -381,12 +454,15 @@ def all_triples_templates(alg):
         if not bracket and deriv is None:
             continue
         scale = lcm(*(c.denominator for c in bracket.values()))
+        slot = len(triples)
         triples[triple] = (
             tuple((pidx, int(c * scale)) for pidx, c in bracket.items()),
             None if deriv is None else (deriv[0], deriv[1] * scale), scale)
-        for pidx in set(bracket) | ({deriv[0]} if deriv else set()):
-            triples_at.setdefault(pidx, []).append(triple)
-    return triples, triples_at
+        for pidx, c in bracket.items():
+            readers.setdefault(pidx, []).append((slot, int(c * scale), False))
+        if deriv is not None:
+            readers.setdefault(deriv[0], []).append((slot, deriv[1] * scale, True))
+    return triples, readers
 
 
 def random_algebra(seed):
@@ -416,10 +492,10 @@ class TestComplexTriples:
                              ids=lambda alg: alg.name)
     def test_templates_match_the_all_triples_loop(self, alg):
         # the templates and their order, which orders the cocycle rows
-        triples, triples_at = all_triples_templates(alg)
+        triples, readers = all_triples_templates(alg)
         cx = _Complex(alg)
         assert list(cx.triples.items()) == list(triples.items())
-        assert list(cx.triples_at.items()) == list(triples_at.items())
+        assert list(cx.readers.items()) == list(readers.items())
 
     def test_wide_bracket_free_algebra_is_refused_quickly(self):
         # only the triples holding tau have a template; visiting all

@@ -173,6 +173,16 @@ class TestWaveField:
             with pytest.raises(ValueError, match="^time grid must be uniformly increasing$"):
                 WaveField(np.arange(4.0), np.array(nodes), np.zeros((3, 4)), 1.0)
 
+    @pytest.mark.parametrize("nodes", [[-1e308, 0.0, 1e308], [-1e308, 1e308],
+                                       [0.0, 1e308, -1e308]])
+    def test_rejects_a_span_that_overflows(self, nodes):
+        # finite nodes 1e308 apart or more: a ValueError, neither a step of
+        # 1e308 admitted nor the RuntimeWarning of an overflowing subtraction
+        with pytest.raises(ValueError, match="^spatial grid must be uniformly increasing$"):
+            WaveField(np.array(nodes), np.array([0.0, 1.0]), np.zeros((2, len(nodes))), 1.0)
+        with pytest.raises(ValueError, match="^time grid must be uniformly increasing$"):
+            WaveField(np.arange(4.0), np.array(nodes), np.zeros((len(nodes), 4)), 1.0)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             WaveField(np.arange(4.0), np.arange(3.0), np.zeros((4, 3)), 1.0)
