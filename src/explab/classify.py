@@ -225,7 +225,7 @@ def _certificate(alg: LieAlgebra) -> Tuple[int, int]:
                                                  if p in in_h})
                             for k in range(alg.dim) if k != ti)
     L: Dict[int, List[Tuple[int, Fraction]]] = {}  # column: [(row, value), ...]
-    for bracket, deriv, _ in cx.triples.values():
+    for bracket, deriv, _, _ in cx.triples.values():
         if deriv is not None:
             for p, c in bracket:
                 if p in in_h:
@@ -439,11 +439,11 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     before any solve. Both degrees of cochain hold integers over one
     denominator, so the target is diff = x2 - x1 as an integer row, diff
     times its denominator; the weights over that denominator are the
-    witness's coefficients, and the d1 images of its units, summed on them,
-    must equal the target row, cross-multiplied by the two denominators, the
-    zero witness when x2 == x1. An input of degree MAX_COLUMNS or more is
-    refused before any row is numbered, since its top power would wrap into the next pair's
-    columns. Results are immutable and shared: every negative verdict is
+    witness's coefficients, and the d1 images of its units, summed on them
+    (`_Complex.d1_image`), must equal the target row, cross-multiplied by
+    the two denominators, the zero witness when x2 == x1. An input of degree
+    MAX_COLUMNS or more is refused before any row is numbered, since its top
+    power would wrap into the next pair's columns. Results are immutable and shared: every negative verdict is
     one object, and a positive result with a witness equal to one a caller
     still holds, on the same algebra and bound, is that object. The
     echelon keeps no result alive.
@@ -468,13 +468,7 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     units = cx.units(lam_degree)
     witness = OneCochain._of(alg, _coefficient_lists((units[ucol], v)
                                                      for ucol, v in weights.items()), diff._den)
-    image: Dict[int, object] = {}  # d1(witness) times its denominator
-    for k, cs in witness._rows.items():
-        for u, v in enumerate(cs):
-            for pidx, power, c in cx.d1_unit(k, u) if v else ():
-                col = column(pidx, power)
-                image[col] = image.get(col, 0) + c * v
-    if ({col: v * diff._den for col, v in image.items() if v}
+    if ({col: v * diff._den for col, v in cx.d1_image(witness).items() if v}
             != {col: v * witness._den for col, v in target.items()}):
         raise AssertionError("witness verification failed")
     return solver.shared(witness)

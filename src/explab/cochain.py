@@ -292,14 +292,15 @@ class _Complex:
       -bold(tau) = +d/dt on the pair opposite the time generator, which a
       triple of h lacks, so its rows are one row shifted. Each triple's
       template is scaled to integers once, which changes neither the kernel
-      nor the test row . xi = 0. `readers` lists these terms by pair read;
+      nor the test row . xi = 0. `readers` lists these terms by the pair
+      they read, and `scatter` applies them;
     * d1 of each unit one-cochain t^u e_k: -c_k^{ij} t^u on every pair,
       plus bold(tau) t^u = -u t^(u-1) on the pair of e_k with the time
       generator, signed by the time generator's slot.
 
     They are the only formulas for d1, the cocycle condition and the time
     grading: the functions below apply them, and `explab.classify` solves
-    with them, checks its witnesses on d1's rows and reads ad tau on the
+    with them, checks its witnesses on `d1_image` and reads ad tau on the
     two-cochains of h off them.
 
     The templates hold no reference to the algebra, which holds them
@@ -316,10 +317,11 @@ class _Complex:
             return (rank[(a, b)], c) if a < b else (rank[(b, a)], -c)
 
         # per triple with a nonzero template: ((pair, c), ...) of the bracket
-        # sum, (pair, c) of the derivative term or None, and the integer
-        # scale; readers lists per pair (triple slot, c, derivative term?)
+        # sum, (pair, c) of the derivative term or None, the integer scale
+        # and the triple's slot, its rank here; readers lists per pair
+        # (slot, c, offset), the offset 1 on the derivative term, 0 elsewhere
         self.triples: Dict[Tuple[int, int, int], tuple] = {}
-        self.readers: Dict[int, List[Tuple[int, int, bool]]] = {}
+        self.readers: Dict[int, List[Tuple[int, int, int]]] = {}
         sums = alg.cyclic_sums()
         # their other reader, the Jacobi check, runs before every solve
         alg.forget("cyclic sums")
@@ -338,11 +340,11 @@ class _Complex:
             slot = len(self.triples)
             terms = tuple((pidx, int(c * scale)) for pidx, c in bracket.items())
             deriv = None if deriv is None else (deriv[0], deriv[1] * scale)
-            self.triples[triple] = (terms, deriv, scale)
+            self.triples[triple] = (terms, deriv, scale, slot)
             for pidx, c in terms:
-                self.readers.setdefault(pidx, []).append((slot, c, False))
+                self.readers.setdefault(pidx, []).append((slot, c, 0))
             if deriv is not None:
-                self.readers.setdefault(deriv[0], []).append((slot, deriv[1], True))
+                self.readers.setdefault(deriv[0], []).append((slot, deriv[1], 1))
 
         # d1: per generator k, ((pair, -c_k^{ij}), ...)
         self.lowered: Dict[int, List[Tuple[int, object]]] = {}
@@ -385,7 +387,7 @@ class _Complex:
         full below D and without that term at D; xi is a cocycle at bound D
         iff each of them . xi = 0."""
         rows: List[Dict[int, int]] = []
-        for bracket, deriv, _ in self.triples.values():
+        for bracket, deriv, _, _ in self.triples.values():
             if (deriv is not None) == timed:
                 row = {column(pidx, u): c for pidx, c in bracket}
                 if full and timed:
@@ -394,19 +396,31 @@ class _Complex:
                     rows.append(row)
         return rows
 
-    def residual(self, triple, rows: Dict[Tuple[int, int], tuple]) -> Dict[int, object]:
-        """row . xi of the triple's template per power of t, for xi given as
-        {pair: coefficients}: the triple's scale times its Jacobi residual."""
-        bracket, deriv, _ = self.triples[triple]
-        out: Dict[int, object] = {}
-        for pidx, c in bracket:
-            for u, v in enumerate(rows.get(self.pairs[pidx], ())):
-                out[u] = out.get(u, 0) + c * v
-        if deriv is not None:
-            pidx, c = deriv
-            for u, v in enumerate(rows.get(self.pairs[pidx], ())[1:], 1):
-                out[u - 1] = out.get(u - 1, 0) + c * u * v
-        return out
+    def scatter(self, rows: Dict[Tuple[int, int], tuple]) -> Dict[Tuple[int, int], int]:
+        """row . xi of every triple's template per power of t, keyed (slot,
+        power), for xi given as {pair: integer coefficients}: each triple's
+        scale times its Jacobi residual. Each coefficient is added through its
+        pair's readers; the derivative term reads power u at power u - 1,
+        times u."""
+        sums: Dict[Tuple[int, int], int] = {}
+        for pair, cs in rows.items():
+            for slot, c, off in self.readers.get(self.rank[pair], ()):
+                for u, v in enumerate(cs[off:], off):
+                    if v:
+                        key = (slot, u - off)
+                        sums[key] = sums.get(key, 0) + (c * u * v if off else c * v)
+        return sums
+
+    def d1_image(self, lam: OneCochain) -> Dict[int, object]:
+        """d1 of lam times its denominator as a row: the d1 rows of its
+        units summed on its integer coefficients."""
+        image: Dict[int, object] = {}
+        for k, cs in lam._rows.items():
+            for u, v in enumerate(cs):
+                for pidx, power, c in self.d1_unit(k, u) if v else ():
+                    col = column(pidx, power)
+                    image[col] = image.get(col, 0) + c * v
+        return image
 
     def to_row(self, xi: TwoCochain) -> Dict[int, int]:
         """xi times its denominator as an integer row; the caller keeps xi's
@@ -414,10 +428,10 @@ class _Complex:
         return {column(self.rank[pair], u): v for pair, cs in xi._rows.items()
                 for u, v in enumerate(cs) if v}
 
-    def to_cochain(self, alg: LieAlgebra, row: Dict[int, object]) -> TwoCochain:
-        """The two-cochain on `alg` whose coefficients are `row`."""
+    def to_cochain(self, alg: LieAlgebra, row: Dict[int, object], den: int = 1) -> TwoCochain:
+        """The two-cochain on `alg` whose coefficients are `row` over `den`."""
         rows = _coefficient_lists((pair_power(col), v) for col, v in row.items())
-        return TwoCochain._of(alg, {self.pairs[pidx]: cs for pidx, cs in rows.items()})
+        return TwoCochain._of(alg, {self.pairs[pidx]: cs for pidx, cs in rows.items()}, den)
 
 
 def _complex(alg: LieAlgebra) -> _Complex:
@@ -430,15 +444,7 @@ def coboundary(lam: OneCochain) -> TwoCochain:
     summed from the d1 templates of Lam's unit one-cochains on Lam's integer
     coefficients, over Lam's denominator."""
     cx = _complex(lam.alg)
-    width = lam.max_degree() + 1
-    rows: Dict[Tuple[int, int], list] = {}
-    for k, cs in lam._rows.items():
-        for u, v in enumerate(cs):
-            if v:
-                for pidx, power, c in cx.d1_unit(k, u):
-                    acc = rows.setdefault(cx.pairs[pidx], [0] * width)
-                    acc[power] += c * v
-    return TwoCochain._of(lam.alg, rows, lam._den)
+    return cx.to_cochain(lam.alg, cx.d1_image(lam), lam._den)
 
 
 def jacobi_residual(xi: TwoCochain, i: int, j: int, k: int) -> RatPoly:
@@ -454,22 +460,13 @@ def jacobi_residual(xi: TwoCochain, i: int, j: int, k: int) -> RatPoly:
     triple = tuple(sorted((i, j, k)))
     if triple not in cx.triples:
         return RatPoly.zero()
-    res = cx.residual(triple, xi._rows)
-    scale = cx.triples[triple][2] * xi._den * (-1) ** ((i > j) + (i > k) + (j > k))
+    _, _, scale, slot = cx.triples[triple]
+    res = {u: v for (s, u), v in cx.scatter(xi._rows).items() if s == slot}
+    scale *= xi._den * (-1) ** ((i > j) + (i > k) + (j > k))
     return RatPoly([Fraction(res.get(u, 0), scale) for u in range(max(res, default=-1) + 1)])
 
 
 def is_cocycle(xi: TwoCochain) -> bool:
     """True iff every triple's template, which is integral, annihilates
-    xi's integer coefficients, whatever its degree: each is scattered
-    through its pair's readers into one sum per triple and power of t."""
-    cx = _complex(xi.alg)
-    sums: Dict[Tuple[int, int], int] = {}
-    for pair, cs in xi._rows.items():
-        for slot, c, deriv in cx.readers.get(cx.rank[pair], ()):
-            # the derivative term reads power u at power u - 1, times u
-            for u, v in enumerate(cs[deriv:], deriv):
-                if v:
-                    key = (slot, u - deriv)
-                    sums[key] = sums.get(key, 0) + (c * u * v if deriv else c * v)
-    return not any(sums.values())
+    xi's integer coefficients, whatever its degree (`_Complex.scatter`)."""
+    return not any(_complex(xi.alg).scatter(xi._rows).values())

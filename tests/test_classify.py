@@ -1010,7 +1010,7 @@ def full_solve(alg, D, witness=None):
     cx = _complex(alg)
     _columns(alg, witness)
     rows = []
-    for bracket, deriv, _ in cx.triples.values():
+    for bracket, deriv, _, _ in cx.triples.values():
         for u in range(D + 1):
             row = {column(pidx, u): c for pidx, c in bracket}
             if deriv is not None and u < D:
@@ -1276,7 +1276,7 @@ def oracle_cocycle_rows(cx, u, full):
     """Every triple's cocycle row at power u of t, h's and tau's alike; a
     full row adds the derivative term, which reads power u + 1."""
     rows = []
-    for bracket, deriv, _ in cx.triples.values():
+    for bracket, deriv, _, _ in cx.triples.values():
         row = {column(pidx, u): c for pidx, c in bracket}
         if full and deriv is not None:
             row[column(deriv[0], u + 1)] = deriv[1] * (u + 1)
@@ -1360,7 +1360,7 @@ def oracle_certificate(alg):
     ti = alg.time_index
     h_pairs = [p for p, pair in enumerate(cx.pairs) if ti not in pair]
     in_h = set(h_pairs)
-    z2 = linalg.nullspace([dict(bracket) for triple, (bracket, _, _) in cx.triples.items()
+    z2 = linalg.nullspace([dict(bracket) for triple, (bracket, _, _, _) in cx.triples.items()
                            if ti not in triple], h_pairs)
     b2 = linalg.echelon_int(linalg.scale_to_int({p: v for p, v in cx.lowered.get(k, ())
                                                  if p in in_h})
@@ -1468,7 +1468,7 @@ class TestOneHEchelon:
         # is the template's scale up to sign: the cases must exercise it
         alg = build()
         assert any(deriv is not None and scale > 1
-                   for _, deriv, scale in _complex(alg).triples.values())
+                   for _, deriv, scale, _ in _complex(alg).triples.values())
 
     def test_h_rows_are_eliminated_once_per_algebra(self, monkeypatch):
         calls = []

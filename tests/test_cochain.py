@@ -457,11 +457,11 @@ def all_triples_templates(alg):
         slot = len(triples)
         triples[triple] = (
             tuple((pidx, int(c * scale)) for pidx, c in bracket.items()),
-            None if deriv is None else (deriv[0], deriv[1] * scale), scale)
+            None if deriv is None else (deriv[0], deriv[1] * scale), scale, slot)
         for pidx, c in bracket.items():
-            readers.setdefault(pidx, []).append((slot, int(c * scale), False))
+            readers.setdefault(pidx, []).append((slot, int(c * scale), 0))
         if deriv is not None:
-            readers.setdefault(deriv[0], []).append((slot, deriv[1] * scale, True))
+            readers.setdefault(deriv[0], []).append((slot, deriv[1] * scale, 1))
     return triples, readers
 
 
