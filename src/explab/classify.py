@@ -266,6 +266,21 @@ class _DegreeSolve:
     rep_rows: List[Dict[int, Fraction]]
 
 
+def _coboundary_echelon(alg: LieAlgebra, witness: int, D: int) -> Dict[int, Dict[int, int]]:
+    """Integer echelon of the coboundaries of witnesses of degree `witness`
+    that land in V_D, built for one solve and not kept. The d1 images of
+    the units are eliminated in unit order, untagged, with every column of
+    a power above D moved below 0, so such a column leads every row that
+    holds one; the rows that lead at a column >= 0 hold none, and span the
+    images with no entry above D."""
+    cx = _complex(alg)
+    shift = len(cx.pairs) * MAX_COLUMNS
+    pivots = linalg.echelon_int(linalg.scale_to_int({c - shift if pair_power(c)[1] > D else c: v
+                                                     for c, v in row.items()})
+                                for row in cx.coboundary_rows(witness))
+    return {lead: row for lead, row in pivots.items() if lead >= 0}
+
+
 def _solve(alg: LieAlgebra, D: int, witness: int) -> _DegreeSolve:
     """The canonical solve at entry-degree bound D, modulo the coboundaries
     of witnesses of degree `witness` that land in V_D. h's echelon at power
@@ -274,10 +289,10 @@ def _solve(alg: LieAlgebra, D: int, witness: int) -> _DegreeSolve:
     it power by power. The cocycle basis is read from it by back-reduction
     (`echelon_nullspace`), and reduced row echelon form is canonical for a
     row space, so it is the basis that the whole constraint list would give.
-    Each cocycle reduces against the coboundaries read from the d1 echelon
-    (`landing`) as against their RREF. dim((Z + B)/B) = dim Z - dim(Z & B),
-    so the rank check below holds iff those coboundaries B lie in the
-    cocycles Z."""
+    Each cocycle reduces against the coboundary echelon
+    (`_coboundary_echelon`) as against its RREF. dim((Z + B)/B) =
+    dim Z - dim(Z & B), so the rank check below holds iff those
+    coboundaries B lie in the cocycles Z."""
     cx = _complex(alg)
     h = _h_echelon(alg)
     constraints = linalg.echelon_int(itertools.chain.from_iterable(
@@ -285,7 +300,7 @@ def _solve(alg: LieAlgebra, D: int, witness: int) -> _DegreeSolve:
         {lead + u: {c + u: v for c, v in row.items()} for u in range(D + 1)
          for lead, row in h.items()})
     z_vecs = linalg.echelon_nullspace(constraints, cx.columns(D))  # empties it
-    coboundary = _d1_solver(alg, witness, D).landing()
+    coboundary = _coboundary_echelon(alg, witness, D)
     reduced = [linalg.reduce_mod_rows(v, coboundary) for v in z_vecs]
     rep_rows = linalg.rref([r for r in reduced if r])
     if len(rep_rows) != len(z_vecs) - len(coboundary):
@@ -378,43 +393,6 @@ class EquivalenceResult:
 _INEQUIVALENT = EquivalenceResult(False, None)
 
 
-class _D1Solver:
-    """The tagged echelon of the d1 images of the units of degree <=
-    `witness`, in unit order, with every column of a power above `cut`
-    ordered first, and the positive results from it that callers hold.
-    classify reads `landing`; are_equivalent cuts at the witness degree."""
-
-    __slots__ = ("echelon", "results")
-
-    def __init__(self, alg: LieAlgebra, witness: int, cut: int) -> None:
-        cx = _complex(alg)
-        shift = len(cx.pairs) * MAX_COLUMNS
-        self.echelon = linalg.augment([{c - shift if pair_power(c)[1] > cut else c: v
-                                        for c, v in row.items()}
-                                       for row in cx.coboundary_rows(witness)])
-        # weak: a result keeps its witness's algebra, and so this, alive
-        self.results = weakref.WeakValueDictionary()
-
-    def landing(self) -> Dict[int, Dict[int, int]]:
-        """Integer echelon of the coboundaries with entries of degree <= cut:
-        the rows that lead at an unshifted image column, tags dropped. Such a
-        coboundary's image entries reduce to zero against these rows alone."""
-        marker = self.echelon.marker
-        return {lead: {c: v for c, v in row.items() if c < marker}
-                for lead, row in self.echelon.pivots.items() if 0 <= lead < marker}
-
-    def shared(self, witness: OneCochain) -> EquivalenceResult:
-        """The result for an equal witness that a caller still holds, or a
-        new one."""
-        return self.results.setdefault(witness, EquivalenceResult(True, witness))
-
-
-def _d1_solver(alg: LieAlgebra, witness: int, cut: int) -> _D1Solver:
-    """The algebra's d1 solver at this witness degree and cut, made on
-    first use and kept with the algebra instance."""
-    return alg.memo(("d1", witness, cut), lambda: _D1Solver(alg, witness, cut))
-
-
 def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     """Decide whether x2 - x1 is a coboundary; return a witness when it is.
 
@@ -432,21 +410,23 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     whose image reduces to zero against the images of earlier units gets
     coefficient zero, so the witness is unique in the operators' unit order.
 
-    The images are eliminated once per algebra instance and degree, cut at
-    that degree, by the first query or a classify that shares it, and kept
-    with the algebra (`LieAlgebra.memo`); each query reduces only its own
-    target. Both inputs are cocycle-checked on their integer coefficients
-    before any solve. Both degrees of cochain hold integers over one
-    denominator, so the target is diff = x2 - x1 as an integer row, diff
-    times its denominator; the weights over that denominator are the
-    witness's coefficients, and the d1 images of its units, summed on them
-    (`_Complex.d1_image`), must equal the target row, cross-multiplied by
-    the two denominators, the zero witness when x2 == x1. An input of degree
-    MAX_COLUMNS or more is refused before any row is numbered, since its top
-    power would wrap into the next pair's columns. Results are immutable and shared: every negative verdict is
+    The images are eliminated, each tagged (`linalg.augment`), once per
+    algebra instance and witness degree by the first query at that degree,
+    and kept with the algebra under ("d1", degree) (`LieAlgebra.memo`);
+    each query reduces only its own target. Both inputs are cocycle-checked
+    on their integer coefficients before any solve. Both degrees of cochain
+    hold integers over one denominator, so the target is diff = x2 - x1 as
+    an integer row, diff times its denominator; the weights over that
+    denominator are the witness's coefficients, and the d1 images of its
+    units, summed on them (`_Complex.d1_image`), must equal the target row,
+    cross-multiplied by the two denominators, the zero witness when
+    x2 == x1. An input of degree MAX_COLUMNS or more is refused before any
+    row is numbered, since its top power would wrap into the next pair's
+    columns. Results are immutable and shared: every negative verdict is
     one object, and a positive result with a witness equal to one a caller
-    still holds, on the same algebra and bound, is that object. The
-    echelon keeps no result alive.
+    still holds, on the same algebra instance, is that object. The algebra
+    holds those results weakly, in one table: a witness fixes x2 - x1, and
+    so the degree it was searched at.
     """
     diff = x2 - x1  # refuses cochains on different algebras
     alg = x1.alg
@@ -460,9 +440,10 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     lam_degree = diff.max_degree() + max(1, _k1(alg))
     _columns(alg, lam_degree)
     cx = _complex(alg)
-    solver = _d1_solver(alg, lam_degree, lam_degree)
+    echelon = alg.memo(("d1", lam_degree),
+                       lambda: linalg.augment(cx.coboundary_rows(lam_degree)))
     target = cx.to_row(diff)
-    weights = linalg.solve_augmented(solver.echelon, target)
+    weights = linalg.solve_augmented(echelon, target)
     if weights is None:
         return _INEQUIVALENT
     units = cx.units(lam_degree)
@@ -471,7 +452,9 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
     if ({col: v * diff._den for col, v in cx.d1_image(witness).items() if v}
             != {col: v * witness._den for col, v in target.items()}):
         raise AssertionError("witness verification failed")
-    return solver.shared(witness)
+    # weak: a result keeps its witness's algebra, and so this table, alive
+    results = alg.memo("results", weakref.WeakValueDictionary)
+    return results.setdefault(witness, EquivalenceResult(True, witness))
 
 
 # -- acceleration-algebra structure reports ------------------------------

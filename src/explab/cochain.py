@@ -121,6 +121,12 @@ class _Cochain:
         return hash((self.alg.labels, self._den, tuple(sorted(self._rows.items()))))
 
 
+def _check_indices(alg: LieAlgebra, *indices: int) -> None:
+    """ValueError unless every index numbers a generator of `alg`."""
+    if not all(0 <= i < alg.dim for i in indices):
+        raise ValueError("entry index out of range: %r" % (indices,))
+
+
 class TwoCochain(_Cochain):
     """Antisymmetric polynomial-valued bilinear form on an algebra's basis,
     keyed by pairs i < j; entries are RatPoly views built on demand."""
@@ -130,10 +136,8 @@ class TwoCochain(_Cochain):
     def __init__(self, alg: LieAlgebra,
                  entries: Optional[Dict[Tuple[int, int], RatPoly]] = None) -> None:
         table: Dict[Tuple[int, int], tuple] = {}
-        n = alg.dim
         for (i, j), p in (entries or {}).items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError("entry index out of range: (%r, %r)" % (i, j))
+            _check_indices(alg, i, j)
             if i >= j:
                 raise ValueError("entries are stored strictly upper-triangular")
             table[(i, j)] = _as_poly(p).coeffs
@@ -155,6 +159,7 @@ class TwoCochain(_Cochain):
     # -- access --------------------------------------------------------
 
     def entry(self, i: int, j: int) -> RatPoly:
+        _check_indices(self.alg, i, j)
         return self._poly((i, j), self._den) if i < j else self._poly((j, i), -self._den)
 
     def entry_by_labels(self, l1: str, l2: str) -> RatPoly:
@@ -301,7 +306,9 @@ class _Complex:
     They are the only formulas for d1, the cocycle condition and the time
     grading: the functions below apply them, and `explab.classify` solves
     with them, checks its witnesses on `d1_image` and reads ad tau on the
-    two-cochains of h off them.
+    two-cochains of h off them. Its two d1 eliminations both expand
+    `coboundary_rows`: classify's, untagged, once per solve, and
+    are_equivalent's, tagged, once per algebra and witness degree.
 
     The templates hold no reference to the algebra, which holds them
     (`_complex`), so they are freed with it and never shared with another.
@@ -454,6 +461,7 @@ def jacobi_residual(xi: TwoCochain, i: int, j: int, k: int) -> RatPoly:
       - bold(a_i)Xi(a_j,a_k) - bold(a_j)Xi(a_k,a_i) - bold(a_k)Xi(a_i,a_j),
     read from the sorted triple's template, unscaled and signed by the permutation.
     """
+    _check_indices(xi.alg, i, j, k)
     if len({i, j, k}) != 3:
         raise ValueError("indices must be distinct")
     cx = _complex(xi.alg)

@@ -206,9 +206,10 @@ class RatPoly:
 
     @classmethod
     def from_strings(cls, items: Sequence[str]) -> "RatPoly":
-        """Read `to_strings` output; a float (JSON 0.1) or bool is refused,
-        and so is a bare string, which would read digit by digit."""
-        if isinstance(items, str):
+        """Read `to_strings` output, a list or tuple; a float (JSON 0.1) or
+        bool is refused, and so is any other container: a bare string would
+        read digit by digit, and an object by its keys."""
+        if not isinstance(items, (list, tuple)):
             raise TypeError("a list of coefficient strings expected, got %r" % (items,))
         return cls(items)
 

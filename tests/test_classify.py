@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from explab import linalg
 from explab.classify import (MAX_COLUMNS, Classification, ColumnLimitError,
                              EquivalenceResult, _certificate, _classification,
-                             _column_count, _columns, _d1_solver, _DegreeSolve,
+                             _coboundary_echelon, _column_count, _columns, _DegreeSolve,
                              _generalized_kernel, _h_echelon, _k1,
                              _solve, are_equivalent, check_columns,
                              check_family_columns, classify, realizable_subspace,
@@ -124,7 +124,7 @@ def bases(alg, D):
     """Cocycle basis and the solve's coboundary echelon basis at degree bound D."""
     cx = _complex(alg)
     return ([cx.to_cochain(alg, r) for r in _solve(alg, D, D).cocycle_rows],
-            [cx.to_cochain(alg, r) for r in _d1_solver(alg, D, D).landing().values()])
+            [cx.to_cochain(alg, r) for r in _coboundary_echelon(alg, D, D).values()])
 
 
 class TestGalilean:
@@ -768,37 +768,33 @@ class TestOperatorCache:
         lam = OneCochain.from_labels(a, {"d1_2": RatPoly((2, -1))})
         wa = are_equivalent(xa, xa + coboundary(lam)).witness
         wb = are_equivalent(xb, xb + coboundary(OneCochain(b, lam.components))).witness
-        assert ("d1", 2, 2) in a._memo and ("d1", 2, 2) in b._memo
-        assert _d1_solver(a, 2, 2) is not _d1_solver(b, 2, 2)
-        assert _d1_solver(a, 2, 2).echelon is not _d1_solver(b, 2, 2).echelon
+        assert ("d1", 2) in a._memo and ("d1", 2) in b._memo
+        assert a._memo["d1", 2] is not b._memo["d1", 2]
+        assert a._memo["results"] is not b._memo["results"]
         assert wa is not wb
         assert wa.alg is a and wb.alg is b
         assert wa.components == wb.components
 
-    def test_classify_and_equivalence_share_one_echelon(self):
-        # classify(milne:2) solves at degree 3 with witnesses of degree 3, and
-        # a query whose delta has degree 2 searches witnesses of degree 3
-        alg = milne(2)
-        c = classify(alg)
-        assert (c.degree_used, _k1(alg)) == (3, 0)
-        solver = alg._memo[("d1", 3, 3)]
-        keys = set(alg._memo)
-        xi = c.representatives[0]
-        target = xi + coboundary(OneCochain.from_labels(alg, {"d1_2": RatPoly((1, 0, 3))}))
-        assert (target - xi).max_degree() == 2
-        result = are_equivalent(xi, target)
-        assert result and coboundary(result.witness) == target - xi
-        assert set(alg._memo) == keys
-        assert _d1_solver(alg, 3, 3) is solver
-        assert list(solver.results.values()) == [result]
+    # sha256 of classify's report on Bug B's algebra
+    CENTRAL_TIME_DIGEST = "e5f214aadf416edf00d9e8ebef28ed7739bf44ab4cde54878dde7ddfb1b04d1b"
 
-    def test_a_positive_k1_cuts_the_classify_echelon_below_its_witnesses(self):
+    def test_classify_keeps_no_d1_echelon_and_a_query_keeps_its_own(self):
         # Bug B's algebra: classify solves at degree 2 with witnesses of
-        # degree 3, and reads the echelon cut at 2
+        # degree 3 and keeps nothing of that elimination; a query whose
+        # delta has degree 1 searches, and keeps, witnesses of degree 1 + k1
         alg = LieAlgebra.from_dict(TestCentralTimeTruncation.SPEC)
         c = classify(alg)
         assert (c.degree_used, _k1(alg)) == (2, 1)
-        assert [key for key in alg._memo if isinstance(key, tuple)] == [("d1", 3, 2)]
+        assert not any(isinstance(key, tuple) and key[0] == "d1" for key in alg._memo)
+        assert hashlib.sha256(report_bytes(c).encode()).hexdigest() == self.CENTRAL_TIME_DIGEST
+        xi = c.representatives[0]
+        lam = OneCochain.from_labels(alg, {"x": RatPoly((0, 0, 1)), "z": RatPoly.t()})
+        target = xi + coboundary(lam)
+        assert (target - xi).max_degree() == 1
+        result = are_equivalent(xi, target)
+        assert result and coboundary(result.witness) == target - xi
+        assert [key for key in alg._memo if isinstance(key, tuple)] == [("d1", 2)]
+        assert list(alg._memo["results"].values()) == [result]
 
     def test_operators_are_freed_with_the_algebra(self):
         alg = milne(2)
@@ -813,13 +809,15 @@ class TestOperatorCache:
         lam = OneCochain.from_labels(alg, {"d1_2": RatPoly((2, -1))})
         result = are_equivalent(xi, xi + coboundary(lam))
         assert not are_equivalent(xi, 2 * xi)
-        echelons = [weakref.ref(_d1_solver(alg, D, D).echelon) for D in (1, 2, 3)]
+        keys = [key for key in alg._memo if isinstance(key, tuple) and key[0] == "d1"]
+        assert sorted(keys) == [("d1", 2), ("d1", 3)]
+        kept = [weakref.ref(alg._memo[key]) for key in keys + ["results"]]
         algebra = weakref.ref(alg)
         shared = weakref.ref(result)
         del alg, xi, lam, result
         # a live witness would hold its algebra
         assert algebra() is None and shared() is None
-        assert all(ref() is None for ref in echelons)
+        assert all(ref() is None for ref in kept)
 
     @pytest.mark.parametrize("build", [galilean, functools.partial(milne, 2)],
                              ids=["galilean", "milne:2"])
@@ -841,7 +839,7 @@ class TestOperatorCache:
         def answers(alg, order):
             pairs = queries(alg)
             got = {i: are_equivalent(*pairs[i]) for i in order}
-            assert {("d1", D, D) for D in (1, 2, 3)} <= set(alg._memo)
+            assert {("d1", D) for D in (1, 2, 3)} <= set(alg._memo)
             return [(got[i].equivalent, got[i].witness and got[i].witness.components)
                     for i in range(len(pairs))]
 
@@ -863,15 +861,15 @@ class TestOperatorCache:
         targets = [xi + coboundary(OneCochain.from_labels(g, {"b1": RatPoly((n, 1)), "tau": n}))
                    for n in range(3)]
         results = [are_equivalent(xi, t) for t in targets]
-        solver = _d1_solver(g, 2, 2)
-        assert len(solver.results) == 3
+        shared = g._memo["results"]
+        assert len(shared) == 3
         assert are_equivalent(xi, targets[1]) is results[1]
         del results[1]
-        assert len(solver.results) == 2
+        assert len(shared) == 2
         again = are_equivalent(xi, targets[1])
         assert coboundary(again.witness) == targets[1] - xi
         del results, again
-        assert len(solver.results) == 0
+        assert len(shared) == 0
 
     def test_a_shared_witness_cannot_be_changed(self):
         g = galilean()
@@ -1109,7 +1107,7 @@ class TestDegreeLadder:
         for alg in algebras:
             for D in range(4):
                 for witness in (D, D + 2):
-                    echelon = _d1_solver(alg, witness, D).landing()
+                    echelon = _coboundary_echelon(alg, witness, D)
                     want = coboundaries_in(alg, D, witness)
                     assert sorted(echelon) == [min(r) for r in want], (alg.name, D, witness)
                     for lead, row in echelon.items():
@@ -1293,7 +1291,7 @@ def oracle_solve(alg, D, witness):
     constraints = linalg.echelon_int(itertools.chain.from_iterable(
         oracle_cocycle_rows(cx, u, full=u < D) for u in range(D + 1)))
     z_vecs = linalg.echelon_nullspace(constraints, cx.columns(D))
-    coboundary = _d1_solver(alg, witness, D).landing()
+    coboundary = _coboundary_echelon(alg, witness, D)
     reduced = [linalg.reduce_mod_rows(v, coboundary) for v in z_vecs]
     return _DegreeSolve(D, z_vecs, len(coboundary), linalg.rref([r for r in reduced if r]))
 

@@ -13,6 +13,7 @@ from explab.cochain import (OneCochain, TwoCochain, _coefficient_lists, _complex
                             coboundary, is_cocycle, jacobi_residual)
 from explab.lie import LieAlgebra, galilean, milne, phase_space
 from explab.ratpoly import RatPoly
+from test_classify import ONE_H_ECHELON_CASES
 
 
 def heisenberg():
@@ -61,6 +62,16 @@ class TestTwoCochainBasics:
     def test_zero_entries_dropped(self):
         xi = TwoCochain.from_labels(galilean(), {("b1", "d1"): 0})
         assert xi.is_zero()
+
+    def test_out_of_range_indices_are_refused(self):
+        # -1 does not name the last generator, tau, and 50 no pair at all
+        g = galilean()
+        xi = mass_family(RatPoly.t())
+        for i, j in ((0, 50), (-1, 3), (3, -1), (g.dim, 0), (0, g.dim)):
+            with pytest.raises(ValueError, match="^entry index out of range"):
+                xi.entry(i, j)
+        assert xi.entry(3, 3).is_zero() and xi.entry(g.dim - 1, g.dim - 1).is_zero()
+        assert xi.entry_by_labels("d1", "b1") == -RatPoly.t()
 
     def test_linear_ops(self):
         xi = mass_family(RatPoly.t())
@@ -114,6 +125,15 @@ class TestTwoCochainBasics:
                 TwoCochain.from_jsonable(g, [{"i": "b1", "j": "d1", "poly": ["1", item]}])
         xi = TwoCochain.from_jsonable(g, [{"i": "b1", "j": "d1", "poly": ["0.1"]}])
         assert xi.entry_by_labels("b1", "d1") == RatPoly.constant(Fraction(1, 10))
+
+    def test_from_jsonable_refuses_an_object(self):
+        # a dict of strings would be read by its keys, as 1/2 + 7t here
+        g = galilean()
+        for poly in ({"1/2": 0, "7": 1}, "12", 7, None):
+            with pytest.raises(TypeError, match="^a list of coefficient strings expected"):
+                TwoCochain.from_jsonable(g, [{"i": "b1", "j": "d1", "poly": poly}])
+        xi = TwoCochain.from_jsonable(g, [{"i": "b1", "j": "d1", "poly": ("1/2", "7")}])
+        assert xi.entry_by_labels("b1", "d1") == RatPoly((Fraction(1, 2), 7))
 
     def test_from_jsonable_refuses_a_pair_listed_twice(self):
         g = galilean()
@@ -320,6 +340,13 @@ class TestJacobiResidual:
         with pytest.raises(ValueError):
             jacobi_residual(TwoCochain.zero(galilean()), 1, 1, 2)
 
+    def test_out_of_range_indices_are_refused(self):
+        xi = mass_family(RatPoly.t())
+        for triple in ((0, 1, 99), (-1, 4, 7), (0, 1, 10)):
+            with pytest.raises(ValueError, match="^entry index out of range"):
+                jacobi_residual(xi, *triple)
+        assert not jacobi_residual(xi, 9, 3, 6).is_zero()  # (tau, b1, d1)
+
     @settings(max_examples=20)
     @given(st.data())
     def test_alternating_in_indices(self, data):
@@ -411,15 +438,67 @@ def jacobi_accepts(spec):
     return True
 
 
+def extension_brackets(alg, omega, D):
+    """The brackets of `extension_spec` as {(a, b): {c: value}} on the
+    indices of its labels, g's first, in both orders; not validated."""
+    spec = extension_spec(alg, omega, D)
+    index = {label: n for n, label in enumerate(spec["labels"])}
+    table = {}
+    for b in spec["brackets"]:
+        i, j = index[b["lhs"]], index[b["rhs"]]
+        table[i, j] = {index[k]: Fraction(c) for k, c in b["out"]}
+        table[j, i] = {k: -v for k, v in table[i, j].items()}
+    return table
+
+
+def homomorphism_defects(alg, x1, x2, lam, D):
+    """The basis pairs (a, b) of g + V_D on which phi(x + f) = x - lam(x) + f
+    fails to carry the bracket of the extension by x1 to that of the
+    extension by x2. Both brackets read [x + f, y + g] = [x, y] + x.g - y.f
+    + omega(x, y), so phi is a homomorphism iff x2 = x1 + d lam with
+    d lam(a, b) = a.lam(b) - b.lam(a) - lam([a, b]), `coboundary`'s sign."""
+    source, target = extension_brackets(alg, x1, D), extension_brackets(alg, x2, D)
+    n = alg.dim
+    phi = [{a: 1} for a in range(n + D + 1)]
+    for a, poly in enumerate(lam.components):
+        for k, c in enumerate(poly.coeffs):
+            if c:
+                phi[a][n + k] = -c
+
+    def image(vec):
+        out = {}
+        for a, c in vec.items():
+            for b, v in phi[a].items():
+                out[b] = out.get(b, 0) + c * v
+        return {b: v for b, v in out.items() if v}
+
+    def bracket(u, v):
+        out = {}
+        for a, x in u.items():
+            for b, y in v.items():
+                for k, c in target.get((a, b), {}).items():
+                    out[k] = out.get(k, 0) + x * y * c
+        return {k: v for k, v in out.items() if v}
+
+    return [(a, b) for a, b in itertools.combinations(range(n + D + 1), 2)
+            if image(source.get((a, b), {})) != bracket(phi[a], phi[b])]
+
+
+TIMED_ECHELON_CASES = [(name, build) for name, build in ONE_H_ECHELON_CASES
+                       if not name.startswith("phase-space:")]
+
+
 class TestExtensionAlgebraOracle:
     """Every representative omega builds an extension g + V_D that the
     Jacobi scan accepts; one entry moved by 1 breaks it wherever a time
-    generator acts, and is_cocycle agrees with the scan each time."""
+    generator acts, unless that doubles omega, and is_cocycle agrees with
+    the scan each time. A witness of rep ~ rep + d lambda maps the one
+    extension onto the other."""
 
-    @pytest.mark.parametrize("alg", [galilean()] + [milne(m) for m in range(1, 5)]
-                             + [phase_space(n) for n in range(1, 4)],
-                             ids=lambda alg: alg.name)
-    def test_representatives_extend_and_perturbations_break(self, alg):
+    @pytest.mark.parametrize("name, build", ONE_H_ECHELON_CASES,
+                             ids=[name for name, _ in ONE_H_ECHELON_CASES])
+    def test_representatives_extend_and_perturbations_break(self, name, build):
+        alg = build()
         reps = classify(alg).representatives
         D = max(max(rep.max_degree() for rep in reps), 0)
         refused = 0
@@ -431,8 +510,40 @@ class TestExtensionAlgebraOracle:
             accepted = jacobi_accepts(extension_spec(alg, moved, D))
             assert is_cocycle(moved) == accepted
             refused += not accepted
-        # phase space is abelian with no time generator: every cochain is a cocycle
-        assert refused == (0 if alg.time_index is None else len(reps))
+        if alg.time_index is None:
+            # phase space is abelian: every cochain is a cocycle
+            assert refused == 0
+            return
+        # the move doubles a representative that is one constant entry;
+        # no built-in algebra with a time generator has one
+        doubled = sum(len(rep.nonzero_entries()) == 1 and rep.max_degree() == 0
+                      for rep in reps)
+        assert doubled == 0 or alg.name == "custom"
+        assert refused == len(reps) - doubled
+
+    @pytest.mark.parametrize("name, build", TIMED_ECHELON_CASES,
+                             ids=[name for name, _ in TIMED_ECHELON_CASES])
+    def test_a_witness_maps_one_extension_onto_the_other(self, name, build):
+        # a coefficient of power u >= 1 of a generator other than tau moves
+        # d lambda by the time-grading term -u t^(u-1) at least, so the
+        # moved witness is wrong, and must fail the check
+        alg = build()
+        ti = alg.time_index
+        rng = random.Random(name)
+        for rep in classify(alg).representatives:
+            comps = [RatPoly([Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                              for _ in range(rng.randint(0, 3))]) for _ in range(alg.dim)]
+            comps[ti] = RatPoly.constant(comps[ti].coeff(0))
+            target = rep + coboundary(OneCochain(alg, comps))
+            witness = are_equivalent(rep, target).witness
+            moved = list(witness.components)
+            k = rng.choice([a for a in range(alg.dim) if a != ti])
+            moved[k] = moved[k] + RatPoly.monomial(rng.randint(1, max(witness.max_degree(), 1)))
+            moved = OneCochain(alg, moved)
+            D = max(rep.max_degree(), target.max_degree(), moved.max_degree(), 1)
+            assert homomorphism_defects(alg, rep, target, witness, D) == []
+            assert rep + coboundary(moved) != target
+            assert homomorphism_defects(alg, rep, target, moved, D)
 
 
 def all_triples_templates(alg):

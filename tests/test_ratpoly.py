@@ -238,6 +238,13 @@ class TestSerialization:
         with pytest.raises(TypeError):
             RatPoly.from_strings("12")  # not 1 + 2t
 
+    def test_from_strings_reads_only_a_list_or_tuple(self):
+        # a dict iterates its keys, a set in no fixed order
+        for items in ({"1/2": 0, "7": 1}, {"1", "2"}, iter(["1"]), 3):
+            with pytest.raises(TypeError, match="^a list of coefficient strings expected"):
+                RatPoly.from_strings(items)
+        assert RatPoly.from_strings(("1/2", "7")) == P(Fraction(1, 2), 7)
+
     def test_no_denominator_one(self):
         assert P(4).to_strings() == ["4"]
 
