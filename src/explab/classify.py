@@ -75,7 +75,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -91,7 +91,6 @@ __all__ = [
     "ColumnLimitError",
     "check_columns",
     "check_family_columns",
-    "MilneStructureReport",
     "classify",
     "are_equivalent",
     "verify_milne_structure",
@@ -459,22 +458,6 @@ def are_equivalent(x1: TwoCochain, x2: TwoCochain) -> EquivalenceResult:
 
 # -- acceleration-algebra structure reports ------------------------------
 
-@dataclass
-class MilneStructureReport:
-    order: int
-    failures: Dict[str, List[str]] = field(default_factory=dict)
-
-    CHECKS = ("isotropy", "p00_zero", "antisymmetry", "recurrence",
-              "degree_bound", "support")
-
-    def record(self, check: str, detail: str) -> None:
-        self.failures.setdefault(check, []).append(detail)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _acceleration_index(alg: LieAlgebra, m: int) -> Dict[Tuple[int, int], int]:
     """(level n, axis i) -> index of d_i^(n); a ValueError unless m is the
     largest acceleration level of alg."""
@@ -485,54 +468,44 @@ def _acceleration_index(alg: LieAlgebra, m: int) -> Dict[Tuple[int, int], int]:
     return acc
 
 
-def _p_table(rep: TwoCochain, acc: Dict[Tuple[int, int], int],
-             m: int) -> List[List[RatPoly]]:
-    return [[rep.entry(acc[l, 1], acc[n, 1]) for n in range(m + 1)]
-            for l in range(m + 1)]
-
-
-def verify_milne_structure(c: Classification, m: int) -> MilneStructureReport:
+def verify_milne_structure(c: Classification, m: int) -> Dict[str, List[str]]:
     """Check the canonical representatives against the scalar-family structure.
 
     Every representative must be supported on acceleration pairs, isotropic
     (entry (d_i^(l), d_k^(n)) = P^(l,n) delta_ik), with P antisymmetric in
     (l, n), P^(0,0) = 0, degree(P^(l,n)) <= l+n-1, and the derivative ladder
-    dP^(l,n)/dt = P^(l-1,n) + P^(l,n-1). m must be the largest acceleration
-    level of c.alg; any other is a ValueError.
+    dP^(l,n)/dt = P^(l-1,n) + P^(l,n-1). Returns {check name: failure
+    details} for the six checks in that order, an empty list for a check
+    that holds. m must be the largest acceleration level of c.alg; any
+    other is a ValueError.
     """
-    report = MilneStructureReport(order=m)
+    failures = {name: [] for name in ("isotropy", "p00_zero", "antisymmetry",
+                                      "recurrence", "degree_bound", "support")}
     alg = c.alg
     acc = _acceleration_index(alg, m)
+    levels, axes, zero = range(m + 1), (1, 2, 3), RatPoly.zero()
     for s, rep in enumerate(c.representatives):
         tag = "rep[%d]" % s
-        P = _p_table(rep, acc, m)
-        for l in range(m + 1):
-            for n in range(m + 1):
-                for i in (1, 2, 3):
-                    for k in (1, 2, 3):
-                        e = rep.entry(acc[l, i], acc[n, k])
-                        want = P[l][n] if i == k else RatPoly.zero()
-                        if e != want:
-                            report.record("isotropy", "%s (l=%d,n=%d,i=%d,k=%d)"
-                                          % (tag, l, n, i, k))
+        P = [[rep.entry(acc[l, 1], acc[n, 1]) for n in levels] for l in levels]
+        for l, n in itertools.product(levels, levels):
+            failures["isotropy"] += [
+                "%s (l=%d,n=%d,i=%d,k=%d)" % (tag, l, n, i, k)
+                for i, k in itertools.product(axes, axes)
+                if rep.entry(acc[l, i], acc[n, k]) != (P[l][n] if i == k else zero)]
+            at = "%s (l=%d,n=%d)" % (tag, l, n)
+            if P[l][n] != -P[n][l]:
+                failures["antisymmetry"].append(at)
+            if P[l][n].degree > max(l + n - 1, -1):
+                failures["degree_bound"].append(at)
+            ladder = (P[l - 1][n] if l else zero) + (P[l][n - 1] if n else zero)
+            if P[l][n].differentiate() != ladder:
+                failures["recurrence"].append(at)
         if not P[0][0].is_zero():
-            report.record("p00_zero", tag)
-        for l in range(m + 1):
-            for n in range(m + 1):
-                if P[l][n] != -P[n][l]:
-                    report.record("antisymmetry", "%s (l=%d,n=%d)" % (tag, l, n))
-                if P[l][n].degree > max(l + n - 1, -1):
-                    report.record("degree_bound", "%s (l=%d,n=%d)" % (tag, l, n))
-                lhs = P[l][n].differentiate()
-                rhs = (P[l - 1][n] if l >= 1 else RatPoly.zero()) \
-                    + (P[l][n - 1] if n >= 1 else RatPoly.zero())
-                if lhs != rhs:
-                    report.record("recurrence", "%s (l=%d,n=%d)" % (tag, l, n))
-        for (i, j) in rep.nonzero_entries():
-            if (_kind(alg, i), _kind(alg, j)) != ("acceleration", "acceleration"):
-                report.record("support", "%s entry (%s,%s)"
-                              % (tag, alg.labels[i], alg.labels[j]))
-    return report
+            failures["p00_zero"].append(tag)
+        failures["support"] += ["%s entry (%s,%s)" % (tag, alg.labels[i], alg.labels[j])
+                                for i, j in rep.nonzero_entries()
+                                if (_kind(alg, i), _kind(alg, j)) != ("acceleration",) * 2]
+    return failures
 
 
 def realizable_subspace(c: Classification, m: int) -> Classification:

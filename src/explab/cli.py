@@ -10,7 +10,8 @@ The module only parses flags, calls the handler its subcommand names
 (`cmd_classify`, `cmd_verify`, `cmd_exponent`, each taking the argparse
 namespace) and renders the report.  The verify suites, the exponent
 table's checks and every tolerance live in the check catalogue,
-`explab.checks`; `milne:<m>` and `phase-space:<n>` specs are parsed by
+`explab.checks`, which acceptance criteria 02, 03, 06, 07, 09 and 10
+run too; `milne:<m>` and `phase-space:<n>` specs are parsed by
 `explab.lie.family_index` alone.
 
 JSON output is the stable contract (schema_version field, canonical key
@@ -20,6 +21,7 @@ report cut short by a closed stdout (`explab ... | head`, which ends
 quietly, without a traceback), 2 for unusable input (bad flags or
 values, malformed, unreadable or inconsistent algebra files, an
 unwritable --out path), reported as one `error:` line on stderr.
+Integer flags are read from plain ASCII decimal digits alone;
 `--samples` is bounded by MAX_SAMPLES and `--seed` must be nonnegative;
 an algebra too large for classify's column limit (a family or a JSON
 file) or for exponent's pair limit is refused before it is built or
@@ -265,12 +267,20 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 # -- entry point ------------------------------------------------------
 
 
+def _integer_arg(value: str) -> int:
+    """An integer in ASCII decimal digits, whose sign the handlers check;
+    int() alone would also read '1_0', '+2', ' 3' and non-ASCII digits."""
+    if re.fullmatch(r"-?[0-9]{1,4300}", value):  # int()'s default digit limit
+        return int(value)
+    raise argparse.ArgumentTypeError("expected an integer in ASCII decimal digits")
+
+
 def _degree_arg(value: str):
     if value == "auto":
         return "auto"
     try:
-        return int(value)
-    except ValueError:
+        return _integer_arg(value)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError("degree must be 'auto' or an integer")
 
 
@@ -300,9 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a named check suite")
     p_verify.add_argument("--suite", required=True,
                           help=" | ".join(SUITE_NAMES))
-    p_verify.add_argument("--samples", type=int, default=1000,
+    p_verify.add_argument("--samples", type=_integer_arg, default=1000,
                           help="at most %d" % MAX_SAMPLES)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_integer_arg, default=0)
     add_output_flags(p_verify)
     p_verify.set_defaults(run=cmd_verify)
 

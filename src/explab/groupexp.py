@@ -444,6 +444,13 @@ def random_event(rng, size: Optional[int] = None) -> Event:
     return rng.uniform(-1, 1, _shape(size) + (3,)), rng.uniform(-1, 1, size)
 
 
+def _sampler(samples: int, seed: int):
+    """The generator of a sampled check, which refuses to pass on no draws."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1, got %r" % (samples,))
+    return np.random.default_rng(seed)
+
+
 def _group_identity(kind: str, order: int) -> MilneElement:
     return milne_identity(_order(kind, order))
 
@@ -471,7 +478,7 @@ def check_cocycle_identities(theta: Optional[PhaseFunction] = None, *,
         xi = lambda r, s, p: finite_exponent(theta, r, s, p)
     if xi is None or group is None:
         raise ValueError("need a PhaseFunction or an explicit xi with its group")
-    rng = np.random.default_rng(seed)
+    rng = _sampler(samples, seed)
     e = _group_identity(group, order)
     r, s, g = (random_element(rng, group, order, samples) for _ in range(3))
     p = random_event(rng, samples)
@@ -492,7 +499,7 @@ def exponent_time_variance(theta: PhaseFunction, samples: int = 100, seed: int =
                            order: int = 2) -> float:
     """Max variance of xi(r, s, (x, .)) over 21 times in [-10, 10]; 0 if static."""
     times = np.linspace(-10.0, 10.0, 21)
-    rng = np.random.default_rng(seed)
+    rng = _sampler(samples, seed)
     r = random_element(rng, theta.group, order, samples)
     s = random_element(rng, theta.group, order, samples)
     x = rng.uniform(-1, 1, (samples, 3))
@@ -524,7 +531,7 @@ def exponent_shift_violation(theta: PhaseFunction, zeta: Callable,
     three finite exponents evaluates all `samples` draws in one call, so
     zeta is called six times in all, each time on the whole stack.
     """
-    rng = np.random.default_rng(seed)
+    rng = _sampler(samples, seed)
     r = random_element(rng, theta.group, order, samples)
     s = random_element(rng, theta.group, order, samples)
     p = random_event(rng, samples)

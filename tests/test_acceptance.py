@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict
 lines; every criterion states its tolerance and runtime budget inline.
 """
 
+import functools
+import inspect
 import itertools
 import time
 from fractions import Fraction
@@ -12,14 +14,13 @@ import numpy as np
 
 import test_classify as oracles
 from explab import checks
-from explab.classify import (are_equivalent, classify, realizable_subspace,
-                             verify_milne_structure)
+from explab.classify import are_equivalent, classify
 from explab.cochain import OneCochain, coboundary
 from explab.groupexp import (check_cocycle_identities,
                              exponent_shift_violation, exponent_time_variance,
                              infinitesimal_from_finite, theta_galilean,
                              theta_milne)
-from explab.lie import galilean, milne, phase_space
+from explab.lie import galilean, phase_space
 from explab.ratpoly import RatPoly
 
 IDENTITY_TOL = 1e-12
@@ -69,37 +70,51 @@ def test_criterion_01_galilean_classification():
             failures)
 
 
+STRUCTURE_CHECKS = ["structure-" + name for name in (
+    "isotropy", "p00_zero", "antisymmetry", "recurrence", "degree_bound", "support")]
+
+
+@functools.cache
+def milne_results(m):
+    """(checks.milne_suite(m) at 1000 samples, seed 5, its run time in s),
+    computed once for criteria 02 and 03."""
+    started = time.perf_counter()
+    results = checks.milne_suite(m, samples=1000, seed=5)
+    return results, time.perf_counter() - started
+
+
 def test_criterion_02_milne_classification_and_structure():
     failures = []
-    elapsed_last = 0.0
     for m in (1, 2, 3, 4):
-        started = time.perf_counter()
-        result = classify(milne(m))
-        elapsed_last = time.perf_counter() - started
-        want = m * (m + 1) // 2
-        if result.quotient_dim != want:
+        # the realizable dimension is criterion 03's
+        results = [c for c in milne_results(m)[0] if c["name"] != "realizable-dimension"]
+        failures += ["milne:%d %s" % (m, f) for f in catalogue_failures(
+            results, IDENTITY_TOL=IDENTITY_TOL)]
+        names = [c["name"] for c in results]
+        if names != ["classification-quotient"] + STRUCTURE_CHECKS + ["cocycle-identities"]:
+            failures.append("milne:%d checks %s" % (m, names))
+            continue
+        if results[0]["quotient_dim"] != m * (m + 1) // 2:
             failures.append("milne:%d quotient %d != %d"
-                            % (m, result.quotient_dim, want))
-        structure = verify_milne_structure(result, m)
-        if set(structure.CHECKS) != {"isotropy", "p00_zero", "antisymmetry",
-                                     "recurrence", "degree_bound", "support"}:
-            failures.append("structure checks incomplete")
-        if not structure.ok:
-            failures.append("milne:%d structure failures %s"
-                            % (m, structure.failures))
-    if elapsed_last > 30.0:
-        failures.append("m=4 run took %.1f s > 30 s" % elapsed_last)
-    verdict(2, "milne quotients are 1, 3, 6, 10 and all six structural "
-               "checks hold (exact, <= 30 s at m=4)", failures)
+                            % (m, results[0]["quotient_dim"], m * (m + 1) // 2))
+        if results[-1]["samples"] != 1000:
+            failures.append("milne:%d identities ran on %d samples" % (m, results[-1]["samples"]))
+    elapsed = milne_results(4)[1]
+    if elapsed > 30.0:
+        failures.append("m=4 run took %.1f s > 30 s" % elapsed)
+    verdict(2, "milne quotients are 1, 3, 6, 10, all six structural "
+               "checks hold (exact) and the sampled identities hold over "
+               "1000 samples (1e-12) (<= 30 s at m=4)", failures)
 
 
 def test_criterion_03_realizable_dimension():
     failures = []
     for m in (1, 2, 3):
-        restricted = realizable_subspace(classify(milne(m)), m)
-        if restricted.quotient_dim != m:
-            failures.append("milne:%d realizable dim %d != %d"
-                            % (m, restricted.quotient_dim, m))
+        results = [c for c in milne_results(m)[0] if c["name"] == "realizable-dimension"]
+        failures += ["milne:%d %s" % (m, f) for f in catalogue_failures(results)]
+        dims = [c["quotient_dim"] for c in results]
+        if dims != [m]:
+            failures.append("milne:%d realizable dims %s != [%d]" % (m, dims, m))
     verdict(3, "realizable subspace has dimension m for m = 1, 2, 3 (exact)",
             failures)
 
@@ -158,9 +173,12 @@ def test_criterion_06_cocycle_identities_and_time_independence():
     variance = exponent_time_variance(theta_galilean(1.3), samples=100, seed=11)
     if variance > VARIANCE_TOL:
         failures.append("galilean exponent time variance %g" % variance)
+    failures += catalogue_failures(checks.galilean_suite(samples=1000, seed=11),
+                                   IDENTITY_TOL=IDENTITY_TOL, VARIANCE_TOL=VARIANCE_TOL)
     verdict(6, "composition/unit/inverse identities hold to 1e-12 over 1000 "
                "samples for both phase families; galilean exponent is "
-               "time-independent (variance <= 1e-24)", failures)
+               "time-independent (variance <= 1e-24); the galilean suite "
+               "passes", failures)
 
 
 def test_criterion_07_h_group_matches_composition_defect():
@@ -225,3 +243,20 @@ def test_criterion_10_schrodinger_covariance_and_mass_equality():
     verdict(10, "transformed free wave converges with order >= 1.8 and the "
                 "mass-ratio sweep bottoms out at 1.0 with >= 10x margin "
                 "(<= 60 s)", failures)
+
+
+# the criteria that run each catalogue suite
+CRITERION_SUITES = {2: "milne:<m>", 3: "milne:<m>", 6: "galilean", 7: "h-group",
+                    9: "bundle", 10: "schrodinger"}
+
+
+def test_every_catalogue_suite_is_gated():
+    criteria = {int(name.split("_")[2]): fn for name, fn in globals().items()
+                if name.startswith("test_criterion_")}
+    for number, name in CRITERION_SUITES.items():
+        run = checks.suite(name.replace("<m>", "1"))
+        run = getattr(run, "func", run)  # milne:<m> is a partial of milne_suite
+        uses = "milne_results" if name == "milne:<m>" else "checks.%s(" % run.__name__
+        assert uses in inspect.getsource(criteria[number]), (number, name)
+    assert "checks.milne_suite(" in inspect.getsource(milne_results)
+    assert set(checks.SUITE_NAMES) <= set(CRITERION_SUITES.values())

@@ -336,6 +336,39 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "seed" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["classify", "--algebra", "galilean", "--degree", "1_0"], "--degree"),
+        (["classify", "--algebra", "galilean", "--degree", "\u0663"], "--degree"),
+        (["classify", "--algebra", "galilean", "--degree", "+2"], "--degree"),
+        (["classify", "--algebra", "galilean", "--degree", " 3"], "--degree"),
+        (["verify", "--suite", "h-group", "--samples", "1_0"], "--samples"),
+        (["verify", "--suite", "h-group", "--samples", "+2"], "--samples"),
+        (["verify", "--suite", "h-group", "--samples", "5 "], "--samples"),
+        (["verify", "--suite", "h-group", "--samples", "\uff15"], "--samples"),
+        (["verify", "--suite", "h-group", "--seed", "\u0663"], "--seed"),
+        (["verify", "--suite", "h-group", "--seed", "1_0"], "--seed"),
+        (["verify", "--suite", "h-group", "--seed", "+2"], "--seed"),
+        (["verify", "--suite", "h-group", "--seed", "9" * 5000], "--seed"),
+    ])
+    def test_an_integer_flag_reads_ascii_digits_only(self, argv, flag, capsys):
+        # int() reads each of these values; the flag refuses them as it
+        # refuses "abc"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "error: argument %s: " % flag in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_integer_flags_echo_ints(self, capsys):
+        code, report = run_json(["verify", "--suite", "h-group", "--samples", "007",
+                                 "--seed", "12"], capsys)
+        assert code == 0 and report["input"]["samples"] == 7
+        assert report["input"]["seed"] == 12
+        code, report = run_json(["classify", "--algebra", "galilean",
+                                 "--degree", "02"], capsys)
+        assert code == 0 and report["input"]["degree"] == 2
+
     def test_oversized_samples_is_a_usage_error(self, capsys):
         # refused before any draw: the suites hold about 1.7 KB per sample
         tracemalloc.start()

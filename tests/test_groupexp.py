@@ -291,6 +291,22 @@ class TestIdentityChecks:
         with pytest.raises(ValueError):
             check_cocycle_identities(xi=lambda r, s, p: 0.0)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("run", [
+        lambda n: check_cocycle_identities(theta_galilean(1.0), samples=n),
+        lambda n: exponent_time_variance(theta_galilean(1.0), samples=n),
+        lambda n: exponent_shift_violation(theta_galilean(1.0), lambda r, p: 0.7 * r.b,
+                                           samples=n),
+    ], ids=["cocycle-identities", "time-variance", "shift-violation"])
+    def test_a_sampled_check_refuses_no_samples(self, run, samples, monkeypatch):
+        # over no draws each gate would pass on no data: 0.0 over 0 samples
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(groupexp, "random_element", no_draw)
+        with pytest.raises(ValueError, match="^samples must be >= 1, got %d$" % samples):
+            run(samples)
+
 
 class TestEquivalenceTransform:
     def test_zero_gauge(self):
