@@ -23,7 +23,7 @@ from .classify import (check_family_columns, classify, realizable_subspace,
 from .groupexp import (HElement, PhaseFunction, check_cocycle_identities,
                        composition_defect, exponent_shift_violation,
                        exponent_time_variance, extraction_table,
-                       finite_exponent, h_inverse, h_multiply, h_unit,
+                       finite_exponent, frozen, h_inverse, h_multiply, h_unit,
                        random_element, random_event, theta_galilean,
                        theta_milne, worst_abs)
 from .lie import LieAlgebra, family_dim, family_index, galilean, milne
@@ -184,7 +184,7 @@ def h_group_suite(samples: int, seed: int) -> List[dict]:
     rng = np.random.default_rng(seed)
     trials = max(1, min(samples, 200))
     elements = [random_element(rng, "galilean", size=trials) for _ in range(3)]
-    p = random_event(rng, size=trials)
+    p = frozen(random_event(rng, size=trials))
     composition = composition_defect(
         lambda a, b, q: finite_exponent(theta, a, b, q), *elements, p)
     h0, h1, h2 = (HElement(lambda x, t, j=j: np.sin(j + x[..., 0] - t), e, theta)
@@ -281,7 +281,7 @@ def exponent_table(theta: PhaseFunction, alg: LieAlgebra, mass: float,
     EXTRACTION_TOL.
     """
     pairs = list(itertools.combinations(alg.labels, 2)) if pair is None else [pair]
-    point = (np.array(PROBE_X), PROBE_T)
+    point = frozen((np.array(PROBE_X), PROBE_T))
     reference = _galilean_reference(mass) if theta.group == "galilean" else None
     entries = []
     worst_ref = 0.0

@@ -478,6 +478,12 @@ def verify_milne_structure(c: Classification, m: int) -> Dict[str, List[str]]:
     details} for the six checks in that order, an empty list for a check
     that holds. m must be the largest acceleration level of c.alg; any
     other is a ValueError.
+
+    `antisymmetry` and `p00_zero` hold by construction: `TwoCochain.entry`
+    returns -entry(i, j) for (j, i) and zero on the diagonal, so P^(l,n) =
+    -P^(n,l) and P^(0,0) = 0 for any cochain. They stay only so that
+    `verify --suite milne:<m>` keeps its report bytes (the
+    `VERIFY_GOLDEN["milne:2"]` digest of `tests/test_cli.py`).
     """
     failures = {name: [] for name in ("isotropy", "p00_zero", "antisymmetry",
                                       "recurrence", "degree_bound", "support")}

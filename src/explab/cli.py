@@ -54,9 +54,13 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 SCHEMA_VERSION = 1
-# a suite's peak memory grows by about 1.7 KB per sample (tracemalloc
-# peaks with 10^4 samples: galilean 9.3 MB, milne:2 11.5 MB, milne:4
-# 17.4 MB), so this keeps a verify run under about 200 MB
+# a suite's peak memory grows linearly in its samples, fastest for
+# milne:8, the highest order the column limit admits: about 3.2 KB per
+# sample (tracemalloc peaks with 10^4 samples: galilean 9.9 MB, milne:2
+# 12.6 MB, milne:4 18.5 MB, milne:8 33.1 MB; the tier-1 tests hold the
+# first three under 11, 14 and 20 MB).  At this bound `verify --suite
+# milne:8` peaks at 318 MB traced and about 350 MB RSS, in about 5 s on
+# a 2-core VM.
 MAX_SAMPLES = 100_000
 
 

@@ -61,6 +61,31 @@ matrix-vector products (`act`, `_act_inverse`) keep their views, and so
 does the R^T that `inverse` stores, which `act` multiplies vectors by: a
 contiguous operand changes the bits of a stacked matrix-vector product.
 
+Derived data.  An element is a value: nothing may write into its arrays,
+since what is derived from them is kept, and each building block of an
+exponent is computed once per use.  What is kept with an element lives
+in its `_memo` dict and dies with it.  `compose(r, s)` finds a product
+again while a caller holds it: r keeps a weak reference to it under
+id(s), and the product holds its factors, so that id is not reused while
+it lives.  `composition_defect`, `_commutator_phase` and
+`exponent_shift_violation` therefore form their products before the
+finite exponents that form them again.  The values of a `theta_milne`
+phase (so of `theta_galilean`) and the events of `_act_inverse` are kept
+with the element, keyed by the ids of the event's parts, when the event
+is read-only: a scalar, or arrays that refuse writes through every array
+they view.  The entry holds the event, so those ids stay unique.  The
+sampled checks freeze the events they evaluate more than once (`frozen`),
+`_act_inverse` returns frozen events, products and kept arrays are
+read-only, and a caller's writable event is never kept.
+Each phase keys its values by an object of its own, so no two phases
+share them, not even those of the masses 1, 1.0 and Fraction(1): on
+exact elements 1.0 gives floats where the others give Fractions.  A kept
+value is what the same function returns
+on the same inputs, so no result changes.  The phase polynomials
+themselves are not kept: at 10^4 samples, keeping them with the element
+raised the sampled checks' tracemalloc peaks by 29-42%, against 3-13%
+for the values.
+
 Sampling.  `random_rotation` returns the Haar rotation of QR with a sign
 fix on a Gaussian matrix (Mezzadri, Notices AMS 54 (2007) 592), computed
 by Gram-Schmidt run twice and a cross product, with no LAPACK call per
@@ -74,6 +99,8 @@ exact identity tests).
 """
 
 import math
+import numbers
+import weakref
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -131,6 +158,43 @@ def _col(b):
 
 
 _EYE = np.eye(3)
+
+
+def frozen(value):
+    """value with writing switched off in it and in every array it views;
+    a tuple (an event) has its items frozen.  Returns value."""
+    if isinstance(value, tuple):
+        for item in value:
+            frozen(item)
+    array = value
+    while isinstance(array, np.ndarray):
+        array.setflags(write=False)
+        array = array.base
+    return value
+
+
+def _read_only(value) -> bool:
+    """True for a scalar, or an array that neither it nor any array it views
+    lets anyone write into."""
+    while isinstance(value, np.ndarray):
+        if value.flags.writeable:
+            return False
+        value = value.base
+    return value is None or isinstance(value, (numbers.Number, np.generic))
+
+
+def _kept(r, key, event: Event, compute: Callable):
+    """compute(), kept with the element r under key for a read-only event
+    and returned frozen; for any other event computed on each call.  The
+    entry holds the event, so the ids it is found by stay unique while r
+    lives (see Derived data)."""
+    if not (_read_only(event[0]) and _read_only(event[1])):
+        return compute()
+    memo = vars(r).setdefault("_memo", {})
+    slot = (key, id(event[0]), id(event[1]))
+    if slot not in memo:
+        memo[slot] = (event, frozen(compute()))
+    return memo[slot][1]
 
 
 def _orthogonality_defect(R):
@@ -233,12 +297,23 @@ def _divided_shift(A, b):
 
 
 def compose(r: MilneElement, s: MilneElement) -> MilneElement:
-    """Group product: act(compose(r, s), p) = act(r, act(s, p))."""
-    if r.order != s.order:
-        raise OrderMismatchError("cannot compose orders %d and %d" % (r.order, s.order))
-    R = np.ascontiguousarray(r.R) @ np.ascontiguousarray(s.R)
-    rs = MilneElement._derived(R, s.A @ _Tc(r.R) + _divided_shift(r.A, s.b), r.b + s.b)
-    rs.batch  # raises ValueError unless the sample axes broadcast
+    """Group product: act(compose(r, s), p) = act(r, act(s, p)).
+
+    While a caller holds the product of r and s, composing them again
+    returns it; its arrays are read-only (see Derived data).
+    """
+    memo = vars(r).setdefault("_memo", {})
+    held = memo.get(("compose", id(s)))
+    rs = None if held is None else held()
+    if rs is None:
+        if r.order != s.order:
+            raise OrderMismatchError("cannot compose orders %d and %d" % (r.order, s.order))
+        R = np.ascontiguousarray(r.R) @ np.ascontiguousarray(s.R)
+        rs = MilneElement._derived(*frozen((R, s.A @ _Tc(r.R) + _divided_shift(r.A, s.b),
+                                            r.b + s.b)))
+        rs.batch  # raises ValueError unless the sample axes broadcast
+        vars(rs)["_factors"] = (r, s)  # so id(s) is not reused while rs lives
+        memo["compose", id(s)] = weakref.ref(rs)
     return rs
 
 
@@ -256,9 +331,14 @@ def _act_event(r, p: Event) -> Event:
 
 
 def _act_inverse(r: MilneElement, x, t):
-    """act(inverse(r), x, t) without forming the inverse element."""
-    s = t - r.b
-    return _rot(_T(r.R), _vector(x) - _divided_eval(r.A, s)), s
+    """act(inverse(r), x, t) without forming the inverse element; the event
+    is read-only, and kept with r for a read-only (x, t)."""
+
+    def event():
+        s = t - r.b
+        return frozen((_rot(_T(r.R), _vector(x) - _divided_eval(r.A, s)), s))
+
+    return _kept(r, "act_inverse", (x, t), event)
 
 
 # -- one-parameter subgroups ---------------------------------------------
@@ -371,11 +451,15 @@ def theta_milne(mass) -> PhaseFunction:
 
     theta(r, x, t) = m A'(t - b).x - (m/2) [U(t - b) - U(-b)] with
     U' = |A'|^2 and U(0) = 0; the rotation part never enters, a time
-    shift only moves the evaluation point.
+    shift only moves the evaluation point.  Its values are kept with the
+    element for read-only events, under a key of this phase's own, so no
+    other phase (the masses 1, 1.0 and Fraction(1) included) shares them.
     """
+    own = object()
 
     def fn(r: MilneElement, x, t):
-        return milne_phase_value(acceleration_phase_polys(mass, r.A), r.b, x, t)
+        return _kept(r, own, (x, t), lambda: milne_phase_value(
+            acceleration_phase_polys(mass, r.A), r.b, x, t))
 
     return PhaseFunction("milne-schrodinger:%s" % _num_tag(mass), "milne", fn)
 
@@ -396,9 +480,17 @@ def finite_exponent(theta: PhaseFunction, r, s, p: Event):
 
 
 def composition_defect(xi: Callable, r, s, g, p: Event):
-    """xi(r,s,p) + xi(rs,g,p) - xi(s,g,r^-1 p) - xi(r,sg,p); zero for an exponent."""
-    return (xi(r, s, p) + xi(compose(r, s), g, p)
-            - xi(s, g, _act_inverse(r, *p)) - xi(r, compose(s, g), p))
+    """xi(r,s,p) + xi(rs,g,p) - xi(s,g,r^-1 p) - xi(r,sg,p); zero for an exponent.
+
+    rs is held while the first two terms run and sg while the last two do,
+    so the finite exponents that form them again find them; holding one
+    at a time keeps a single product in memory besides the terms' own.
+    """
+    rs = compose(r, s)
+    head = xi(r, s, p) + xi(rs, g, p)
+    del rs
+    sg = compose(s, g)
+    return head - xi(s, g, _act_inverse(r, *p)) - xi(r, sg, p)
 
 
 # -- seeded sampling -------------------------------------------------------
@@ -481,7 +573,7 @@ def check_cocycle_identities(theta: Optional[PhaseFunction] = None, *,
     rng = _sampler(samples, seed)
     e = _group_identity(group, order)
     r, s, g = (random_element(rng, group, order, samples) for _ in range(3))
-    p = random_event(rng, samples)
+    p = frozen(random_event(rng, samples))
     rinv = inverse(r)
     worst = {
         "composition": worst_abs(composition_defect(xi, r, s, g, p)),
@@ -534,7 +626,8 @@ def exponent_shift_violation(theta: PhaseFunction, zeta: Callable,
     rng = _sampler(samples, seed)
     r = random_element(rng, theta.group, order, samples)
     s = random_element(rng, theta.group, order, samples)
-    p = random_event(rng, samples)
+    p = frozen(random_event(rng, samples))
+    rs = compose(r, s)  # held until return, so the three finite exponents share it
     lhs = finite_exponent(equivalence_transform(theta, zeta), r, s, p)
     return worst_abs(lhs - finite_exponent(theta, r, s, p)
                      - finite_exponent(_gauge_phase(theta.group, zeta), r, s, p))
@@ -617,8 +710,10 @@ def _stack(elements, batch) -> MilneElement:
 def _commutator_phase(theta: PhaseFunction, u, w, p: Event):
     """tau^2 S(tau): the five finite exponents of the commutator combination."""
     uinv, winv = inverse(u), inverse(w)
+    # held, so the finite exponents of (u, w) and (u^-1, w^-1) find them
+    uw, uinv_winv = compose(u, w), compose(uinv, winv)
     q = _act_event(compose(winv, uinv), p)
-    return (finite_exponent(theta, compose(u, w), compose(uinv, winv), p)
+    return (finite_exponent(theta, uw, uinv_winv, p)
             + finite_exponent(theta, u, w, p)
             + finite_exponent(theta, uinv, winv, q)
             + finite_exponent(theta, u, u, p)

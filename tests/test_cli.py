@@ -370,7 +370,7 @@ class TestVerifyCommand:
         assert code == 0 and report["input"]["degree"] == 2
 
     def test_oversized_samples_is_a_usage_error(self, capsys):
-        # refused before any draw: the suites hold about 1.7 KB per sample
+        # refused before any draw: the suites hold up to 3.2 KB per sample
         tracemalloc.start()
         try:
             code, out, err = run_cli(["verify", "--suite", "galilean",
@@ -381,6 +381,23 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "%d" % cli.MAX_SAMPLES in err
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("run, budget", [
+        (checks.galilean_suite, 11_000_000),
+        (lambda samples, seed: checks.milne_suite(2, samples, seed), 14_000_000),
+        (lambda samples, seed: checks.milne_suite(4, samples, seed), 20_000_000)],
+        ids=["galilean", "milne:2", "milne:4"])
+    def test_suite_peak_memory_stays_within_the_stated_budget(self, run, budget):
+        # the budgets of the comment on cli.MAX_SAMPLES, at 10^4 samples; a
+        # first small run loads what the suite imports and memoizes
+        run(10, 0)
+        tracemalloc.start()
+        try:
+            run(10_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
     def test_failing_check_exits_one_with_report(self, capsys, monkeypatch):
         # variance is nonnegative, so this tolerance cannot be met

@@ -1,6 +1,7 @@
 import itertools
 import math
 import numbers
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -640,12 +641,17 @@ class TestStackedSamples:
             scale = np.max(np.abs(one))
             assert np.max(np.abs(stacked - one)) <= 1e-15 * scale, name
 
+    @pytest.mark.parametrize("freeze", [False, True], ids=["writable", "frozen"])
     @pytest.mark.parametrize("kind", ["galilean", "milne"])
-    def test_fractions_match_per_element_exactly(self, kind):
+    def test_fractions_match_per_element_exactly(self, kind, freeze):
+        # with a frozen event the phase values and inverse actions are kept
+        # with the elements, and kept values of object arrays stay exact
         theta = theta_galilean(F(3, 2)) if kind == "galilean" else theta_milne(F(2))
         rng = np.random.default_rng(9)
         r, s = (_exact_stack(rng, kind, self.N) for _ in range(2))
         x, t = _fractions(rng, (self.N, 3)), _fractions(rng, (self.N,))
+        if freeze:
+            groupexp.frozen((x, t))
         # h_unit's identity is float; e = r r^-1 of one exact sample is exact
         e = compose(r.take(0), inverse(r.take(0)))
         unit = HElement(lambda x, t: 0, e, theta)
@@ -923,3 +929,96 @@ class TestGates:
             random_element(rng, "milne", 2, 10)
         with pytest.raises(ValueError, match="orthogonal"):
             random_element(rng, "galilean")
+
+
+# -- derived data: each exponent term is computed once ----------------------
+
+def _counting(monkeypatch, *names):
+    """Count the calls of the named groupexp functions."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(groupexp, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(groupexp, name, counted)
+    return counts
+
+
+class TestDerivedData:
+    @pytest.mark.parametrize("theta, order", [(theta_galilean(1.0), 1),
+                                              (theta_milne(1.0), 2)],
+                             ids=["galilean", "milne:2"])
+    def test_one_identity_run_computes_each_term_once(self, theta, order, monkeypatch):
+        # the 9 finite exponents have 27 phase terms on 20 distinct
+        # (element, event) pairs: composition 12 terms on 8 (theta(r, p),
+        # theta(s, r^-1 p) and theta(rs, p) recur), unit 9 on 7 (theta(e, p)
+        # and theta(r, p) recur) and inverse 6 on 5 (theta(r, p)); the 11
+        # products (composition 6, of which rs and sg are held and found
+        # again, unit 3, inverse 2) and one inverse run _divided_shift once
+        # each, so 12 - 2 = 10
+        counts = _counting(monkeypatch, "acceleration_phase_polys", "_divided_shift")
+        report = check_cocycle_identities(theta, samples=50, seed=0, order=order)
+        assert report["max_violation"] <= 1e-12
+        assert counts == {"acceleration_phase_polys": 20, "_divided_shift": 10}
+
+    def test_a_product_is_found_while_held_and_freed_with_its_last_holder(self):
+        rng = np.random.default_rng(30)
+        r, s = (random_element(rng, "milne", 2, 20) for _ in range(2))
+        p = groupexp.frozen(random_event(rng, 20))
+        theta = theta_milne(1.0)
+        rs = compose(r, s)
+        assert compose(r, s) is rs
+        value = theta(rs, *p)  # kept with rs, which keeps nothing that holds it
+        held = weakref.ref(rs)
+        del rs
+        assert held() is None
+        again = compose(r, s)
+        assert again is not value and np.array_equal(theta(again, *p), value)
+        for array in (again.R, again.A, again.b):
+            assert not array.flags.writeable
+
+    def test_phases_of_equal_masses_share_nothing(self):
+        # on an exact element Fraction(1) and 1 give Fractions, 1.0 floats;
+        # a shared entry would hand one phase the values of another
+        rng = np.random.default_rng(31)
+        r = _exact_stack(rng, "milne", 8)
+        p = groupexp.frozen((_fractions(rng, (8, 3)), _fractions(rng, (8,))))
+        phases = [theta_milne(F(1)), theta_milne(1.0), theta_milne(1)]
+        values = [theta(r, *p) for theta in phases]
+        assert all(isinstance(v, numbers.Rational) for v in values[0].flat)
+        assert not any(isinstance(v, numbers.Rational) for v in values[1].flat)
+        assert all(isinstance(v, numbers.Rational) for v in values[2].flat)
+        assert len({id(v) for v in values}) == 3
+        assert np.array_equal(values[0], values[2]) and np.allclose(
+            values[1].astype(float), values[0].astype(float), rtol=1e-13, atol=0)
+        for theta, value in zip(phases, values):
+            assert theta(r, *p) is value
+
+    def test_a_writable_event_is_never_kept(self, monkeypatch):
+        counts = _counting(monkeypatch, "acceleration_phase_polys")
+        rng = np.random.default_rng(32)
+        r = random_element(rng, "milne", 2, 10)
+        x, t = random_event(rng, 10)
+        view = x.view()  # read-only itself, but its base is writable
+        view.setflags(write=False)
+        theta = theta_milne(1.3)
+        first = theta(r, x, t)
+        theta(r, view, t)
+        x[0] = 0.0
+        moved = theta(r, x, t)
+        assert counts["acceleration_phase_polys"] == 3
+        assert "_memo" not in vars(r)
+        assert first[0] != moved[0] and np.array_equal(first[1:], moved[1:])
+        assert np.array_equal(moved, theta_milne(1.3)(r, x.copy(), t.copy()))
+
+    def test_kept_arrays_cannot_be_written(self):
+        rng = np.random.default_rng(33)
+        r = random_element(rng, "galilean", size=10)
+        p = groupexp.frozen(random_event(rng, 10))
+        value = theta_galilean(2.0)(r, *p)
+        y, u = _act_inverse(r, *p)
+        assert _act_inverse(r, *p)[0] is y
+        for array in (value, y, y.base, u, p[0], p[1]):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
